@@ -18,8 +18,7 @@ from .homogenize import (EffectiveCoefficients, InvalidCoefficientsError,
                          effective_from_cell, effective_from_limit_map)
 from .transport import (Box, InitialDatum, SolutionSampler, TruncationWarning,
                         bump_datum, dependence_box, lp_norm, midpoint_times,
-                        solve_homogenized, solve_transport,
-                        translated_datum_sampler)
+                        solve_homogenized, solve_transport)
 from .diagnostics import (ConvergenceReport, InvariantCheck, InvariantReport,
                           PhiConvergence, SpacetimeQuad, TestFunction,
                           convergence_sweep, default_dictionary,

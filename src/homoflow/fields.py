@@ -636,10 +636,9 @@ class PeriodicCellMap:
     def jacobian(self, y: Array) -> Array:
         y = as_points(y, self.dim)
         M = np.asarray(self.M, dtype=float)
-        out = np.broadcast_to(M, y.shape + (self.dim,)).copy()
-        if self.periodic_part is not None:
-            out = out + self.periodic_part.jacobian(y)
-        return out
+        if self.periodic_part is None:
+            return np.broadcast_to(M, y.shape + (self.dim,)).copy()
+        return self.periodic_part.jacobian(y) + M
 
 
 def identity_cell(dim: int = 2) -> PeriodicCellMap:
@@ -662,10 +661,10 @@ def sine_cell(M, delta: float, gamma: float) -> PeriodicCellMap:
 
     def jac(y):
         y = as_points(y, 2)
-        z = np.zeros(y.shape[:-1])
-        return np.stack([np.stack([z, d * np.cos(TWO_PI * y[..., 1])], axis=-1),
-                         np.stack([g * np.cos(TWO_PI * y[..., 0]), z], axis=-1)],
-                        axis=-2)
+        out = np.zeros(y.shape + (2,))
+        out[..., 0, 1] = d * np.cos(TWO_PI * y[..., 1])
+        out[..., 1, 0] = g * np.cos(TWO_PI * y[..., 0])
+        return out
 
     def div(y):
         y = as_points(y, 2)
@@ -752,7 +751,10 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
         def cell_drift(y):
             J = cell.jacobian(y)
             det = cell_det(J)
-            return np.stack([J[..., 1, 1] / det, -J[..., 1, 0] / det], axis=-1)
+            out = np.empty(y.shape)
+            np.divide(J[..., 1, 1], det, out=out[..., 0])
+            np.divide(-J[..., 1, 0], det, out=out[..., 1])
+            return out
     else:
         def cell_det(J):
             return np.linalg.det(J)

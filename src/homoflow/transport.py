@@ -276,9 +276,3 @@ def dependence_box(u0: InitialDatum, sup_bound: float, T: float,
     """Box certain to contain the solution's support up to time T."""
     r = u0.support_radius + abs(float(T)) * float(sup_bound) + margin
     return Box.from_radius(u0.center, r)
-
-
-def translated_datum_sampler(datum: InitialDatum, velocity) -> SolutionSampler:
-    """Closed-form sampler u(t, x) = u0(x + t v); handy as an oracle."""
-    return _constant_drift_sampler(np.asarray(velocity, dtype=float), datum,
-                                   "homogenized-solution")

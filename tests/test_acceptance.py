@@ -142,6 +142,7 @@ def test_criterion_04_liouville_identities(samples):
             f"density ratio {worst_ratio:.2e} < 1e-6")
 
 
+@pytest.mark.slow
 def test_criterion_05_lp_stability(unit_bump_mod):
     delta = gamma = 0.3
     system = deltagamma_system(EPS_CANONICAL, delta, gamma)
@@ -173,6 +174,7 @@ def test_criterion_06_effective_coefficients():
             f"quasi-affinity {worst_quasi:.2e}, all < 1e-10 at m=64")
 
 
+@pytest.mark.slow
 def test_criterion_07_weak_convergence(sweep_data, unit_bump_mod):
     eps_list, makers, coeffs, solutions = sweep_data
     quad = SpacetimeQuad(T=1.0, n_time=64, m_space=64, nodes_per_period=8.0,
@@ -195,6 +197,7 @@ def test_criterion_07_weak_convergence(sweep_data, unit_bump_mod):
     _report(7, "weak-convergence", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_08_strong_convergence(sweep_data, unit_bump_mod):
     # fixed datum and p = 4 > 2: the strong-convergence hypotheses hold, the
     # measured quantity is the density-weighted L2 distance on a box

@@ -1,5 +1,7 @@
 """Config grammar, runners, CSV schema, determinism, exit codes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,33 @@ def test_sweep_is_byte_deterministic():
     a = run_sweep(parse_config(FAST_SWEEP))[1]
     b = run_sweep(parse_config(FAST_SWEEP))[1]
     assert a == b
+
+
+# the acceptance criterion-11 sweep size
+SMOKE_SWEEP = """
+sweep.eps = 0.4,0.2
+dictionary.count = 3
+quadrature.m = 24
+quadrature.time_nodes = 16
+quadrature.nodes_per_eps = 4.0
+quadrature.lp_m = 64
+integrator.h = 0.005
+"""
+
+
+@pytest.mark.parametrize("family,digest", [
+    ("family.name = deltagamma",
+     "80ee55b73ee9506d1a4efd6ff4d4e091fde74a15696c80c6fb8e5bc1988a5324"),
+    # a non-identity affine part exercises the M + periodic-part Jacobian
+    ("family.name = periodic\nfamily.m = 1.2,0.3,-0.1,0.9",
+     "19f626f022511e5d5cc77f5ab22d0d7ecddf01e277641a70d5e9bcc1bed93237"),
+])
+def test_sweep_csv_bytes_are_pinned(family, digest):
+    # Digests of the CSV from the stacked drift and the full-grid pairings
+    # (x86-64 Linux, glibc libm, numpy 2.4): fast paths must keep every bit.
+    code, csv = run_sweep(parse_config(family + SMOKE_SWEEP))
+    assert code == 0
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Diagnostics: pairings, convergence reports, and the invariant suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,71 @@ def test_density_pairing_drops_the_weight(unit_bump):
     weighted = weak_pairing(system, sol, phi, quad)
     plain = density_pairing(sol, phi, quad)
     assert weighted != plain
+
+
+def _full_grid_pairing(sol, phi, quad, weight):
+    """Unpruned reference: every node of phi's box at every time node."""
+    box = phi.space_box
+    pts, vol = box.midpoint_grid(quad.space_resolution(box.widths))
+    ts = hf.midpoint_times(quad.T, quad.n_time)
+    dt = quad.T / quad.n_time
+    vals = sol.eval_times(ts, pts)
+    w = weight(pts) if weight is not None else None
+    total = 0.0
+    for k, t in enumerate(ts):
+        layer = vals[k] * phi.eval(t, pts)
+        if w is not None:
+            layer = layer * w
+        total += float(np.sum(layer))
+    return total * vol * dt
+
+
+def _recording(sol, calls):
+    def eval_times(ts, x):
+        calls.append((np.array(ts), np.array(x)))
+        return sol.eval_times(ts, x)
+    return replace(sol, eval_times=eval_times)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, -2.5])
+def test_pruned_pairings_equal_full_grid(amplitude):
+    # time support [0.05, 0.55] ends well before T = 1
+    system = deltagamma_system(0.2)
+    u0 = hf.bump_datum(2, [0.0, 0.0], 1.0, amplitude)
+    sol = hf.solve_transport(system.b, u0, IntegratorConfig(h=0.01))
+    quad = SpacetimeQuad(T=1.0, n_time=16, m_space=24)
+    phi = TestFunction(2, 0.3, np.array([-0.3, 0.1]), 0.25)
+    calls = []
+    weighted = weak_pairing(system, _recording(sol, calls), phi, quad)
+    plain = density_pairing(_recording(sol, calls), phi, quad)
+    assert weighted == _full_grid_pairing(sol, phi, quad, system.sigma.eval)
+    assert plain == _full_grid_pairing(sol, phi, quad, None)
+    assert weighted != 0.0 and np.sign(weighted) == np.sign(amplitude)
+    # advected up to the last time node in the support, on the ball's nodes,
+    # and never skipping a node where phi is nonzero
+    ts_adv, x_adv = calls[0]
+    assert len(ts_adv) == 9 and len(x_adv) < 24 * 24
+    pts, _ = phi.space_box.midpoint_grid(24)
+    ts = hf.midpoint_times(quad.T, quad.n_time)
+    nonzero = np.array([phi.eval(t, pts) > 0.0 for t in ts])
+    assert np.flatnonzero(nonzero.any(axis=1))[-1] < len(ts_adv)
+    assert {tuple(p) for p in pts[nonzero.any(axis=0)]} <= {tuple(p) for p in x_adv}
+    assert np.array_equal(calls[1][1], x_adv)
+
+
+def test_pairing_outside_time_window_never_advects(unit_bump):
+    system = deltagamma_system(0.2)
+    sol = hf.solve_transport(system.b, unit_bump, IntegratorConfig(h=0.01))
+    quad = SpacetimeQuad(T=1.0, n_time=16, m_space=24)
+    phi = TestFunction(2, 1.5, np.array([-1.0, 0.0]), 0.4)
+
+    def refuse(ts, x):
+        raise AssertionError("pairing advected outside phi's time support")
+
+    silent = replace(sol, eval_times=refuse)
+    assert weak_pairing(system, silent, phi, quad) == 0.0
+    assert density_pairing(silent, phi, quad) == 0.0
+    assert _full_grid_pairing(sol, phi, quad, system.sigma.eval) == 0.0
 
 
 def test_space_resolution_honors_resolve_scale():
