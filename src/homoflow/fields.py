@@ -255,20 +255,7 @@ def _fd_steps(x: Array) -> Array:
 
 def fd_gradient(f: Callable[[Array], Array], x: Array, step: float | None = None) -> Array:
     """Central-difference gradient of a scalar function, one batched call."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    h = np.asarray(step if step is not None else _fd_steps(x))
-    shifts = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        shifts.append(x + h[..., None] * e)
-        shifts.append(x - h[..., None] * e)
-    vals = f(np.stack(shifts, axis=0))
-    out = np.empty(x.shape)
-    for j in range(n):
-        out[..., j] = (vals[2 * j] - vals[2 * j + 1]) / (2.0 * h)
-    return out
+    return fd_jacobian(lambda y: f(y)[..., None], x, step)[..., 0, :]
 
 
 def fd_jacobian(f: Callable[[Array], Array], x: Array, step: float | None = None) -> Array:
@@ -283,7 +270,7 @@ def fd_jacobian(f: Callable[[Array], Array], x: Array, step: float | None = None
         shifts.append(x + h[..., None] * e)
         shifts.append(x - h[..., None] * e)
     vals = f(np.stack(shifts, axis=0))
-    out = np.empty(x.shape + (n,))
+    out = np.empty(vals.shape[1:] + (n,))
     for j in range(n):
         out[..., :, j] = (vals[2 * j] - vals[2 * j + 1]) / (2.0 * h[..., None])
     return out

@@ -11,7 +11,11 @@ The two are propagated independently on purpose: their agreement is a
 cross-check, not a tautology.
 
 Each integration call is pure; trajectories for distinct starting batches may
-run concurrently, and returned states are never mutated.
+run concurrently.  Flow-map systems (:func:`flow_map_diffeo`,
+:func:`dynamic_flow_family`) keep a single-entry memo of the last carried
+integration, keyed by the exact bytes of the point batch, so the Jacobian,
+determinant, drift and theta of one batch share one integration.  The arrays
+of a memoized state are read-only.
 """
 
 from __future__ import annotations
@@ -204,6 +208,50 @@ def semigroup_defect(field: VectorField, s: float, t: float, x,
     return np.linalg.norm(direct - staged, axis=-1)
 
 
+def _carried_flow(field: VectorField, t: float,
+                  cfg: IntegratorConfig) -> Callable[[Array], FlowState]:
+    """``advect(field, x, t, cfg, carry_jacobian=True)`` remembering its last batch.
+
+    The key is the exact bytes of the batch (shape, dtype, contents), so
+    ``-0.0`` and ``+0.0`` are distinct and an input mutated in place misses.
+    The stored arrays are made read-only: a caller's in-place write raises
+    instead of corrupting later hits.  A failed integration (blow-up, or the
+    Richardson guard) leaves the previous entry in place.
+    """
+    memo: tuple | None = None
+
+    def state(x) -> FlowState:
+        nonlocal memo
+        x = as_points(x, field.dim)
+        key = (x.shape, x.dtype.str, x.tobytes())
+        # the (key, state) pair is read once and replaced in one assignment,
+        # so a concurrent caller never pairs one batch's key with another's state
+        entry = memo
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        st = advect(field, x, t, cfg, carry_jacobian=True)
+        for arr in (st.pos, st.jac, st.logdet):
+            arr.flags.writeable = False
+        memo = (key, st)
+        return st
+
+    return state
+
+
+def _flow_map(field: VectorField, t: float, cfg: IntegratorConfig,
+              state: Callable[[Array], FlowState]) -> Diffeo:
+    def ev(x):
+        return advect(field, x, t, cfg).pos
+
+    def jac(x):
+        return state(x).jac
+
+    def det(x):
+        return np.exp(state(x).logdet)
+
+    return Diffeo(field.dim, ev, jac, det=det, exact=False)
+
+
 def flow_map_diffeo(field: VectorField, t: float,
                     cfg: IntegratorConfig = IntegratorConfig()) -> Diffeo:
     """The time-t flow map as a diffeomorphism with propagated Jacobian.
@@ -211,19 +259,14 @@ def flow_map_diffeo(field: VectorField, t: float,
     Its determinant is pinned to exp of the integrated divergence, which for
     fields with bounded |field| + |div field| stays inside fixed positive
     bounds no matter how strongly the field oscillates.
+
+    ``jacobian`` and ``det`` share one carried integration per point batch:
+    the map remembers the last batch it integrated, and the Jacobian it
+    returns is a read-only array.  ``eval`` integrates positions only and is
+    not memoized.
     """
     t = float(t)
-
-    def ev(x):
-        return advect(field, x, t, cfg).pos
-
-    def jac(x):
-        return advect(field, x, t, cfg, carry_jacobian=True).jac
-
-    def det(x):
-        return np.exp(advect(field, x, t, cfg, carry_jacobian=True).logdet)
-
-    return Diffeo(field.dim, ev, jac, det=det, exact=False)
+    return _flow_map(field, t, cfg, _carried_flow(field, t, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +314,24 @@ def validate_flow_family(a_eps: VectorField, limit_a: VectorField,
         n_samples=int(pts.shape[0]))
 
 
-def _flow_fd_jacobian(ev: Callable[[Array], Array], dim: int) -> Callable[[Array], Array]:
-    def jac(x):
+def _flow_fd(fd: Callable, ev: Callable[[Array], Array],
+             dim: int) -> Callable[[Array], Array]:
+    """``fd`` (fd_gradient or fd_jacobian) of a flow-propagated ``ev``, with
+    step FLOW_FD_STEP * max(1, |x|)."""
+    def derivative(x):
         x = as_points(x, dim)
         step = FLOW_FD_STEP * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-        return fd_jacobian(ev, x, step=step)
+        return fd(ev, x, step=step)
 
-    return jac
+    return derivative
+
+
+def _liouville_theta(state: Callable[[Array], FlowState], dim: int) -> ScalarField:
+    """theta = exp of the integrated divergence of a memoized carried flow."""
+    def ev(x):
+        return np.exp(state(x).logdet)
+
+    return ScalarField(dim, ev, _flow_fd(fd_gradient, ev, dim), exact=False)
 
 
 def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
@@ -294,6 +348,11 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
     divergence free by construction.  theta is det of the flow Jacobian,
     evaluated through the Liouville exponential.  Limit data comes from the
     flow of ``limit_a``.
+
+    ``W.jacobian``, ``W.det``, ``b.eval`` and ``theta.eval`` read one memoized
+    carried integration of ``a_eps`` (``limit_W`` and ``limit_theta`` one of
+    ``limit_a``), which keeps only the last point batch: calling them on the
+    same points integrates once.  ``W.jacobian`` returns a read-only array.
 
     When ``validation_points`` is given the sampled hypotheses are enforced:
     exceeding ``amplitude_bound`` or ``div_tol`` (both optional) raises
@@ -315,11 +374,11 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
                 f"divergence mismatch {report.div_gap_lq:.4g} > {div_tol:.4g}"
                 f" (worst sample {report.worst_div_point})")
 
-    W = flow_map_diffeo(a_eps, t_star, cfg)
-    limit_W = flow_map_diffeo(limit_a, t_star, cfg)
+    state = _carried_flow(a_eps, t_star, cfg)
+    limit_state = _carried_flow(limit_a, t_star, cfg)
 
     def b_ev(x):
-        jw = advect(a_eps, x, t_star, cfg, carry_jacobian=True).jac
+        jw = state(x).jac
         rows = [jw[..., k, :] for k in range(1, dim)]
         return rot_perp(rows[0]) if dim == 2 else cross_product(rows)
 
@@ -327,30 +386,13 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
         x = as_points(x, dim)
         return np.zeros(x.shape[:-1])
 
-    b = VectorField(dim, b_ev, _flow_fd_jacobian(b_ev, dim), b_div,
+    b = VectorField(dim, b_ev, _flow_fd(fd_jacobian, b_ev, dim), b_div,
                     div_bound=0.0, exact=False)
 
-    def theta_ev(x):
-        return np.exp(advect(a_eps, x, t_star, cfg, carry_jacobian=True).logdet)
-
-    def theta_gr(x):
-        x = as_points(x, dim)
-        step = FLOW_FD_STEP * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-        return fd_gradient(theta_ev, x, step=step)
-
-    theta = ScalarField(dim, theta_ev, theta_gr, exact=False)
-
-    def limit_theta_ev(x):
-        return np.exp(advect(limit_a, x, t_star, cfg, carry_jacobian=True).logdet)
-
-    def limit_theta_gr(x):
-        x = as_points(x, dim)
-        step = FLOW_FD_STEP * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-        return fd_gradient(limit_theta_ev, x, step=step)
-
-    limit_theta = ScalarField(dim, limit_theta_ev, limit_theta_gr, exact=False)
-
     return RectifiedSystem(
-        dim=dim, eps=float(eps), W=W, sigma=constant_scalar(dim, 1.0), b=b,
-        theta=theta, sigma_bounds=(1.0, 1.0), limit_W=limit_W,
-        limit_theta=limit_theta, label=label, analytic=False)
+        dim=dim, eps=float(eps), W=_flow_map(a_eps, t_star, cfg, state),
+        sigma=constant_scalar(dim, 1.0), b=b,
+        theta=_liouville_theta(state, dim), sigma_bounds=(1.0, 1.0),
+        limit_W=_flow_map(limit_a, t_star, cfg, limit_state),
+        limit_theta=_liouville_theta(limit_state, dim), label=label,
+        analytic=False)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import homoflow as hf
+from homoflow import flow
 from homoflow.flow import (AccuracyError, BlowupError, FamilyValidationError,
                            IntegratorConfig, advect, advect_times,
                            dynamic_flow_family, flow_map_diffeo,
@@ -217,3 +218,109 @@ def test_dynamic_family_enforces_bounds(rng):
     with pytest.raises(FamilyValidationError):
         dynamic_flow_family(shear_velocity(), tanh_sine_velocity(), 1.0, 0.2,
                             CFG, validation_points=pts, div_tol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# one carried integration per point batch
+# ---------------------------------------------------------------------------
+
+MEMO_CFG = IntegratorConfig(h=1e-2)
+
+
+@pytest.fixture
+def carried_batches(monkeypatch):
+    """Point counts of every carried ``flow.advect`` call, in order."""
+    seen = []
+    original = flow.advect
+
+    def counting(field, x0, t_final, cfg=IntegratorConfig(), carry_jacobian=False):
+        if carry_jacobian:
+            seen.append(np.asarray(x0).shape[:-1])
+        return original(field, x0, t_final, cfg, carry_jacobian)
+
+    monkeypatch.setattr(flow, "advect", counting)
+    return seen
+
+
+def _oscillating_family():
+    return dynamic_flow_family(oscillating_velocity(0.2), tanh_sine_velocity(),
+                               1.0, 0.2, MEMO_CFG)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_memo_outputs_equal_direct_advect(rng, carried_batches):
+    system = _oscillating_family()
+    accessors = {
+        "W.jacobian": (system.W.jacobian, lambda st: st.jac),
+        "W.det": (system.W.det_at, lambda st: np.exp(st.logdet)),
+        "b.eval": (system.b.eval, lambda st: hf.rot_perp(st.jac[..., 1, :])),
+        "theta.eval": (system.theta.eval, lambda st: np.exp(st.logdet)),
+    }
+    for first in accessors:
+        x = rng.uniform(-2, 2, (40, 2))
+        direct = advect(oscillating_velocity(0.2), x, 1.0, MEMO_CFG,
+                        carry_jacobian=True)
+        before = len(carried_batches)
+        call, expect = accessors[first]
+        assert _same_bytes(call(x), expect(direct)), f"{first} on a miss"
+        for name, (call, expect) in accessors.items():
+            assert _same_bytes(call(x), expect(direct)), f"{name} on a hit"
+        assert len(carried_batches) == before + 1
+
+
+def test_memo_keys_on_exact_input_bytes(carried_batches):
+    system = _oscillating_family()
+    x = np.array([[0.0, 0.5], [1.0, -0.3]])
+    first = system.W.jacobian(x).copy()
+    x[1, 0] = 1.25  # mutated in place: the same array object must miss
+    moved = system.W.jacobian(x)
+    direct = advect(oscillating_velocity(0.2), x, 1.0, MEMO_CFG, carry_jacobian=True)
+    assert _same_bytes(moved, direct.jac)
+    assert not np.array_equal(moved, first)
+    assert len(carried_batches) == 2
+
+    system.W.jacobian(np.array([[0.0, 0.5]]))
+    system.W.jacobian(np.array([[-0.0, 0.5]]))  # equal values, other bits
+    assert len(carried_batches) == 4
+
+
+def test_memo_returns_read_only_arrays():
+    system = _oscillating_family()
+    x = np.array([[0.2, 0.4], [-1.0, 0.7]])
+    jw = system.W.jacobian(x)
+    assert not jw.flags.writeable
+    with pytest.raises(ValueError):
+        jw[0, 0, 0] = 0.0
+    direct = advect(oscillating_velocity(0.2), x, 1.0, MEMO_CFG, carry_jacobian=True)
+    assert _same_bytes(system.W.jacobian(x), direct.jac)
+
+
+def test_memo_keeps_entry_when_integration_blows_up(carried_batches):
+    def ev(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.stack([x[..., 0] ** 2, np.zeros(x.shape[:-1])], axis=-1)
+
+    def jac(x):
+        j = np.zeros(x.shape[:-1] + (2, 2))
+        j[..., 0, 0] = 2 * x[..., 0]
+        return j
+
+    field = hf.VectorField(2, ev, jac, lambda x: 2 * x[..., 0])
+    mapping = flow_map_diffeo(field, 2.0, MEMO_CFG)
+    good = np.array([[0.1, 0.0]])
+    kept = mapping.jacobian(good)
+    with pytest.raises(BlowupError), np.errstate(over="ignore", invalid="ignore"):
+        mapping.jacobian(np.array([[2.0, 0.0]]))
+    assert mapping.jacobian(good) is kept
+    assert len(carried_batches) == 2
+
+
+def test_invariant_suite_integrates_each_batch_once(carried_batches):
+    system = _oscillating_family()
+    report = hf.invariant_suite(system, n_samples=50)
+    assert report.checks
+    # the sample batch, then the finite-difference stack of b.jacobian
+    assert carried_batches == [(50,), (4, 50)]
