@@ -232,6 +232,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.family in FAMILY_NAMES, "family.name",
          f"must be one of {FAMILY_NAMES}")
     need(cfg.eps > 0.0, "eps", "must be positive")
+    need(len(cfg.sweep_eps) > 0, "sweep.eps", "needs at least one value")
     need(all(e > 0.0 for e in cfg.sweep_eps), "sweep.eps", "must be positive")
     need(all(cfg.sweep_eps[i + 1] < cfg.sweep_eps[i]
              for i in range(len(cfg.sweep_eps) - 1)),
@@ -249,7 +250,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.dict_radius > 0.0, "dictionary.radius", "must be positive")
     need(cfg.check_samples >= 1, "check.samples", "must be at least 1")
     need(cfg.check_box[0] < cfg.check_box[1], "check.box", "needs lo < hi")
+    need(len(cfg.simulate_t) > 0, "simulate.t", "needs at least one time")
     need(cfg.simulate_m >= 2, "simulate.m", "must be at least 2")
+    need(len(cfg.strong_t) > 0, "sweep.strong_t", "needs at least one time")
     if cfg.family in ("deltagamma", "periodic"):
         need(abs(cfg.delta * cfg.gamma) < 1.0, "family.delta",
              "|delta * gamma| must stay below 1 or the cell density vanishes")
@@ -422,10 +425,14 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[int, str]:
     u0 = _datum(cfg)
     sol = solve_transport(system.b, u0, _integrator(cfg))
     t_values = sorted(set(float(t) for t in cfg.simulate_t))
-    sup = _estimated_sup(system, u0.support_radius + max(t_values) + 1.0)
-    box = dependence_box(u0, sup, max(t_values) if t_values else 0.0)
+    t_reach = max(abs(t) for t in t_values)
+    sup = _estimated_sup(system, u0.support_radius + t_reach + 1.0)
+    box = dependence_box(u0, sup, t_reach)
     pts, _ = box.midpoint_grid(cfg.simulate_m)
-    vals = sol.eval_times(np.asarray(t_values), pts)
+    # one integration pass per direction of time
+    vals = np.concatenate([sol.eval_times(np.asarray(ts), pts) for ts in
+                           ([t for t in t_values if t < 0.0],
+                            [t for t in t_values if t >= 0.0]) if ts])
     sig = system.sigma.eval(pts)
     rows = []
     for k, t in enumerate(t_values):

@@ -399,10 +399,11 @@ def invariant_suite(system: RectifiedSystem, sample_box: Box | None = None,
         checks.append(_mk("flux-determinant-pairing", worst, tol * 10.0))
 
     radii = [1.0, 2.0, 4.0, 8.0]
-    mins = []
-    for r in radii:
-        sp = _sphere_points(dim, r, 64 if dim == 2 else 256, seed)
-        mins.append(float(np.linalg.norm(system.W.eval(sp), axis=-1).min()))
+    n_sphere = 64 if dim == 2 else 256
+    # one batch for all spheres: W evaluates each point independently
+    spheres = np.concatenate([_sphere_points(dim, r, n_sphere, seed) for r in radii])
+    norms = np.linalg.norm(system.W.eval(spheres), axis=-1)
+    mins = [float(m) for m in norms.reshape(len(radii), n_sphere).min(axis=1)]
     drops = max((mins[i] - mins[i + 1]) for i in range(len(mins) - 1))
     slope = float(np.polyfit(radii, mins, 1)[0])
     proper_res = max(0.0, drops) + max(0.0, -slope)

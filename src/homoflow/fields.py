@@ -84,7 +84,15 @@ class VectorField:
 
     ``sup_bound``/``div_bound`` are optional uniform bounds on ``|field|`` and
     ``|div field|``; generator families estimate them by dense sampling and
-    inflate the estimate, user fields may leave them absent.
+    inflate the estimate, user fields may leave them absent.  They size boxes
+    and warnings, never decide which points are computed.
+
+    ``proven_sup`` is stronger: a bound on ``|eval(x)|`` as computed in
+    floating point, for every finite x, derived rather than sampled.  The
+    identity and sine cells carry one (see :func:`sine_cell`); with it,
+    :func:`~homoflow.transport.solve_transport` integrates only the points a
+    compactly supported datum can reach.  Leave it absent unless it is
+    proven: a wrong value silently zeroes parts of solutions.
     """
 
     dim: int
@@ -94,6 +102,7 @@ class VectorField:
     sup_bound: float | None = None
     div_bound: float | None = None
     exact: bool = True
+    proven_sup: float | None = None
 
 
 @dataclass(frozen=True)
@@ -606,12 +615,24 @@ class PeriodicCellMap:
     periodic part, shape ``(..., N, N, N)`` with entry [i, j, k] equal to
     d^2(part_i)/(dy_j dy_k); with it the rescaled drift gets an exact
     Jacobian, without it finite differences take over.
+
+    ``drift`` optionally evaluates the cell drift in closed form; it must
+    return the bits of the generic formula built from ``jacobian``.
+    ``proven_drift_sup`` is a proven bound on the computed drift's norm over
+    all of R^N (see ``VectorField.proven_sup``).  Both belong to the
+    constructor that built them from ``M`` and the periodic part: a copy
+    with another ``M`` (``dataclasses.replace(cell, M=...)``) must be rebuilt
+    by that constructor, or have both set to None.  ``periodic_family``
+    refuses a ``drift`` that disagrees with the generic formula, or a bound
+    below the drift's sampled maximum.
     """
 
     dim: int
     M: Array
     periodic_part: VectorField | None = None
     hessians: Callable[[Array], Array] | None = None
+    drift: Callable[[Array], Array] | None = None
+    proven_drift_sup: float | None = None
 
     def eval(self, y: Array) -> Array:
         y = as_points(y, self.dim)
@@ -633,13 +654,54 @@ def identity_cell(dim: int = 2) -> PeriodicCellMap:
         y = as_points(y, dim)
         return np.zeros(y.shape + (dim, dim))
 
-    return PeriodicCellMap(dim, np.eye(dim), None, hess)
+    # the drift is e1 computed exactly (unit pivots and zeros only)
+    return PeriodicCellMap(dim, np.eye(dim), None, hess,
+                           proven_drift_sup=1.0)
+
+
+def _sine_drift_sup(m00: float, m01: float, m10: float, m11: float,
+                    d: float, g: float) -> float | None:
+    """Proven bound on the computed sine-cell drift over all of R^2.
+
+    With c1 = cos(2pi y1), c2 = cos(2pi y2) the drift is
+    (m11, -(m10 + g c1)) / det and det = m00 m11 - (m01 + d c2)(m10 + g c1)
+    is bilinear in (c1, c2), so det > 0 on the square [-1, 1]^2 as soon as
+    it is positive at the four corners.  For fixed c1, |b| = const / det is monotone in c2; for
+    fixed c2, |b| is a convex norm over a positive affine function, which is
+    quasiconvex in c1.  Either way the maximum over the square sits at a
+    corner.
+
+    The corner maximum is inflated by 32 u kappa, u = 2^-53 and
+    kappa = (|m00 m11| + A B) / (smallest corner det) with A = |d| + |m01|,
+    B = |g| + |m10|: the products, the determinant's difference and the two
+    divisions perturb the computed drift (at any computed cosine in [-1, 1])
+    and the computed corner values each by less than 12 u kappa relative.
+    None (no bound) when a corner det is not positive, or when kappa > 1e12
+    makes that first-order rounding estimate unsafe.
+    """
+    c = np.array([-1.0, 1.0])
+    j01 = d * c[None, :] + m01
+    j10 = g * c[:, None] + m10
+    det = m00 * m11 - j01 * j10
+    if not np.all(det > 0.0):
+        return None
+    scale = abs(m00 * m11) + (abs(d) + abs(m01)) * (abs(g) + abs(m10))
+    kappa = scale / float(det.min())
+    if kappa > 1e12:
+        return None
+    corner_max = float(np.max(np.hypot(m11, j10) / det))
+    return corner_max * (1.0 + 32.0 * 2.0 ** -53 * kappa)
 
 
 def sine_cell(M, delta: float, gamma: float) -> PeriodicCellMap:
-    """2D cell M y + ((delta/2pi) sin(2pi y2), (gamma/2pi) sin(2pi y1))."""
+    """2D cell M y + ((delta/2pi) sin(2pi y2), (gamma/2pi) sin(2pi y1)).
+
+    Its drift is evaluated straight from the two cosines, and it carries the
+    proven drift bound of :func:`_sine_drift_sup`.
+    """
     M = np.asarray(M, dtype=float)
     d, g = float(delta), float(gamma)
+    m00, m01, m10, m11 = (float(v) for v in M.ravel())
 
     def ev(y):
         y = as_points(y, 2)
@@ -667,7 +729,24 @@ def sine_cell(M, delta: float, gamma: float) -> PeriodicCellMap:
         out[..., 1, 0, 0] = -TWO_PI * g * np.sin(TWO_PI * y[..., 0])
         return out
 
-    return PeriodicCellMap(2, M, part, hess)
+    # the generic path's diagonal is 0.0 + M, which turns -0.0 into +0.0
+    j11 = m11 + 0.0
+    det_diag = (m00 + 0.0) * j11
+
+    def drift(y):
+        # rot_perp(row 2 of jacobian) / det: the same float operations in the
+        # same order, without the (..., 2, 2) Jacobian
+        y = as_points(y, 2)
+        j01 = d * np.cos(TWO_PI * y[..., 1]) + m01
+        j10 = g * np.cos(TWO_PI * y[..., 0]) + m10
+        det = det_diag - j01 * j10
+        out = np.empty(y.shape)
+        np.divide(j11, det, out=out[..., 0])
+        np.divide(-j10, det, out=out[..., 1])
+        return out
+
+    return PeriodicCellMap(2, M, part, hess, drift=drift,
+                           proven_drift_sup=_sine_drift_sup(m00, m01, m10, m11, d, g))
 
 
 def deltagamma_cell(delta: float, gamma: float) -> PeriodicCellMap:
@@ -706,8 +785,10 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
 
     sigma is the cell Jacobian determinant evaluated at x/eps, theta is
     identically one, and the limit map is the affine part x -> M x.  The
-    sigma bounds come from a ``sample_m``^N cell scan inflated by
-    ``bound_inflation``.
+    sigma bounds and the drift's ``sup_bound`` come from a ``sample_m``^N
+    cell scan inflated by ``bound_inflation``; the drift's ``proven_sup`` is
+    the cell's ``proven_drift_sup``, since b takes exactly the cell drift's
+    values.
     """
     dim = cell.dim
     eps = float(eps)
@@ -735,7 +816,7 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
         def cell_det(J):
             return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
-        def cell_drift(y):
+        def generic_drift(y):
             J = cell.jacobian(y)
             det = cell_det(J)
             out = np.empty(y.shape)
@@ -746,10 +827,12 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
         def cell_det(J):
             return np.linalg.det(J)
 
-        def cell_drift(y):
+        def generic_drift(y):
             J = cell.jacobian(y)
             rows = [J[..., k, :] for k in range(1, dim)]
             return cross_product(rows) / np.linalg.det(J)[..., None]
+
+    cell_drift = cell.drift or generic_drift
 
     # -- sigma ------------------------------------------------------------
     def sig_ev(x):
@@ -816,14 +899,21 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
             return np.trace(b_jac(x), axis1=-2, axis2=-1)
 
     b_grid = cell_drift(grid)
-    sup_b = float(np.linalg.norm(b_grid, axis=-1).max()) * bound_inflation
+    if cell.drift is not None and b_grid.tobytes() != generic_drift(grid).tobytes():
+        raise InvalidCellError("the cell's closed-form drift disagrees with its Jacobian;"
+                               " rebuild the cell after changing M")
+    sampled_b = float(np.linalg.norm(b_grid, axis=-1).max())
+    if cell.proven_drift_sup is not None and sampled_b > cell.proven_drift_sup:
+        raise InvalidCellError("the cell's proven drift bound is below a sampled |b|;"
+                               " rebuild the cell after changing M")
+    sup_b = sampled_b * bound_inflation
     div_b = None
     if have_hess:
         div_grid = -np.einsum("...i,...i->...", _cell_sigma_grad(cell, grid), b_grid) / det_grid
         div_b = float(np.abs(div_grid).max()) * bound_inflation / eps
 
     b = VectorField(dim, b_ev, b_jac, b_div, sup_bound=sup_b, div_bound=div_b,
-                    exact=have_hess)
+                    exact=have_hess, proven_sup=cell.proven_drift_sup)
 
     # -- the rescaled map ---------------------------------------------------
     def w_ev(x):

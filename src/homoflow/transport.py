@@ -6,6 +6,14 @@ u(t, x) = u0(X(t, x)).  With a compactly supported datum every norm and
 pairing lives on a finite box (support radius plus travel distance), so the
 truncation to a box is exact rather than an approximation.
 
+Transport has a finite speed.  When the drift carries a proven bound S on
+its computed norm (``VectorField.proven_sup``), u(t, x) is exactly 0 unless
+|x - c| < r0 + |t| S, with c and r0 the datum's center and support radius;
+the samplers of :func:`solve_transport` then integrate only the points inside
+that reach (slightly enlarged to cover rounding) and return +0.0 elsewhere.
+Initial data must therefore return +0.0 outside their support, as
+:func:`bump_datum` does.  Sampled bounds (``sup_bound``) only size boxes.
+
 The limit equation comes in two equivalent shapes for positive density:
 the plain advective form  du/dt - (xi0/sigma0) . grad u = 0  and the density
 form  dv/dt - xi0 . grad(v/sigma0) = 0  for the weighted unknown v = sigma0 u.
@@ -25,9 +33,15 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Array, ScalarField, VectorField, as_points, constant_vector
+from .fields import Array, VectorField, as_points
 from .flow import IntegratorConfig, advect, advect_times
 from .homogenize import EffectiveCoefficients, InvalidCoefficientsError
+
+
+# Relative and absolute slack of the reach radius of pruned samplers; see
+# solve_transport for what it covers.
+REACH_SLACK = 1e-6
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class TruncationWarning(UserWarning):
@@ -82,7 +96,12 @@ def midpoint_times(T: float, n: int) -> Array:
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """Compactly supported C1 initial profile."""
+    """Compactly supported C1 initial profile.
+
+    ``eval`` must return +0.0 (not -0.0) at every point farther than
+    ``support_radius`` from ``center``: pruned samplers fill the points that
+    cannot reach the support with +0.0 instead of evaluating them.
+    """
 
     dim: int
     eval: Callable[[Array], Array]
@@ -91,15 +110,19 @@ class InitialDatum:
     smoothness: str = "C1"
 
     def scaled(self, factor: Callable[[Array], Array] | float) -> "InitialDatum":
-        """Pointwise rescaling; preserves the support."""
+        """Pointwise rescaling; preserves the support.
+
+        Adding +0.0 turns the -0.0 of a negative factor times +0.0 back into
+        +0.0 and leaves every other value's bits alone.
+        """
         if callable(factor):
             def ev(x):
-                return self.eval(x) * factor(x)
+                return self.eval(x) * factor(x) + 0.0
         else:
             c = float(factor)
 
             def ev(x):
-                return self.eval(x) * c
+                return self.eval(x) * c + 0.0
         return InitialDatum(self.dim, ev, self.support_radius, self.center,
                             self.smoothness)
 
@@ -152,6 +175,56 @@ class SolutionSampler:
         return self.u0.support_radius + abs(float(t)) * self.drift_sup
 
 
+def _reach_mask(b: VectorField, u0: InitialDatum, cfg: IntegratorConfig,
+                times: Array, x: Array) -> Array | None:
+    """Points of x that may carry a nonzero value at one of the times, or
+    None when every point has to be integrated (see solve_transport)."""
+    if b.proven_sup is None or cfg.richardson_check or len(times) == 0:
+        return None
+    t_max = float(np.max(np.abs(times)))
+    travel = t_max * float(b.proven_sup)
+    reach = u0.support_radius + travel * (1.0 + REACH_SLACK) + REACH_SLACK
+    steps = t_max / cfg.h + len(times) + 1
+    drift_room = reach + float(np.linalg.norm(u0.center)) + travel
+    if 8.0 * steps * _UNIT_ROUNDOFF * drift_room > REACH_SLACK:
+        return None
+    dist = np.linalg.norm(x - u0.center, axis=-1)
+    # non-finite points stay live, so their BlowupError is still raised
+    return ~(np.isfinite(dist) & (dist >= reach))
+
+
+def _characteristics(b: VectorField, u0: InitialDatum, cfg: IntegratorConfig,
+                     provenance: str) -> SolutionSampler:
+    def within_reach(values, times, lead, x):
+        # values(x) on the points that can reach u0's support by max |times|,
+        # +0.0 on the others; ``lead`` is the shape values adds in front
+        x = as_points(x, u0.dim)
+        live = _reach_mask(b, u0, cfg, times, x)
+        if live is None or live.all():
+            return values(x)
+        out = np.zeros(lead + x.shape[:-1])
+        if live.any():
+            out[..., live] = values(x[live])
+        return out
+
+    def ev(t, x):
+        t = float(t)
+        return within_reach(lambda p: u0.eval(advect(b, p, t, cfg).pos),
+                            np.array([t]), (), x)
+
+    def ev_times(ts, x):
+        ts = np.asarray(ts, dtype=float)
+
+        def values(p):
+            states = advect_times(b, p, ts, cfg)
+            return np.stack([u0.eval(s.pos) for s in states], axis=0)
+
+        return within_reach(values, ts, ts.shape, x)
+
+    return SolutionSampler(b.dim, provenance, ev, ev_times, u0,
+                           drift_sup=b.sup_bound)
+
+
 def solve_transport(b: VectorField, u0: InitialDatum,
                     cfg: IntegratorConfig = IntegratorConfig()) -> SolutionSampler:
     """Characteristics solution u(t, x) = u0(X(t, x)) with X the forward flow of b.
@@ -159,19 +232,29 @@ def solve_transport(b: VectorField, u0: InitialDatum,
     The minus sign in the equation is what makes the forward flow (not its
     inverse) the right composition: for constant b the profile translates to
     x + t b.
+
+    Reach pruning.  When ``b.proven_sup`` = S is set and the Richardson
+    guard is off, a sample at times up to |t| integrates only the points with
+    |x - c| < R = r0 + |t| S (1 + REACH_SLACK) + REACH_SLACK and returns +0.0
+    for the others, the value u0 has outside its support; the result equals
+    the full integration bit for bit.  The slack covers rounding.  Each RK4
+    step adds (dt/6)(k1 + 2 k2 + 2 k3 + k4) with every computed |k| <= S, so
+    in exact arithmetic a point moves at most |t| S.  With unit roundoff
+    u = 2^-53, forming the increment adds under 8u relative per step and each
+    position update at most u |position|; over n <= |t|/h + (number of
+    times) + 1 steps a point starting at x ends within
+    |t| S (1 + 10u) + 2 n u (|x - c| + |c| + |t| S) of x.  For |x - c| >= R
+    that leaves it farther than r0 + REACH_SLACK/2 from c whenever
+    8 n u (R + |c| + |t| S) <= REACH_SLACK, which is checked before pruning;
+    the margin also dwarfs the rounding of the norm here and of the datum's
+    own distance test.  When the check fails, the drift has no proven bound
+    or the Richardson guard is on (it compares every point), the whole batch
+    is integrated, so no :class:`~homoflow.flow.BlowupError` or
+    :class:`~homoflow.flow.AccuracyError` is hidden.
     """
     if b.dim != u0.dim:
         raise ValueError("drift and initial datum dimensions differ")
-
-    def ev(t, x):
-        return u0.eval(advect(b, x, float(t), cfg).pos)
-
-    def ev_times(ts, x):
-        states = advect_times(b, x, np.asarray(ts, dtype=float), cfg)
-        return np.stack([u0.eval(s.pos) for s in states], axis=0)
-
-    return SolutionSampler(b.dim, "epsilon-solution", ev, ev_times, u0,
-                           drift_sup=b.sup_bound)
+    return _characteristics(b, u0, cfg, "epsilon-solution")
 
 
 def lp_norm(sampler: SolutionSampler, t: float, p: float, box: Box,
@@ -254,15 +337,7 @@ def solve_homogenized(coeffs: EffectiveCoefficients, datum: InitialDatum,
     if not isinstance(drift, VectorField):
         return _constant_drift_sampler(drift, datum, "homogenized-solution")
 
-    def ev(t, x):
-        return datum.eval(advect(drift, x, float(t), cfg).pos)
-
-    def ev_times(ts, x):
-        states = advect_times(drift, x, np.asarray(ts, dtype=float), cfg)
-        return np.stack([datum.eval(s.pos) for s in states], axis=0)
-
-    return SolutionSampler(coeffs.dim, "homogenized-solution", ev, ev_times,
-                           datum, drift_sup=None)
+    return _characteristics(drift, datum, cfg, "homogenized-solution")
 
 
 def _positivity_probe(dim: int) -> Array:

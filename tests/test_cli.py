@@ -57,6 +57,17 @@ def test_config_errors_carry_context(line, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["simulate.t", "sweep.strong_t", "sweep.eps"])
+def test_empty_time_and_eps_lists_rejected(key, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"{key} =")
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"{key} =\n")
+    command = "simulate" if key.startswith("simulate") else "sweep"
+    assert main([command, "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config("eps = 0.1\neps = 0.2")
@@ -126,6 +137,34 @@ def test_run_simulate_translates_datum(tmp_path):
         expected = u0.eval(np.array([x1 + t, x2]))
         assert abs(ue - expected) < 1e-10
         assert sig == 1.0 and abs(ve - ue) < 1e-15
+
+
+def test_run_simulate_box_covers_backward_times():
+    # the box is sized by max |t|: the t = -1 solution must not be clipped
+    cfg = parse_config("family.name = identity\nsimulate.m = 41\n"
+                       "simulate.t = -1.0,-0.5")
+    code, csv = run_simulate(cfg)
+    assert code == 0
+    rows = np.array([[float(v) for v in r.split(",")]
+                     for r in csv.strip().split("\n")[2:]])
+    x1, x2, ue = rows[:, 1], rows[:, 2], rows[:, 3]
+    edge = (np.abs(x1) == np.abs(x1).max()) | (np.abs(x2) == np.abs(x2).max())
+    assert np.abs(x1).max() > 2.0
+    assert np.all(ue[edge] == 0.0)
+    assert ue[rows[:, 0] == -1.0].max() > 0.9
+
+
+def test_run_simulate_times_on_both_sides_of_zero():
+    both = parse_config("family.name = identity\nsimulate.m = 9\n"
+                        "simulate.t = -0.5,0,0.5\nintegrator.h = 0.05")
+    code, csv = run_simulate(both)
+    assert code == 0
+    rows = [r.split(",") for r in csv.strip().split("\n")[2:]]
+    assert [float(r[0]) for r in rows[::81]] == [-0.5, 0.0, 0.5]
+    u0 = hf.bump_datum(2, [0.0, 0.0], 1.0, 1.0)
+    for row in rows:
+        t, x1, x2, ue = map(float, row[:4])
+        assert abs(ue - u0.eval(np.array([x1 + t, x2]))) < 1e-10
 
 
 def test_run_simulate_step_halving_is_tame():

@@ -318,6 +318,31 @@ def test_invariant_suite_flags_violated_bounds():
     assert not report.all_passed
 
 
+def test_coercivity_spheres_share_one_batch():
+    # W(x) = x / (1 + |x|^2) is not coercive: the min over the spheres falls
+    calls = []
+
+    def ev(x):
+        calls.append(x.shape)
+        return x / (1.0 + np.sum(x ** 2, axis=-1, keepdims=True))
+
+    base = identity_system(0.2)
+    system = replace(base, W=hf.Diffeo(2, ev, base.W.jacobian))
+    report = hf.invariant_suite(system, n_samples=50)
+    assert calls == [(256, 2)]
+    radii = [1.0, 2.0, 4.0, 8.0]
+    mins = []
+    for r in radii:
+        ang = np.arange(64) * (2.0 * math.pi / 64)
+        sphere = r * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        mins.append(float(np.linalg.norm(ev(sphere), axis=-1).min()))
+    drops = max(mins[i] - mins[i + 1] for i in range(3))
+    slope = float(np.polyfit(radii, mins, 1)[0])
+    check = report.check("properness-coercivity")
+    assert check.max_residual == max(0.0, drops) + max(0.0, -slope) > 0.0
+    assert not check.passed
+
+
 def test_invariant_suite_is_deterministic():
     r1 = hf.invariant_suite(deltagamma_system(0.2), n_samples=200, seed=7)
     r2 = hf.invariant_suite(deltagamma_system(0.2), n_samples=200, seed=7)

@@ -1,5 +1,7 @@
 """Field algebra: rotations, cross products, drifts, and generator families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,46 @@ def test_deltagamma_cell_closed_forms(rng):
     flux = np.stack([np.ones(len(x)), -g * np.cos(2 * np.pi * y[..., 0])], axis=-1)
     assert np.abs(system.b.eval(x) - flux / sigma[..., None]).max() < 1e-14
     assert np.allclose(system.theta.eval(x), 1.0)
+
+
+# -- sine cells: the closed-form drift and its proven bound ------------------
+
+def _generic(cell):
+    return dataclasses.replace(cell, drift=None, proven_drift_sup=None)
+
+
+def test_sine_cell_bounds_of_shipped_cells():
+    assert abs(hf.deltagamma_cell(0.3, 0.3).proven_drift_sup - 1.147286) < 1e-6
+    assert hf.periodic_family(hf.deltagamma_cell(0.3, 0.3), 0.1).b.sup_bound > 1.2
+    assert hf.identity_cell(2).proven_drift_sup == 1.0
+    assert abs(hf.shear_cell(0.4).proven_drift_sup - np.hypot(1.0, 0.4)) < 1e-12
+    # a corner with det <= 0, or one so close to 0 that rounding could
+    # dominate: no bound is claimed
+    assert hf.sine_cell(np.eye(2), 1.5, 1.5).proven_drift_sup is None
+    assert hf.sine_cell(np.eye(2), 1.0, 1.0 - 1e-13).proven_drift_sup is None
+    assert hf.sine_cell(np.eye(2), 1.0, 1.0 - 1e-9).proven_drift_sup is not None
+
+
+def test_periodic_family_refuses_a_stale_closed_form_drift_or_bound():
+    # drift and proven bound were built for the old M; a copy with a new M
+    # must not keep them silently
+    M = np.array([[1.0, 0.2], [0.0, 1.0]])
+    stale = dataclasses.replace(hf.deltagamma_cell(0.3, 0.3), M=M)
+    with pytest.raises(hf.InvalidCellError, match="rebuild"):
+        hf.periodic_family(stale, 0.2)
+    sheared = dataclasses.replace(hf.identity_cell(2), M=M.T)
+    with pytest.raises(hf.InvalidCellError, match="rebuild"):
+        hf.periodic_family(sheared, 0.2)
+    # rebuilt, or stripped of both, the copy is accepted
+    assert hf.periodic_family(hf.sine_cell(M, 0.3, 0.3), 0.2).b.proven_sup is not None
+    assert hf.periodic_family(_generic(stale), 0.2).b.proven_sup is None
+
+
+def test_sampled_only_cells_carry_no_proven_bound(rng):
+    cell = hf.deltagamma_cell(0.3, 0.3)
+    system = hf.periodic_family(_generic(cell), 0.2)
+    assert system.b.proven_sup is None and system.b.sup_bound is not None
+    assert hf.constant_vector(2, [1.0, 0.0]).proven_sup is None
 
 
 def test_periodic_rectification_identities(rng):

@@ -1,13 +1,17 @@
 """Transport solves along characteristics, Lp norms, and the limit equation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import homoflow as hf
-from homoflow.flow import IntegratorConfig, advect
+from homoflow import transport
+from homoflow.flow import AccuracyError, BlowupError, IntegratorConfig, advect
 from homoflow.transport import TruncationWarning
 
-from conftest import deltagamma_system, shear_velocity, twist_system
+from conftest import (deltagamma_system, identity_system, shear_velocity,
+                      twist_system)
 
 CFG = IntegratorConfig(h=1e-3)
 
@@ -195,3 +199,124 @@ def test_exact_realignment_of_cell_drift_at_cell_multiples(rng, unit_bump):
     x = rng.uniform(-1.5, 1.5, (100, 2))
     pos = advect(system.b, x, 10 * eps, CFG).pos
     assert np.abs(pos - (x + np.array([1.0, 0.0]))).max() < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# reach pruning: drifts with a proven bound integrate only what u0 can reach
+# ---------------------------------------------------------------------------
+
+def _unproven(b):
+    return dataclasses.replace(b, proven_sup=None)
+
+
+def _counting_advect(monkeypatch):
+    """Record the number of points each integration of the samplers gets."""
+    seen = []
+    real_times, real_one = transport.advect_times, transport.advect
+
+    def advect_times(field, x0, times, cfg):
+        seen.append(np.asarray(x0).size // 2)
+        return real_times(field, x0, times, cfg)
+
+    def advect_one(field, x0, t, cfg):
+        seen.append(np.asarray(x0).size // 2)
+        return real_one(field, x0, t, cfg)
+
+    monkeypatch.setattr(transport, "advect_times", advect_times)
+    monkeypatch.setattr(transport, "advect", advect_one)
+    return seen
+
+
+@pytest.mark.parametrize("system", [identity_system(0.2), deltagamma_system(0.1)],
+                         ids=["identity", "deltagamma"])
+@pytest.mark.parametrize("times", [[0.93], [0.3, 0.93], [-1.0, -0.4]])
+def test_reach_pruning_is_bit_exact(system, times, monkeypatch):
+    u0 = hf.bump_datum(2, [0.3, -0.2], 1.0)
+    cfg = IntegratorConfig(h=0.01)
+    pruned = hf.solve_transport(system.b, u0, cfg)
+    full = hf.solve_transport(_unproven(system.b), u0, cfg)
+    reach = 1.0 + max(abs(t) for t in times) * system.b.proven_sup
+    # a grid straddling the reach circle, dense near it
+    pts, _ = hf.Box.from_radius(u0.center, reach + 0.4).midpoint_grid(96)
+    dist = np.linalg.norm(pts - u0.center, axis=-1)
+
+    seen = _counting_advect(monkeypatch)
+    got = pruned.eval_times(times, pts)
+    assert seen == [int(np.sum(dist < reach * (1 + 1e-6) + 1e-6))]
+    assert seen[0] < len(pts)
+    assert got.tobytes() == full.eval_times(times, pts).tobytes()
+    for t in times:
+        assert pruned.eval(t, pts).tobytes() == full.eval(t, pts).tobytes()
+    # single points (inside and outside the reach) and (a, b, 2) batches
+    for i in (0, int(np.argmin(np.abs(dist - 0.5 * reach)))):
+        assert pruned.eval(times[-1], pts[i]).tobytes() == \
+            full.eval(times[-1], pts[i]).tobytes()
+    block = pts.reshape(48, 192, 2)
+    assert pruned.eval_times(times, block).tobytes() == \
+        full.eval_times(times, block).tobytes()
+    if system.label == "identity":
+        # b = e1 makes the reach tight: nodes within 3% of it carry nonzero
+        # values, so a shrunken reach would be caught above
+        far = got[int(np.argmax(np.abs(times)))]
+        assert np.any((far != 0.0) & (dist > 0.97 * reach))
+
+
+def test_scaled_datum_keeps_positive_zero_outside_support():
+    # pruned samplers fill +0.0; a negative factor must not leave -0.0 there
+    u0 = hf.bump_datum(2, [0.0, 0.0], 0.5)
+    far = np.array([[2.0, 0.0], [0.0, -3.0]])
+    for factor in (-2.0, lambda x: -1.0 - x[..., 0] ** 2):
+        assert u0.scaled(factor).eval(far).tobytes() == np.zeros(2).tobytes()
+    system = deltagamma_system(0.1)
+    v0 = u0.scaled(-2.0)
+    pts, _ = hf.Box.from_radius(u0.center, 2.0).midpoint_grid(32)
+    pruned = hf.solve_transport(system.b, v0, IntegratorConfig(h=0.01))
+    full = hf.solve_transport(_unproven(system.b), v0, IntegratorConfig(h=0.01))
+    assert pruned.eval_times([0.4, 0.8], pts).tobytes() == \
+        full.eval_times([0.4, 0.8], pts).tobytes()
+
+
+def test_reach_pruning_skips_a_batch_out_of_reach(monkeypatch):
+    system = deltagamma_system(0.1)
+    u0 = hf.bump_datum(2, [0.0, 0.0], 0.5)
+    sol = hf.solve_transport(system.b, u0, IntegratorConfig(h=0.01))
+    seen = _counting_advect(monkeypatch)
+    far = np.array([[3.0, 0.0], [0.0, -2.5]])
+    assert sol.eval_times([0.5, 1.0], far).tobytes() == np.zeros((2, 2)).tobytes()
+    assert sol.eval(1.0, far[0]).tobytes() == np.zeros(()).tobytes()
+    assert seen == []
+
+
+def test_richardson_guard_still_compares_points_out_of_reach():
+    # the guard trips on a coarse step; every point is far outside the reach,
+    # so a pruned sampler would have nothing left to compare
+    system = deltagamma_system(0.05)
+    u0 = hf.bump_datum(2, [0.0, 0.0], 0.5)
+    far = np.array([[6.0, 0.0], [0.0, 7.0]])
+    cfg = IntegratorConfig(h=0.5, richardson_check=True)
+    sol = hf.solve_transport(system.b, u0, cfg)
+    with pytest.raises(AccuracyError):
+        sol.eval(1.0, far)
+    with pytest.raises(AccuracyError):
+        sol.eval_times([0.5, 1.0], far)
+
+
+def test_sampled_bound_never_prunes():
+    # sup_bound is a sampled estimate (wrong here); only proven_sup prunes
+    def ev(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.stack([x[..., 0] ** 2, np.zeros(x.shape[:-1])], axis=-1)
+
+    field = hf.VectorField(2, ev, lambda x: np.zeros(x.shape + (2,)),
+                           lambda x: 2 * x[..., 0], sup_bound=1.0)
+    sol = hf.solve_transport(field, hf.bump_datum(2, [0.0, 0.0], 0.5), CFG)
+    far = np.array([[0.1, 0.0], [400.0, 0.0]])
+    with pytest.raises(BlowupError):
+        sol.eval(1.0, far)
+
+
+def test_non_finite_points_are_integrated():
+    sol = hf.solve_transport(deltagamma_system(0.1).b,
+                             hf.bump_datum(2, [0.0, 0.0], 0.5), CFG)
+    with pytest.raises(BlowupError), np.errstate(invalid="ignore"):
+        sol.eval(0.1, np.array([[0.0, 0.0], [np.inf, 0.0]]))

@@ -1,0 +1,152 @@
+"""Paired A/B runs of the benchmark: a base revision against the working tree.
+
+    python3 tools/ab_pairs.py --base REV --workload NAME [--pairs 10]
+        [--seed 0] [--seconds 30] [--trace 0]
+
+Run from anywhere inside the repository.  The base revision's committed
+files are exported with ``git archive`` into a temporary directory (under
+``$TMPDIR``, removed at the end; nothing is registered in ``.git``).  Each
+pair runs ``perfbench/run.py`` once in that export and once in the working
+tree, and the side that goes first alternates from pair to pair, so slow
+drift of the machine's speed hits both sides alike.
+
+For every metric the runner reports, the summary gives both sides' median
+and quartiles, the base/change ratio of the medians and the number of pairs
+the change won (strictly better in the direction BENCHMARK.json declares),
+and whether the gain rule holds: the change wins at least 9 of 10 pairs
+(90% of them) and beats the base median by more than the base's
+interquartile range.  Only the runner's JSON result line is read; nothing
+under ``perfbench/`` is touched.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, text=True,
+                          capture_output=True).stdout.strip()
+
+
+def export(sha: str, dest: Path) -> None:
+    """The committed files of ``sha``, written into the new directory ``dest``."""
+    dest.mkdir()
+    tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                         check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+
+
+def run_once(checkout: Path, args) -> dict:
+    """One benchmark run in ``checkout``; its JSON result (or a failure)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--trace", str(args.trace)]
+    proc = subprocess.run(cmd, cwd=checkout, text=True, capture_output=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
+                "error": proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]}
+
+
+def directions(trace: int) -> dict[str, str]:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m["better"]
+            for m in spec["per_layer" if trace else "end_to_end"]}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> list[str]:
+    """Report lines: one per metric, then the per-run correctness."""
+    names = sorted({n for p in pairs for side in ("base", "change")
+                    for n in p[side]["metrics"]})
+    n_pairs = len(pairs)
+    need = math.ceil(0.9 * n_pairs)
+    out = [f"{'metric':<42} {'base median (q1-q3)':>30} {'change median (q1-q3)':>30}"
+           f" {'ratio':>7} {'wins':>6}  gain rule"]
+    for name in names:
+        both = [(p["base"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
+                for p in pairs
+                if name in p["base"]["metrics"] and name in p["change"]["metrics"]]
+        if not both:
+            continue
+        base = [b for b, _ in both]
+        change = [c for _, c in both]
+        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        wins = sum(1 for b, c in both if sign * (c - b) > 0.0)
+        bq1, bmed, bq3 = quartiles(base)
+        cq1, cmed, cq3 = quartiles(change)
+        gap = sign * (cmed - bmed)
+        holds = len(both) == n_pairs and wins >= need and gap > bq3 - bq1
+        ratio = bmed / cmed if cmed else float("nan")
+        base_col = f"{bmed:.6g} ({bq1:.4g}-{bq3:.4g})"
+        change_col = f"{cmed:.6g} ({cq1:.4g}-{cq3:.4g})"
+        out.append(f"{name:<42} {base_col:>30} {change_col:>30} {ratio:>7.3f}"
+                   f" {wins:>3}/{len(both):<2}  {'holds' if holds else 'no'}"
+                   f" (gap {gap:.4g} vs base IQR {bq3 - bq1:.4g})")
+    for side in ("base", "change"):
+        bad = [i for i, p in enumerate(pairs) if not p[side].get("correct")]
+        failed = sum(p[side].get("failed", 0) for p in pairs)
+        attempted = sum(p[side].get("attempted", 0) for p in pairs)
+        out.append(f"{side}: {n_pairs - len(bad)}/{n_pairs} runs correct,"
+                   f" {failed}/{attempted} calls failed"
+                   + (f", incorrect runs in pairs {bad}" if bad else ""))
+    if n_pairs < 10:
+        out.append(f"note: {n_pairs} pairs; the gain rule is stated for 10")
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="base revision (e.g. HEAD~1)")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        base_dir = Path(tmp) / "base"
+        export(sha, base_dir)
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            pair = {}
+            for side in order:
+                pair[side] = run_once(base_dir if side == "base" else ROOT, args)
+                wall = pair[side]["metrics"].get("wall_s", {}).get("value")
+                print(f"pair {i + 1}/{args.pairs} {side}: correct={pair[side]['correct']}"
+                      + (f" wall_s={wall:.4g}" if wall is not None else ""),
+                      file=sys.stderr, flush=True)
+            pairs.append(pair)
+
+    print(f"# {args.workload} seed {args.seed} seconds {args.seconds} trace {args.trace}:"
+          f" base {sha[:12]} vs working tree, {args.pairs} alternating pairs")
+    for line in summarize(pairs, directions(args.trace)):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
