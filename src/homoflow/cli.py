@@ -260,6 +260,21 @@ def _validate(cfg: ExperimentConfig) -> None:
         need(cfg.alpha_form in ("identity", "perturbed"), "family.alpha_form",
              "must be 'identity' or 'perturbed'")
         need(cfg.alpha_amp >= 0.0, "family.alpha_amp", "must be nonnegative")
+        _check_alpha_amp(cfg, "eps", (cfg.eps,))
+
+
+def _check_alpha_amp(cfg: ExperimentConfig, key: str, values) -> None:
+    """Refuse a perturbed alpha(t) = t + (alpha_amp * e) sin(t) that stops
+    increasing at one of the eps ``values`` the command builds (config
+    key ``key``)."""
+    if cfg.family != "example31" or cfg.alpha_form != "perturbed":
+        return
+    for e in values:
+        if not cfg.alpha_amp * e < 1.0:
+            raise ConfigError(
+                f"key 'family.alpha_amp': alpha_amp * eps must stay below 1 for a"
+                f" perturbed alpha, but {cfg.alpha_amp:g} * {e:g} is not"
+                f" ({key} = {e:g})")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -466,6 +481,7 @@ def run_homogenize(cfg: ExperimentConfig) -> tuple[int, str]:
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
+    _check_alpha_amp(cfg, "sweep.eps", cfg.sweep_eps)
     u0 = _datum(cfg)
     integ = _integrator(cfg)
     coeffs = build_coefficients(cfg)

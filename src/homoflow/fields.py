@@ -57,6 +57,13 @@ def as_points(x, dim: int) -> Array:
     return x
 
 
+def tensor_grid(axes: Sequence[Array]) -> Array:
+    """Nodes of the tensor product of 1-D axes, shape (prod len, N), with the
+    last axis varying fastest (row-major, ``meshgrid(..., indexing="ij")``)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # core field containers
 # ---------------------------------------------------------------------------
@@ -333,12 +340,6 @@ def cross_product(vectors: Sequence[Array]) -> Array:
 # drift construction from stream fields
 # ---------------------------------------------------------------------------
 
-def _probe_grid(dim: int, lo: float = -2.0, hi: float = 2.0, m: int = 9) -> Array:
-    axes = [np.linspace(lo, hi, m)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
-
-
 def drift_from_streamfields(streams: Sequence[ScalarField], sigma: ScalarField) -> VectorField:
     """Drift b with sigma * b equal to the cross of the stream gradients.
 
@@ -357,7 +358,7 @@ def drift_from_streamfields(streams: Sequence[ScalarField], sigma: ScalarField) 
         if s.dim != dim:
             raise FieldError("stream fields must match sigma's dimension")
 
-    probe = _probe_grid(dim)
+    probe = tensor_grid([np.linspace(-2.0, 2.0, 9)] * dim)
     svals = sigma.eval(probe)
     if np.any(svals <= 0.0):
         bad = probe[np.argmin(svals)]
@@ -457,17 +458,34 @@ def rectification_residual(system: RectifiedSystem, x: Array) -> Array:
 
 @dataclass(frozen=True)
 class Curve:
-    """Scalar function of one variable with exact first/second derivatives."""
+    """Scalar function of one variable with exact first/second derivatives.
+
+    ``jet`` optionally returns ``(eval(t), deriv(t))`` in one pass, sharing
+    the work the two have in common (``sine_curve`` forms its argument once
+    for both sin and cos); it must return the same bits as the two separate
+    calls.  ``unit_slope`` says that ``deriv`` is exactly 1.0 everywhere, so
+    a product with it may be left out, which is exact.  The twist drift
+    reads both (and never writes into the arrays a curve returns);
+    :func:`hyperbolic_twist_family` checks them on its probe.
+    """
 
     eval: Callable[[Array], Array]
     deriv: Callable[[Array], Array]
     deriv2: Callable[[Array], Array] | None = None
+    jet: Callable[[Array], tuple[Array, Array]] | None = None
+    unit_slope: bool = False
+
+    def value_and_slope(self, t: Array) -> tuple[Array, Array]:
+        if self.jet is not None:
+            return self.jet(t)
+        return self.eval(t), self.deriv(t)
 
 
 def identity_curve() -> Curve:
     return Curve(lambda t: np.asarray(t, dtype=float) + 0.0,
                  lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                 lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+                 lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+                 unit_slope=True)
 
 
 def zero_curve() -> Curve:
@@ -479,9 +497,16 @@ def zero_curve() -> Curve:
 def sine_curve(amplitude: float, frequency: float) -> Curve:
     """t -> amplitude * sin(frequency * t)."""
     a, w = float(amplitude), float(frequency)
+    aw = a * w
+
+    def jet(t):
+        u = w * np.asarray(t, dtype=float)
+        return a * np.sin(u), aw * np.cos(u)
+
     return Curve(lambda t: a * np.sin(w * np.asarray(t, dtype=float)),
-                 lambda t: a * w * np.cos(w * np.asarray(t, dtype=float)),
-                 lambda t: -a * w * w * np.sin(w * np.asarray(t, dtype=float)))
+                 lambda t: aw * np.cos(w * np.asarray(t, dtype=float)),
+                 lambda t: -a * w * w * np.sin(w * np.asarray(t, dtype=float)),
+                 jet=jet)
 
 
 def perturbed_identity_curve(amplitude: float) -> Curve:
@@ -511,6 +536,14 @@ def hyperbolic_twist_family(alpha: Curve, beta: Curve, eps: float,
 
     ``alpha_limit``/``beta_limit`` are the eps -> 0 limits of the profiles
     (identity / zero when omitted, which covers the canonical instances).
+
+    The drift is evaluated in one closed-form pass over the profiles' jets
+    (see :class:`Curve`) that returns, bit for bit, what the formula
+    b = ((e^{-B} a'(x2))(1 - p beta'(p)), ((e^{-B} a'(x1)) a(x2)^2) beta'(p)),
+    p = a(x1) a(x2), gives term by term: every floating-point operation stays
+    the same and in the same order.  A profile whose ``jet`` or
+    ``unit_slope`` disagrees with ``eval``/``deriv`` on the probe t in
+    [-10, 10] is refused.
     """
     if alpha.deriv2 is None or beta.deriv2 is None:
         raise InvalidFamilyError("twist family profiles need exact second derivatives")
@@ -519,6 +552,13 @@ def hyperbolic_twist_family(alpha: Curve, beta: Curve, eps: float,
     if np.any(ap <= 0.0):
         raise InvalidFamilyError(
             f"alpha' must stay positive; found {ap.min():.3g} at t={probe[np.argmin(ap)]:.3g}")
+    for name, curve in (("alpha", alpha), ("beta", beta)):
+        value, slope = curve.value_and_slope(probe)
+        if (np.asarray(value).tobytes() != curve.eval(probe).tobytes()
+                or np.asarray(slope).tobytes() != curve.deriv(probe).tobytes()):
+            raise InvalidFamilyError(f"{name}'s jet disagrees with its eval/deriv")
+        if curve.unit_slope and not np.all(curve.deriv(probe) == 1.0):
+            raise InvalidFamilyError(f"{name} claims a unit slope its deriv does not have")
     alpha_limit = alpha_limit or identity_curve()
     beta_limit = beta_limit or zero_curve()
 
@@ -562,10 +602,25 @@ def _twist_map(alpha: Curve, beta: Curve) -> Diffeo:
 
 def _twist_drift(alpha: Curve, beta: Curve) -> VectorField:
     def ev(x):
+        # b = ((em d2)(1 - p bp), ((em d1) a2^2) bp) with p = a1 a2 and
+        # em = exp(-beta(p)), each factor formed once and the two components
+        # written straight into one array.  The only rewrites are exact
+        # (a2 * a2 for a2**2, a unit slope left out), so the bits are the
+        # formula's.
         x = as_points(x, 2)
-        a1, a2, d1, d2, p, bb, bp = _twist_pieces(alpha, beta, x)
+        if alpha.unit_slope:
+            a1, a2 = alpha.eval(x[..., 0]), alpha.eval(x[..., 1])
+        else:
+            a1, d1 = alpha.value_and_slope(x[..., 0])
+            a2, d2 = alpha.value_and_slope(x[..., 1])
+        p = a1 * a2
+        bb, bp = beta.value_and_slope(p)
         em = np.exp(-bb)
-        return np.stack([em * d2 * (1.0 - p * bp), em * d1 * a2 ** 2 * bp], axis=-1)
+        em_d1, em_d2 = (em, em) if alpha.unit_slope else (em * d1, em * d2)
+        out = np.empty(x.shape)
+        np.multiply(em_d2, 1.0 - p * bp, out=out[..., 0])
+        np.multiply(em_d1 * (a2 * a2), bp, out=out[..., 1])
+        return out
 
     def jac(x):
         x = as_points(x, 2)
@@ -761,12 +816,6 @@ def shear_cell(gamma: float) -> PeriodicCellMap:
     return sine_cell(np.eye(2), 0.0, gamma)
 
 
-def _cell_grid(dim: int, m: int) -> Array:
-    axes = [np.arange(m) / m] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
-
-
 def _cell_sigma_grad(cell: PeriodicCellMap, y: Array) -> Array:
     # Jacobi's formula: d_k det(J) = det(J) * tr(J^{-1} dJ/dy_k)
     J = cell.jacobian(y)
@@ -796,7 +845,7 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
         raise FieldError("eps must be positive")
     M = np.asarray(cell.M, dtype=float)
 
-    grid = _cell_grid(dim, sample_m)
+    grid = tensor_grid([np.arange(sample_m) / sample_m] * dim)
     det_grid = np.linalg.det(cell.jacobian(grid))
     if np.any(det_grid <= 0.0):
         bad = grid[int(np.argmin(det_grid))]

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .fields import (Array, Diffeo, PeriodicCellMap, ScalarField, VectorField,
-                     as_points, cross_product, fd_jacobian, rot_perp)
+                     as_points, cross_product, fd_jacobian, rot_perp,
+                     tensor_grid)
 
 
 class InvalidCoefficientsError(ValueError):
@@ -97,10 +98,7 @@ def cell_average(f: Callable[[Array], Array], dim: int, m: int = 64):
     """
     if m < 8:
         raise ValueError("cell resolution m must be at least 8")
-    axes = [np.arange(m) / m] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    vals = np.asarray(f(pts))
+    vals = np.asarray(f(tensor_grid([np.arange(m) / m] * dim)))
     return vals.mean(axis=0)
 
 

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Array, VectorField, as_points
+from .fields import Array, VectorField, as_points, tensor_grid
 from .flow import IntegratorConfig, advect, advect_times
 from .homogenize import EffectiveCoefficients, InvalidCoefficientsError
 
@@ -83,10 +83,7 @@ class Box:
         ms = np.broadcast_to(np.asarray(m, dtype=int), (self.dim,))
         axes = [self.lo[k] + (np.arange(ms[k]) + 0.5) * (self.widths[k] / ms[k])
                 for k in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        vol = float(np.prod(self.widths / ms))
-        return pts, vol
+        return tensor_grid(axes), float(np.prod(self.widths / ms))
 
 
 def midpoint_times(T: float, n: int) -> Array:
@@ -309,7 +306,8 @@ def solve_homogenized(coeffs: EffectiveCoefficients, datum: InitialDatum,
     if coeffs.dim != datum.dim:
         raise ValueError("coefficient and datum dimensions differ")
 
-    if np.any(coeffs.sigma0_at(_positivity_probe(coeffs.dim)) <= 0.0):
+    probe = tensor_grid([np.linspace(-2.0, 2.0, 7)] * coeffs.dim)
+    if np.any(coeffs.sigma0_at(probe) <= 0.0):
         raise InvalidCoefficientsError("sigma0 must be strictly positive")
 
     if form == "density":
@@ -338,12 +336,6 @@ def solve_homogenized(coeffs: EffectiveCoefficients, datum: InitialDatum,
         return _constant_drift_sampler(drift, datum, "homogenized-solution")
 
     return _characteristics(drift, datum, cfg, "homogenized-solution")
-
-
-def _positivity_probe(dim: int) -> Array:
-    axes = [np.linspace(-2.0, 2.0, 7)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 def dependence_box(u0: InitialDatum, sup_bound: float, T: float,

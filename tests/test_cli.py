@@ -68,6 +68,35 @@ def test_empty_time_and_eps_lists_rejected(key, tmp_path, capsys):
     assert key in capsys.readouterr().err
 
 
+PERTURBED = "family.name = example31\nfamily.alpha_form = perturbed\nfamily.alpha_amp = "
+
+
+def test_perturbed_alpha_amplitude_checked_against_the_eps_it_meets(tmp_path, capsys):
+    # eps is checked when the config is read, sweep.eps when a sweep starts
+    with pytest.raises(ConfigError) as err:
+        parse_config(PERTURBED + "2\neps = 0.5\nsweep.eps = 0.4,0.2")
+    assert "family.alpha_amp" in str(err.value) and "eps = 0.5" in str(err.value)
+    cfg = parse_config(PERTURBED + "2\nsweep.eps = 0.6,0.2")
+    with pytest.raises(ConfigError) as err:
+        run_sweep(cfg)
+    assert "family.alpha_amp" in str(err.value) and "sweep.eps = 0.6" in str(err.value)
+    path = tmp_path / "amp.cfg"
+    path.write_text(PERTURBED + "2\nsweep.eps = 0.6,0.2\n")
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "sweep.eps = 0.6" in capsys.readouterr().err
+    # an identity alpha ignores the amplitude
+    assert run_check(parse_config(PERTURBED.replace("perturbed", "identity")
+                                  + "2\neps = 0.5\ncheck.samples = 20"))[0] == 0
+
+
+def test_perturbed_alpha_sweep_eps_does_not_block_other_commands(tmp_path):
+    # 3 * 0.1 < 1 at the eps check builds; the default sweep.eps (0.4 first)
+    # is not used by check
+    path = tmp_path / "amp.cfg"
+    path.write_text(PERTURBED + "3\neps = 0.1\ncheck.samples = 50\n")
+    assert main(["check", "--config", str(path)]) == 0
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config("eps = 0.1\neps = 0.2")
@@ -248,9 +277,18 @@ integrator.h = 0.005
     # a non-identity affine part exercises the M + periodic-part Jacobian
     ("family.name = periodic\nfamily.m = 1.2,0.3,-0.1,0.9",
      "19f626f022511e5d5cc77f5ab22d0d7ecddf01e277641a70d5e9bcc1bed93237"),
+    # the twist drift: identity alpha, a perturbed alpha with a second beta
+    # amplitude, and beta = 0 (the zero curve, no sin or cos)
+    ("family.name = example31",
+     "2b40d6dd829090528bd5e66379a73e4081aced25bcf447f073c2a66df93de10f"),
+    ("family.name = example31\nfamily.alpha_form = perturbed\n"
+     "family.alpha_amp = 0.5\nfamily.beta_amp = 0.7",
+     "d778242812e5cca8ee70be52856929a1bea87bb0ea62dc3445972c7637f4cb87"),
+    ("family.name = example31\nfamily.beta_amp = 0",
+     "37c3d72bc5f1ab3f8e91470c17c4bd11965f62c20181f1a9aba415beeba0e704"),
 ])
 def test_sweep_csv_bytes_are_pinned(family, digest):
-    # Digests of the CSV from the stacked drift and the full-grid pairings
+    # Digests of the CSV from the stacked drifts and the full-grid pairings
     # (x86-64 Linux, glibc libm, numpy 2.4): fast paths must keep every bit.
     code, csv = run_sweep(parse_config(family + SMOKE_SWEEP))
     assert code == 0

@@ -236,6 +236,20 @@ def test_twist_requires_second_derivatives():
         hf.hyperbolic_twist_family(alpha, hf.zero_curve(), 0.1)
 
 
+def test_twist_refuses_profiles_whose_jet_or_unit_slope_is_wrong():
+    # the drift reads the jet and leaves unit slopes out, so both must be true
+    zero = lambda t: np.zeros_like(np.asarray(t, float))  # noqa: E731
+    steep = hf.Curve(lambda t: 2.0 * np.asarray(t, float),
+                     lambda t: np.full(np.shape(t), 2.0), zero, unit_slope=True)
+    with pytest.raises(hf.InvalidFamilyError, match="unit slope"):
+        hf.hyperbolic_twist_family(steep, hf.zero_curve(), 0.1)
+    beta = hf.sine_curve(0.1, 10.0)
+    drifted = hf.Curve(beta.eval, beta.deriv, beta.deriv2,
+                       jet=lambda t: (beta.eval(t), beta.deriv(t) * (1.0 + 2.0 ** -52)))
+    with pytest.raises(hf.InvalidFamilyError, match="jet"):
+        hf.hyperbolic_twist_family(hf.identity_curve(), drifted, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # periodic families
 # ---------------------------------------------------------------------------

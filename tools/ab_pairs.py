@@ -1,22 +1,34 @@
 """Paired A/B runs of the benchmark: a base revision against the working tree.
 
-    python3 tools/ab_pairs.py --base REV --workload NAME [--pairs 10]
-        [--seed 0] [--seconds 30] [--trace 0]
+    python3 tools/ab_pairs.py --base REV --workload NAME [--workload NAME ...]
+        [--pairs 10] [--seed 0] [--seconds 30] [--trace 0]
 
 Run from anywhere inside the repository.  The base revision's committed
 files are exported with ``git archive`` into a temporary directory (under
 ``$TMPDIR``, removed at the end; nothing is registered in ``.git``).  Each
 pair runs ``perfbench/run.py`` once in that export and once in the working
 tree, and the side that goes first alternates from pair to pair, so slow
-drift of the machine's speed hits both sides alike.
+drift of the machine's speed hits both sides alike.  ``--workload`` may be
+repeated; each workload gets its own pairs and its own summary.
 
 For every metric the runner reports, the summary gives both sides' median
-and quartiles, the base/change ratio of the medians and the number of pairs
+and quartiles, the base/change ratio of the medians, the number of pairs
 the change won (strictly better in the direction BENCHMARK.json declares),
-and whether the gain rule holds: the change wins at least 9 of 10 pairs
-(90% of them) and beats the base median by more than the base's
-interquartile range.  Only the runner's JSON result line is read; nothing
-under ``perfbench/`` is touched.
+and two verdicts:
+
+* no regression, for metrics with a ``bound`` in BENCHMARK.json (the
+  end-to-end ones): "ok" when the change's median is worse than the base's
+  by at most the bound (relative to the base median), "worse" when by more,
+  and "unresolved (spread wider than bound)" when either side's
+  interquartile range, relative to the base median, exceeds the bound, in
+  which case the medians cannot show a change that small; every run of the
+  change reading better than every run of the base is "ok" whatever the
+  spread;
+* the gain rule: the change wins at least 9 of 10 pairs (90% of them) and
+  beats the base median by more than the base's interquartile range.
+
+Only the runner's JSON result line is read; nothing under ``perfbench/`` is
+touched.
 """
 
 from __future__ import annotations
@@ -46,9 +58,9 @@ def export(sha: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
 
 
-def run_once(checkout: Path, args) -> dict:
+def run_once(checkout: Path, workload: str, args) -> dict:
     """One benchmark run in ``checkout``; its JSON result (or a failure)."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=checkout, text=True, capture_output=True)
@@ -60,10 +72,10 @@ def run_once(checkout: Path, args) -> dict:
                 "error": proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]}
 
 
-def directions(trace: int) -> dict[str, str]:
+def metric_specs(trace: int) -> dict[str, dict]:
+    """BENCHMARK.json's entry (``better``, and ``bound`` if any) per metric."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"]
-            for m in spec["per_layer" if trace else "end_to_end"]}
+    return {m["name"]: m for m in spec["per_layer" if trace else "end_to_end"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -73,14 +85,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> list[str]:
+def no_regression(base: list[float], change: list[float], sign: float,
+                  bound: float | None) -> str:
+    """The no-regression verdict of one metric; ``sign`` is -1 where lower
+    is better, +1 where higher is."""
+    if bound is None:
+        return "-"
+    if min(sign * c for c in change) > max(sign * b for b in base):
+        return "ok"
+    bq1, bmed, bq3 = quartiles(base)
+    cq1, cmed, cq3 = quartiles(change)
+    if max(bq3 - bq1, cq3 - cq1) > bound * abs(bmed):
+        return "unresolved (spread wider than bound)"
+    return "worse" if sign * (bmed - cmed) > bound * abs(bmed) else "ok"
+
+
+def summarize(pairs: list[dict], specs: dict[str, dict]) -> list[str]:
     """Report lines: one per metric, then the per-run correctness."""
     names = sorted({n for p in pairs for side in ("base", "change")
                     for n in p[side]["metrics"]})
     n_pairs = len(pairs)
     need = math.ceil(0.9 * n_pairs)
     out = [f"{'metric':<42} {'base median (q1-q3)':>30} {'change median (q1-q3)':>30}"
-           f" {'ratio':>7} {'wins':>6}  gain rule"]
+           f" {'ratio':>7} {'wins':>6}  {'no regression':<37} gain rule"]
     for name in names:
         both = [(p["base"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
                 for p in pairs
@@ -89,7 +116,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> list[str]:
             continue
         base = [b for b, _ in both]
         change = [c for _, c in both]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        spec = specs.get(name, {})
+        sign = -1.0 if spec.get("better", "lower") == "lower" else 1.0
         wins = sum(1 for b, c in both if sign * (c - b) > 0.0)
         bq1, bmed, bq3 = quartiles(base)
         cq1, cmed, cq3 = quartiles(change)
@@ -98,8 +126,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> list[str]:
         ratio = bmed / cmed if cmed else float("nan")
         base_col = f"{bmed:.6g} ({bq1:.4g}-{bq3:.4g})"
         change_col = f"{cmed:.6g} ({cq1:.4g}-{cq3:.4g})"
+        verdict = no_regression(base, change, sign, spec.get("bound"))
         out.append(f"{name:<42} {base_col:>30} {change_col:>30} {ratio:>7.3f}"
-                   f" {wins:>3}/{len(both):<2}  {'holds' if holds else 'no'}"
+                   f" {wins:>3}/{len(both):<2}  {verdict:<37} {'holds' if holds else 'no'}"
                    f" (gap {gap:.4g} vs base IQR {bq3 - bq1:.4g})")
     for side in ("base", "change"):
         bad = [i for i, p in enumerate(pairs) if not p[side].get("correct")]
@@ -116,7 +145,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="base revision (e.g. HEAD~1)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="repeat to run several workloads")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -126,25 +156,29 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 1")
 
     sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    pairs = []
+    specs = metric_specs(args.trace)
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         base_dir = Path(tmp) / "base"
         export(sha, base_dir)
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            pair = {}
-            for side in order:
-                pair[side] = run_once(base_dir if side == "base" else ROOT, args)
-                wall = pair[side]["metrics"].get("wall_s", {}).get("value")
-                print(f"pair {i + 1}/{args.pairs} {side}: correct={pair[side]['correct']}"
-                      + (f" wall_s={wall:.4g}" if wall is not None else ""),
-                      file=sys.stderr, flush=True)
-            pairs.append(pair)
-
-    print(f"# {args.workload} seed {args.seed} seconds {args.seconds} trace {args.trace}:"
-          f" base {sha[:12]} vs working tree, {args.pairs} alternating pairs")
-    for line in summarize(pairs, directions(args.trace)):
-        print(line)
+        for workload in args.workload:
+            pairs = []
+            for i in range(args.pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                pair = {}
+                for side in order:
+                    pair[side] = run_once(base_dir if side == "base" else ROOT,
+                                          workload, args)
+                    wall = pair[side]["metrics"].get("wall_s", {}).get("value")
+                    print(f"{workload} pair {i + 1}/{args.pairs} {side}:"
+                          f" correct={pair[side]['correct']}"
+                          + (f" wall_s={wall:.4g}" if wall is not None else ""),
+                          file=sys.stderr, flush=True)
+                pairs.append(pair)
+            print(f"# {workload} seed {args.seed} seconds {args.seconds} trace {args.trace}:"
+                  f" base {sha[:12]} vs working tree, {args.pairs} alternating pairs")
+            for line in summarize(pairs, specs):
+                print(line)
+            sys.stdout.flush()
     return 0
 
 
