@@ -35,42 +35,46 @@ CSV_VERSION_LINE = "# homoflow-csv v1"
 
 FAMILY_NAMES = ("identity", "shear", "deltagamma", "example31", "periodic")
 
-_DEFAULTS: dict[str, str] = {
-    "family.name": "identity",
-    "family.delta": "0.3",
-    "family.gamma": "0.3",
-    "family.alpha_form": "identity",
-    "family.alpha_amp": "1.0",
-    "family.beta_amp": "1.0",
-    "family.m": "1,0,0,1",
-    "dim": "2",
-    "eps": "0.1",
-    "p": "2.0",
-    "T": "1.0",
-    "u0.center": "0,0",
-    "u0.radius": "1.0",
-    "u0.amplitude": "1.0",
-    "integrator.h": "0.001",
-    "integrator.richardson": "false",
-    "quadrature.m": "64",
-    "quadrature.time_nodes": "64",
-    "quadrature.nodes_per_eps": "8.0",
-    "quadrature.cell_m": "64",
-    "quadrature.lp_m": "256",
-    "dictionary.count": "5",
-    "dictionary.radius": "0.4",
-    "dictionary.centers": "",
-    "check.samples": "1000",
-    "check.box": "-2,2",
-    "simulate.t": "0,0.5,1",
-    "simulate.m": "9",
-    "sweep.eps": "0.4,0.2,0.1,0.05",
+# config key -> (ExperimentConfig field, default text, kind); the kinds are
+# the converters in _KINDS, and the keys keep their --help and canonical order
+_KEYS: dict[str, tuple[str, str, str]] = {
+    "family.name": ("family", "identity", "str"),
+    "family.delta": ("delta", "0.3", "float"),
+    "family.gamma": ("gamma", "0.3", "float"),
+    "family.alpha_form": ("alpha_form", "identity", "str"),
+    "family.alpha_amp": ("alpha_amp", "1.0", "float"),
+    "family.beta_amp": ("beta_amp", "1.0", "float"),
+    "family.m": ("cell_matrix", "1,0,0,1", "matrix"),
+    "dim": ("dim", "2", "int"),
+    "eps": ("eps", "0.1", "float"),
+    "p": ("p", "2.0", "float"),
+    "T": ("T", "1.0", "float"),
+    "u0.center": ("u0_center", "0,0", "point"),
+    "u0.radius": ("u0_radius", "1.0", "float"),
+    "u0.amplitude": ("u0_amplitude", "1.0", "float"),
+    "integrator.h": ("h", "0.001", "float"),
+    "integrator.richardson": ("richardson", "false", "bool"),
+    "quadrature.m": ("quad_m", "64", "int"),
+    "quadrature.time_nodes": ("time_nodes", "64", "int"),
+    "quadrature.nodes_per_eps": ("nodes_per_eps", "8.0", "float"),
+    "quadrature.cell_m": ("cell_m", "64", "int"),
+    "quadrature.lp_m": ("lp_m", "256", "int"),
+    "dictionary.count": ("dict_count", "5", "int"),
+    "dictionary.radius": ("dict_radius", "0.4", "float"),
+    "dictionary.centers": ("dict_centers", "", "centers"),
+    "check.samples": ("check_samples", "1000", "int"),
+    "check.box": ("check_box", "-2,2", "pair"),
+    "simulate.t": ("simulate_t", "0,0.5,1", "floats"),
+    "simulate.m": ("simulate_m", "9", "int"),
+    "sweep.eps": ("sweep_eps", "0.4,0.2,0.1,0.05", "floats"),
     # default avoids integer multiples of the sweep eps values, where
     # cell-periodic drifts realign exactly with the limit flow
-    "sweep.strong_t": "0.52,0.93",
-    "seed": "0",
-    "output": "",
+    "sweep.strong_t": ("strong_t", "0.52,0.93", "floats"),
+    "seed": ("seed", "0", "int"),
+    "output": ("output", "", "str"),
 }
+
+_DEFAULTS: dict[str, str] = {key: default for key, (_, default, _) in _KEYS.items()}
 
 
 class ConfigError(ValueError):
@@ -164,6 +168,20 @@ def _to_centers(raw: dict, key: str, dim: int) -> tuple[tuple[float, ...], ...]:
     return tuple(out)
 
 
+# kind -> converter (raw, key, dim) -> value
+_KINDS = {
+    "str": lambda raw, key, dim: raw[key],
+    "int": lambda raw, key, dim: _to_int(raw, key),
+    "float": lambda raw, key, dim: _to_float(raw, key),
+    "bool": lambda raw, key, dim: _to_bool(raw, key),
+    "floats": lambda raw, key, dim: _to_floats(raw, key),
+    "pair": lambda raw, key, dim: _to_floats(raw, key, 2),
+    "point": lambda raw, key, dim: _to_floats(raw, key, dim),
+    "matrix": lambda raw, key, dim: _to_floats(raw, key, dim * dim),
+    "centers": _to_centers,
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value grammar and validate ranges."""
     raw = dict(_DEFAULTS)
@@ -176,7 +194,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -186,40 +204,8 @@ def parse_config(text: str) -> ExperimentConfig:
     dim = _to_int(raw, "dim")
     if dim != 2:
         raise ConfigError("key 'dim': the config families are two-dimensional")
-    cfg = ExperimentConfig(
-        family=raw["family.name"],
-        delta=_to_float(raw, "family.delta"),
-        gamma=_to_float(raw, "family.gamma"),
-        alpha_form=raw["family.alpha_form"],
-        alpha_amp=_to_float(raw, "family.alpha_amp"),
-        beta_amp=_to_float(raw, "family.beta_amp"),
-        cell_matrix=_to_floats(raw, "family.m", 4),
-        dim=dim,
-        eps=_to_float(raw, "eps"),
-        p=_to_float(raw, "p"),
-        T=_to_float(raw, "T"),
-        u0_center=_to_floats(raw, "u0.center", dim),
-        u0_radius=_to_float(raw, "u0.radius"),
-        u0_amplitude=_to_float(raw, "u0.amplitude"),
-        h=_to_float(raw, "integrator.h"),
-        richardson=_to_bool(raw, "integrator.richardson"),
-        quad_m=_to_int(raw, "quadrature.m"),
-        time_nodes=_to_int(raw, "quadrature.time_nodes"),
-        nodes_per_eps=_to_float(raw, "quadrature.nodes_per_eps"),
-        cell_m=_to_int(raw, "quadrature.cell_m"),
-        lp_m=_to_int(raw, "quadrature.lp_m"),
-        dict_count=_to_int(raw, "dictionary.count"),
-        dict_radius=_to_float(raw, "dictionary.radius"),
-        dict_centers=_to_centers(raw, "dictionary.centers", dim),
-        check_samples=_to_int(raw, "check.samples"),
-        check_box=_to_floats(raw, "check.box", 2),
-        simulate_t=_to_floats(raw, "simulate.t"),
-        simulate_m=_to_int(raw, "simulate.m"),
-        sweep_eps=_to_floats(raw, "sweep.eps"),
-        strong_t=_to_floats(raw, "sweep.strong_t"),
-        seed=_to_int(raw, "seed"),
-        output=raw["output"],
-    )
+    cfg = ExperimentConfig(**{field: _KINDS[kind](raw, key, dim)
+                              for key, (field, _, kind) in _KEYS.items()})
     _validate(cfg)
     return cfg
 
@@ -279,50 +265,8 @@ def _check_alpha_amp(cfg: ExperimentConfig, key: str, values) -> None:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse(serialize(parse(x))) == parse(x)."""
-    def fmt(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return format(v, ".17g")
-        return str(v)
-
-    centers = ";".join(":".join(format(c, ".17g") for c in ctr)
-                       for ctr in cfg.dict_centers)
-    values = {
-        "family.name": cfg.family,
-        "family.delta": fmt(cfg.delta),
-        "family.gamma": fmt(cfg.gamma),
-        "family.alpha_form": cfg.alpha_form,
-        "family.alpha_amp": fmt(cfg.alpha_amp),
-        "family.beta_amp": fmt(cfg.beta_amp),
-        "family.m": ",".join(fmt(v) for v in cfg.cell_matrix),
-        "dim": str(cfg.dim),
-        "eps": fmt(cfg.eps),
-        "p": fmt(cfg.p),
-        "T": fmt(cfg.T),
-        "u0.center": ",".join(fmt(v) for v in cfg.u0_center),
-        "u0.radius": fmt(cfg.u0_radius),
-        "u0.amplitude": fmt(cfg.u0_amplitude),
-        "integrator.h": fmt(cfg.h),
-        "integrator.richardson": fmt(cfg.richardson),
-        "quadrature.m": str(cfg.quad_m),
-        "quadrature.time_nodes": str(cfg.time_nodes),
-        "quadrature.nodes_per_eps": fmt(cfg.nodes_per_eps),
-        "quadrature.cell_m": str(cfg.cell_m),
-        "quadrature.lp_m": str(cfg.lp_m),
-        "dictionary.count": str(cfg.dict_count),
-        "dictionary.radius": fmt(cfg.dict_radius),
-        "dictionary.centers": centers,
-        "check.samples": str(cfg.check_samples),
-        "check.box": ",".join(fmt(v) for v in cfg.check_box),
-        "simulate.t": ",".join(fmt(v) for v in cfg.simulate_t),
-        "simulate.m": str(cfg.simulate_m),
-        "sweep.eps": ",".join(fmt(v) for v in cfg.sweep_eps),
-        "sweep.strong_t": ",".join(fmt(v) for v in cfg.strong_t),
-        "seed": str(cfg.seed),
-        "output": cfg.output,
-    }
-    return "\n".join(f"{k} = {values[k]}" for k in _DEFAULTS) + "\n"
+    return "".join(f"{key} = {_fmt(getattr(cfg, field))}\n"
+                   for key, (field, _, _) in _KEYS.items())
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +349,17 @@ def _estimated_sup(system: RectifiedSystem, radius: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
+    """One CSV cell or config value: true/false, floats round-tripping in
+    17 significant digits, number lists joined by "," and lists of
+    dictionary centers by ";" (their numbers by ":")."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
+    if isinstance(value, tuple):
+        if value and isinstance(value[0], tuple):
+            return ";".join(":".join(_fmt(v) for v in ctr) for ctr in value)
+        return ",".join(_fmt(v) for v in value)
     return str(value)
 
 

@@ -81,7 +81,6 @@ class ScalarField:
     eval: Callable[[Array], Array]
     grad: Callable[[Array], Array]
     hess: Callable[[Array], Array] | None = None
-    smoothness: str = "C1"
     exact: bool = True
 
 
@@ -184,7 +183,7 @@ def constant_scalar(dim: int, value: float) -> ScalarField:
         x = as_points(x, dim)
         return np.zeros(x.shape + (dim,))
 
-    return ScalarField(dim, ev, gr, he, smoothness="C2")
+    return ScalarField(dim, ev, gr, he)
 
 
 def coordinate_scalar(dim: int, axis: int) -> ScalarField:
@@ -203,7 +202,7 @@ def coordinate_scalar(dim: int, axis: int) -> ScalarField:
         x = as_points(x, dim)
         return np.zeros(x.shape + (dim,))
 
-    return ScalarField(dim, ev, gr, he, smoothness="C2")
+    return ScalarField(dim, ev, gr, he)
 
 
 def constant_vector(dim: int, value) -> VectorField:
@@ -309,31 +308,69 @@ def rot_perp(v: Array) -> Array:
 
 
 def cross_product(vectors: Sequence[Array]) -> Array:
-    """Vector w with v . w = det(v, v2, ..., vN) for every v, N >= 3.
+    """Vector w with v . w = det(v, v2, ..., vN) for every v, N >= 2.
 
-    Computed by cofactor expansion down the first column of the matrix whose
-    columns are (., v2, ..., vN): component i is (-1)^i times the minor
-    obtained by deleting row i from the column stack of the arguments.
+    In the plane the one argument v2 gives w = rot_perp(v2), bit for bit.
+    For N >= 3 it is computed by cofactor expansion down the first column of
+    the matrix whose columns are (., v2, ..., vN): component i is (-1)^i
+    times the minor obtained by deleting row i from the column stack of the
+    arguments.
     """
     vs = [np.asarray(v, dtype=float) for v in vectors]
     if not vs:
-        raise FieldError("cross_product needs at least two vectors")
+        raise FieldError("cross_product needs at least one vector")
     n = vs[0].shape[-1]
-    if n == 2:
-        raise FieldError("use rot_perp in dimension 2")
-    if n < 3:
-        raise FieldError("cross_product requires dimension >= 3")
+    if n < 2:
+        raise FieldError("cross_product requires dimension >= 2")
     if len(vs) != n - 1:
         raise FieldError(f"need {n - 1} vectors in dimension {n}, got {len(vs)}")
     for v in vs:
         if v.shape[-1] != n:
             raise FieldError("cross_product arguments must share one dimension")
+    if n == 2:
+        return rot_perp(vs[0])
     cols = np.stack(np.broadcast_arrays(*vs), axis=-1)  # (..., N, N-1)
     comps = []
     for i in range(n):
         minor = np.delete(cols, i, axis=-2)
         comps.append(((-1.0) ** i) * np.linalg.det(minor))
     return np.stack(comps, axis=-1)
+
+
+def jacobian_flux(J: Array) -> Array:
+    """The cross product of rows 2..N of J (batched over leading axes).
+
+    This is the first row of the cofactor matrix of J, so
+    ``J @ jacobian_flux(J) = det(J) e1``; with J the Jacobian of a
+    straightening map it is the divergence-free flux sigma * b.  In 2D it is
+    rot_perp of the second row.
+    """
+    J = np.asarray(J, dtype=float)
+    return cross_product([J[..., k, :] for k in range(1, J.shape[-1])])
+
+
+def _cross_jacobian(grads: Sequence[Array], hessians: Sequence[Array]) -> Array:
+    """Jacobian of x -> cross_product(grads(x)).
+
+    ``hessians[k][..., i, j]`` is d(grads[k]_i)/dx_j.  The cross product is
+    multilinear, so column j is the sum over k of the cross product with
+    grads[k] replaced by column j of hessians[k].
+    """
+    n = len(grads)
+    cols = []
+    for j in range(n + 1):
+        terms = [cross_product([hessians[i][..., :, j] if i == k else grads[i]
+                                for i in range(n)]) for k in range(n)]
+        # sum() starts from 0, which makes every exact zero of an N-D column
+        # +0.0; the one planar term is taken as it is
+        cols.append(terms[0] if n == 1 else sum(terms))
+    return np.stack(cols, axis=-1)
+
+
+def _quotient_jacobian(u: Array, du: Array, s: Array, gs: Array) -> Array:
+    """Jacobian of u/s from du = jac u, the scalar s and gs = grad s."""
+    s = s[..., None, None]
+    return du / s - np.einsum("...i,...j->...ij", u, gs) / s ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -364,43 +401,17 @@ def drift_from_streamfields(streams: Sequence[ScalarField], sigma: ScalarField) 
         bad = probe[np.argmin(svals)]
         raise InvalidMeasureError(f"sigma is not strictly positive, e.g. at {bad}")
 
-    def density_flux(x):
-        grads = [s.grad(x) for s in streams]
-        if dim == 2:
-            return rot_perp(grads[0])
-        return cross_product(grads)
-
     def ev(x):
         x = as_points(x, dim)
-        return density_flux(x) / sigma.eval(x)[..., None]
+        return cross_product([s.grad(x) for s in streams]) / sigma.eval(x)[..., None]
 
-    have_hess = all(s.hess is not None for s in streams) and sigma.exact
-
-    def flux_jacobian(x):
-        if dim == 2:
-            h = streams[0].hess(x)
-            # rows of D(rot_perp(grad w)): (hess row 2, -hess row 1)
-            return np.stack([h[..., 1, :], -h[..., 0, :]], axis=-2)
-        grads = [s.grad(x) for s in streams]
-        hesss = [s.hess(x) for s in streams]
-        cols = []
-        for j in range(dim):
-            term = np.zeros(x.shape)
-            for k in range(len(streams)):
-                args = [hesss[i][..., :, j] if i == k else grads[i]
-                        for i in range(len(streams))]
-                term = term + cross_product(args)
-            cols.append(term)
-        return np.stack(cols, axis=-1)
-
-    if have_hess:
+    if all(s.hess is not None for s in streams) and sigma.exact:
         def jac(x):
             x = as_points(x, dim)
-            u = density_flux(x)
-            du = flux_jacobian(x)
-            s = sigma.eval(x)[..., None, None]
-            gs = sigma.grad(x)
-            return du / s - np.einsum("...i,...j->...ij", u, gs) / s ** 2
+            grads = [s.grad(x) for s in streams]
+            du = _cross_jacobian(grads, [s.hess(x) for s in streams])
+            return _quotient_jacobian(cross_product(grads), du, sigma.eval(x),
+                                      sigma.grad(x))
         exact = True
     else:
         def jac(x):
@@ -855,11 +866,6 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
 
     have_hess = cell.hessians is not None
 
-    def cell_flux(y):
-        J = cell.jacobian(y)
-        rows = [J[..., k, :] for k in range(1, dim)]
-        return rot_perp(rows[0]) if dim == 2 else cross_product(rows)
-
     if dim == 2:
         # hot path for trajectory integration: one Jacobian build, inline det
         def cell_det(J):
@@ -878,8 +884,7 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
 
         def generic_drift(y):
             J = cell.jacobian(y)
-            rows = [J[..., k, :] for k in range(1, dim)]
-            return cross_product(rows) / np.linalg.det(J)[..., None]
+            return jacobian_flux(J) / np.linalg.det(J)[..., None]
 
     cell_drift = cell.drift or generic_drift
 
@@ -905,32 +910,15 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
         return cell_drift(x / eps)
 
     if have_hess:
-        def flux_jac(y):
-            H = cell.hessians(y)
-            if dim == 2:
-                h2 = H[..., 1, :, :]
-                return np.stack([h2[..., 1, :], -h2[..., 0, :]], axis=-2)
-            J = cell.jacobian(y)
-            rows = [J[..., k, :] for k in range(1, dim)]
-            cols = []
-            for j in range(dim):
-                term = np.zeros(y.shape)
-                for k in range(1, dim):
-                    args = [H[..., i, :, j] if i == k else rows[i - 1]
-                            for i in range(1, dim)]
-                    term = term + cross_product(args)
-                cols.append(term)
-            return np.stack(cols, axis=-1)
-
         def b_jac(x):
             x = as_points(x, dim)
             y = x / eps
-            u = cell_flux(y)
-            du = flux_jac(y)
-            s = np.linalg.det(cell.jacobian(y))
-            gs = _cell_sigma_grad(cell, y)
-            return (du / s[..., None, None]
-                    - np.einsum("...i,...j->...ij", u, gs) / s[..., None, None] ** 2) / eps
+            J = cell.jacobian(y)
+            H = cell.hessians(y)
+            du = _cross_jacobian([J[..., k, :] for k in range(1, dim)],
+                                 [H[..., k, :, :] for k in range(1, dim)])
+            return _quotient_jacobian(jacobian_flux(J), du, np.linalg.det(J),
+                                      _cell_sigma_grad(cell, y)) / eps
 
         def b_div(x):
             x = as_points(x, dim)

@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .fields import (Array, Diffeo, FieldError, RectifiedSystem, ScalarField,
-                     VectorField, as_points, constant_scalar, cross_product,
-                     fd_gradient, fd_jacobian, rot_perp)
+                     VectorField, as_points, constant_scalar, fd_gradient,
+                     fd_jacobian, jacobian_flux)
 
 # FD step scale for flow-propagated fields: larger than the analytic fallback
 # because each evaluation carries integrator noise that division amplifies.
@@ -115,22 +115,6 @@ def _rk4_segment(field: VectorField, pos, jac, logdet, t0: float, dt: float,
     return pos, jac, logdet
 
 
-def _integrate(field, x0, t_final, h, carry):
-    x0 = as_points(x0, field.dim)
-    pos = x0.copy()
-    jac = None
-    logdet = None
-    if carry:
-        jac = np.broadcast_to(np.eye(field.dim), x0.shape + (field.dim,)).copy()
-        logdet = np.zeros(x0.shape[:-1])
-    if t_final == 0.0:
-        return FlowState(0.0, pos, jac, logdet)
-    n = max(1, int(np.ceil(abs(t_final) / h - 1e-12)))
-    dt = t_final / n
-    pos, jac, logdet = _rk4_segment(field, pos, jac, logdet, 0.0, dt, n, carry)
-    return FlowState(float(t_final), pos, jac, logdet)
-
-
 def advect(field: VectorField, x0, t_final: float,
            cfg: IntegratorConfig = IntegratorConfig(),
            carry_jacobian: bool = False) -> FlowState:
@@ -138,16 +122,38 @@ def advect(field: VectorField, x0, t_final: float,
 
     With ``carry_jacobian`` the returned state also holds the variational
     Jacobian and the Liouville log-determinant.  Uniform steps of size
-    t_final/ceil(|t_final|/h) land exactly on t_final.
+    t_final/ceil(|t_final|/h) land exactly on t_final.  The one-snapshot
+    case of :func:`advect_times`.
     """
-    state = _integrate(field, x0, float(t_final), cfg.h, carry_jacobian)
-    if cfg.richardson_check and t_final != 0.0:
-        fine = _integrate(field, x0, float(t_final), cfg.h / 2.0, False)
-        gap = float(np.max(np.abs(fine.pos - state.pos)))
-        if gap > cfg.richardson_tol:
-            raise AccuracyError(
-                f"step-halving moved positions by {gap:.3e} > {cfg.richardson_tol:.3e}")
-    return state
+    return advect_times(field, x0, [t_final], cfg, carry_jacobian)[0]
+
+
+def _snapshots(field: VectorField, x0, times: list[float], h: float,
+               carry: bool) -> list[FlowState]:
+    """One RK4 pass from t = 0 through ``times`` in order of |t|, with a
+    snapshot at each; every span between snapshots takes uniform steps of
+    at most h that land exactly on its end."""
+    x0 = as_points(x0, field.dim)
+    pos = x0.copy()
+    jac = logdet = None
+    if carry:
+        jac = np.broadcast_to(np.eye(field.dim), x0.shape + (field.dim,)).copy()
+        logdet = np.zeros(x0.shape[:-1])
+    states: list[FlowState | None] = [None] * len(times)
+    t_cur = 0.0
+    for idx in sorted(range(len(times)), key=lambda i: abs(times[i])):
+        t_next = times[idx]
+        span = t_next - t_cur
+        if span != 0.0:
+            n = max(1, int(np.ceil(abs(span) / h - 1e-12)))
+            pos, jac, logdet = _rk4_segment(field, pos, jac, logdet, t_cur,
+                                            span / n, n, carry)
+        states[idx] = FlowState(t_next,
+                                pos.copy(),
+                                None if jac is None else jac.copy(),
+                                None if logdet is None else logdet.copy())
+        t_cur = t_next
+    return states  # type: ignore[return-value]
 
 
 def advect_times(field: VectorField, x0, times,
@@ -165,39 +171,15 @@ def advect_times(field: VectorField, x0, times,
     signs = {np.sign(t) for t in times if t != 0.0}
     if len(signs) > 1:
         raise ValueError("snapshot times must not straddle t = 0")
+    states = _snapshots(field, x0, times, cfg.h, carry_jacobian)
     if cfg.richardson_check:
-        coarse = advect_times(field, x0, times,
-                              IntegratorConfig(h=cfg.h), carry_jacobian)
-        fine = advect_times(field, x0, times,
-                            IntegratorConfig(h=cfg.h / 2.0), False)
+        fine = _snapshots(field, x0, times, cfg.h / 2.0, False)
         gap = max(float(np.max(np.abs(f.pos - c.pos)))
-                  for f, c in zip(fine, coarse))
+                  for f, c in zip(fine, states))
         if gap > cfg.richardson_tol:
             raise AccuracyError(
                 f"step-halving moved positions by {gap:.3e} > {cfg.richardson_tol:.3e}")
-        return coarse
-    order = sorted(range(len(times)), key=lambda i: abs(times[i]))
-    x0 = as_points(x0, field.dim)
-    pos = x0.copy()
-    jac = logdet = None
-    if carry_jacobian:
-        jac = np.broadcast_to(np.eye(field.dim), x0.shape + (field.dim,)).copy()
-        logdet = np.zeros(x0.shape[:-1])
-    states: list[FlowState | None] = [None] * len(times)
-    t_cur = 0.0
-    for idx in order:
-        t_next = times[idx]
-        span = t_next - t_cur
-        if span != 0.0:
-            n = max(1, int(np.ceil(abs(span) / cfg.h - 1e-12)))
-            pos, jac, logdet = _rk4_segment(field, pos, jac, logdet, t_cur,
-                                            span / n, n, carry_jacobian)
-        states[idx] = FlowState(t_next,
-                                pos.copy(),
-                                None if jac is None else jac.copy(),
-                                None if logdet is None else logdet.copy())
-        t_cur = t_next
-    return states  # type: ignore[return-value]
+    return states
 
 
 def semigroup_defect(field: VectorField, s: float, t: float, x,
@@ -378,9 +360,7 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
     limit_state = _carried_flow(limit_a, t_star, cfg)
 
     def b_ev(x):
-        jw = state(x).jac
-        rows = [jw[..., k, :] for k in range(1, dim)]
-        return rot_perp(rows[0]) if dim == 2 else cross_product(rows)
+        return jacobian_flux(state(x).jac)
 
     def b_div(x):
         x = as_points(x, dim)

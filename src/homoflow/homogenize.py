@@ -3,9 +3,12 @@
 Two routes are implemented: unit-cell averages for periodically oscillating
 systems (sigma0 = <sigma>, xi0 = <sigma b>), and the cofactor formula for a
 known limit straightening map (xi0 = first row of the cofactor matrix of the
-map's Jacobian, which in 2D is exactly the rotated gradient of the second
-component).  In the fully general case the effective density has no
-constructive recipe, so the cofactor route takes sigma0 from the caller.
+map's Jacobian, :func:`~homoflow.fields.jacobian_flux`: the cross product of
+the gradients of components 2..N, which in 2D is exactly the rotated
+gradient of the second component).  The cell route averages the same
+``jacobian_flux`` of the cell Jacobian.  In the fully general case the
+effective density has no constructive recipe, so the cofactor route takes
+sigma0 from the caller.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import (Array, Diffeo, PeriodicCellMap, ScalarField, VectorField,
-                     as_points, cross_product, fd_jacobian, rot_perp,
-                     tensor_grid)
+                     as_points, fd_jacobian, jacobian_flux, tensor_grid)
 
 
 class InvalidCoefficientsError(ValueError):
@@ -116,15 +118,11 @@ def effective_from_cell(cell: PeriodicCellMap, m: int = 64,
     dim = cell.dim
     det_m = float(np.linalg.det(np.asarray(cell.M, dtype=float)))
 
-    def flux(y):
-        J = cell.jacobian(y)
-        rows = [J[..., k, :] for k in range(1, dim)]
-        return rot_perp(rows[0]) if dim == 2 else cross_product(rows)
-
     res = m
     while True:
         sigma0 = float(cell_average(lambda y: np.linalg.det(cell.jacobian(y)), dim, res))
-        xi0 = np.asarray(cell_average(flux, dim, res), dtype=float)
+        xi0 = np.asarray(cell_average(lambda y: jacobian_flux(cell.jacobian(y)), dim, res),
+                         dtype=float)
         residual = abs(det_m - sigma0)
         if residual <= stabilize_tol or res >= max_resolution:
             break
@@ -137,34 +135,14 @@ def effective_from_cell(cell: PeriodicCellMap, m: int = 64,
                                  quasi_affinity_residual=residual, resolution=res)
 
 
-def cofactor_matrix(A: Array) -> Array:
-    """Signed-minor matrix: Cof(A)[i, j] = (-1)^(i+j) det(A drop row i col j).
-
-    Defined for singular matrices too, and satisfies A @ Cof(A).T = det(A) I.
-    Batched over leading axes.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[-1]
-    if A.shape[-2] != n:
-        raise ValueError("cofactor matrix needs square input")
-    if n == 1:
-        return np.ones_like(A)
-    out = np.empty_like(A)
-    for i in range(n):
-        sub = np.delete(A, i, axis=-2)
-        for j in range(n):
-            minor = np.delete(sub, j, axis=-1)
-            out[..., i, j] = ((-1.0) ** (i + j)) * np.linalg.det(minor)
-    return out
-
-
 def effective_from_limit_map(limit_W: Diffeo,
                              sigma0: float | ScalarField = 1.0) -> EffectiveCoefficients:
     """Cofactor-route coefficients from the limit straightening map.
 
-    xi0(x) is the first row of Cof(jac W)(x); it is divergence free (the
-    row-wise divergence of a cofactor matrix of a gradient vanishes), and it
-    satisfies jac(W) @ xi0 = det(jac W) e1, the limit rectification identity.
+    xi0(x) = jacobian_flux(jac W)(x), the first row of Cof(jac W)(x); it is
+    divergence free (the row-wise divergence of a cofactor matrix of a
+    gradient vanishes), and it satisfies jac(W) @ xi0 = det(jac W) e1, the
+    limit rectification identity.
     sigma0 is supplied by the caller because the general theory only defines
     it as a weak-* limit.
     """
@@ -172,7 +150,7 @@ def effective_from_limit_map(limit_W: Diffeo,
 
     def ev(x):
         x = as_points(x, dim)
-        return cofactor_matrix(limit_W.jacobian(x))[..., 0, :]
+        return jacobian_flux(limit_W.jacobian(x))
 
     def jac(x):
         x = as_points(x, dim)

@@ -104,7 +104,6 @@ class InitialDatum:
     eval: Callable[[Array], Array]
     support_radius: float
     center: Array
-    smoothness: str = "C1"
 
     def scaled(self, factor: Callable[[Array], Array] | float) -> "InitialDatum":
         """Pointwise rescaling; preserves the support.
@@ -120,8 +119,7 @@ class InitialDatum:
 
             def ev(x):
                 return self.eval(x) * c + 0.0
-        return InitialDatum(self.dim, ev, self.support_radius, self.center,
-                            self.smoothness)
+        return InitialDatum(self.dim, ev, self.support_radius, self.center)
 
 
 def bump_datum(dim: int, center, radius: float, amplitude: float = 1.0) -> InitialDatum:
@@ -147,7 +145,7 @@ def bump_datum(dim: int, center, radius: float, amplitude: float = 1.0) -> Initi
         out[inside] = vals[inside]
         return out
 
-    return InitialDatum(dim, ev, r0, c, smoothness="C2")
+    return InitialDatum(dim, ev, r0, c)
 
 
 @dataclass(frozen=True)

@@ -271,27 +271,58 @@ integrator.h = 0.005
 """
 
 
-@pytest.mark.parametrize("family,digest", [
+@pytest.mark.parametrize("family,digest,command", [
     ("family.name = deltagamma",
-     "80ee55b73ee9506d1a4efd6ff4d4e091fde74a15696c80c6fb8e5bc1988a5324"),
+     "80ee55b73ee9506d1a4efd6ff4d4e091fde74a15696c80c6fb8e5bc1988a5324", run_sweep),
     # a non-identity affine part exercises the M + periodic-part Jacobian
     ("family.name = periodic\nfamily.m = 1.2,0.3,-0.1,0.9",
-     "19f626f022511e5d5cc77f5ab22d0d7ecddf01e277641a70d5e9bcc1bed93237"),
+     "19f626f022511e5d5cc77f5ab22d0d7ecddf01e277641a70d5e9bcc1bed93237", run_sweep),
     # the twist drift: identity alpha, a perturbed alpha with a second beta
     # amplitude, and beta = 0 (the zero curve, no sin or cos)
     ("family.name = example31",
-     "2b40d6dd829090528bd5e66379a73e4081aced25bcf447f073c2a66df93de10f"),
+     "2b40d6dd829090528bd5e66379a73e4081aced25bcf447f073c2a66df93de10f", run_sweep),
     ("family.name = example31\nfamily.alpha_form = perturbed\n"
      "family.alpha_amp = 0.5\nfamily.beta_amp = 0.7",
-     "d778242812e5cca8ee70be52856929a1bea87bb0ea62dc3445972c7637f4cb87"),
+     "d778242812e5cca8ee70be52856929a1bea87bb0ea62dc3445972c7637f4cb87", run_sweep),
     ("family.name = example31\nfamily.beta_amp = 0",
-     "37c3d72bc5f1ab3f8e91470c17c4bd11965f62c20181f1a9aba415beeba0e704"),
+     "37c3d72bc5f1ab3f8e91470c17c4bd11965f62c20181f1a9aba415beeba0e704", run_sweep),
+    # check is the one output that reads b.jacobian and sigma.grad
+    ("family.name = identity",
+     "e849f5b632f5bdb82d5c12229a68429f3297b5f0870118f88cf7a51cc99ad24f", run_check),
+    ("family.name = shear",
+     "d6e945999bf61ef1437175440494bcc70ed32cb5a984a60b4c4e111b42db27f8", run_check),
+    ("family.name = deltagamma\nfamily.delta = 0.5\nfamily.gamma = 0.7",
+     "57b40cea5d5bfbe675822463aced2d7cc75b89d918628d5fa401065f75ba3326", run_check),
+    ("family.name = periodic\nfamily.m = 1.2,0.3,-0.1,0.9",
+     "739a74e006ca5409fc40a1d969466a3f9457cfd6d77434bbe0bfd4aaddd1af4a", run_check),
+    ("family.name = example31",
+     "c218509fcfd6f439eb870b1cee7eec621877fe3058c867d8b6160618cfb6c239", run_check),
+    ("family.name = example31\nfamily.alpha_form = perturbed\n"
+     "family.alpha_amp = 0.5\nfamily.beta_amp = 0.7",
+     "d362279f4bfc45ecf243d017bfbca9748770f1afb40a30a225da6915bf01907b", run_check),
+    ("family.name = identity",
+     "6407dec6133aa7e80ef1a43d802b0e2afc6427b3958da9c97776b1454347ace9", run_homogenize),
+    ("family.name = shear",
+     "c3dd8728200ba63d35137e7296a667270fec0e8d5064d071dc96f56b6828eecb", run_homogenize),
+    ("family.name = deltagamma\nfamily.delta = 0.5\nfamily.gamma = 0.7",
+     "bc7e8712508ab69d4f35ccf7f36bcbee800e090298bb4dbce65ffbccfd8ef311", run_homogenize),
+    ("family.name = periodic\nfamily.m = 1.2,0.3,-0.1,0.9",
+     "7e839890bde264fc4680a51811c44f8b6e2d664d1be580bf6672a7f94c332028", run_homogenize),
+    ("family.name = example31",
+     "2d9ac2d1c8dc051bdf2f909e8bb51a8a630229528b9c0fcae31b9ed4f8337f5a", run_homogenize),
+    ("family.name = example31\nfamily.alpha_form = perturbed\n"
+     "family.alpha_amp = 0.5\nfamily.beta_amp = 0.7",
+     "2d9ac2d1c8dc051bdf2f909e8bb51a8a630229528b9c0fcae31b9ed4f8337f5a", run_homogenize),
 ])
-def test_sweep_csv_bytes_are_pinned(family, digest):
-    # Digests of the CSV from the stacked drifts and the full-grid pairings
-    # (x86-64 Linux, glibc libm, numpy 2.4): fast paths must keep every bit.
-    code, csv = run_sweep(parse_config(family + SMOKE_SWEEP))
+def test_sweep_csv_bytes_are_pinned(family, digest, command):
+    # Digests of the CSV of each command (x86-64 Linux, glibc libm, numpy
+    # 2.4): fast paths and refactors must keep every bit.
+    code, csv = command(parse_config(family + SMOKE_SWEEP))
     assert code == 0
+    if command is run_homogenize and "example31" in family:
+        # the limit flux is rot_perp of the identity map's second row, whose
+        # xi0_2 is +0.0 (a determinant of the 1x1 minor gave -0.0)
+        assert csv.splitlines()[-1] == "example31,cell-average,1,1,0,nan,nan,0"
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 

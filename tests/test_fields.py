@@ -63,9 +63,10 @@ def test_cross_product_antisymmetry_and_linearity(rng):
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
-def test_cross_product_rejects_dimension_two():
-    with pytest.raises(FieldError):
-        hf.cross_product([np.array([1.0, 0.0])])
+def test_cross_product_in_dimension_two_is_rot_perp(rng):
+    v = rng.standard_normal((50, 2))
+    v[:5] = [[0.0, -0.0], [-0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [-0.0, -0.0]]
+    assert hf.cross_product([v]).tobytes() == hf.rot_perp(v).tobytes()
 
 
 def test_cross_product_argument_count():
@@ -108,7 +109,7 @@ def test_drift_from_sine_stream_matches_hand_gradient(rng):
         out[..., 0, 0] = -2 * np.pi * gamma * np.sin(2 * np.pi * x[..., 0])
         return out
 
-    stream = hf.ScalarField(2, ev, gr, he, smoothness="C2")
+    stream = hf.ScalarField(2, ev, gr, he)
     b = hf.drift_from_streamfields([stream], hf.constant_scalar(2, 1.0))
     x = rng.uniform(-2, 2, (100, 2))
     expected = np.stack([np.ones(100), -gamma * np.cos(2 * np.pi * x[..., 0])], axis=-1)
@@ -481,8 +482,8 @@ def test_three_dimensional_stream_drift_is_solenoidal(rng):
         out[..., 0, 0] = -0.2 * np.cos(x[..., 0])
         return out
 
-    streams = [hf.ScalarField(3, w2_ev, w2_gr, w2_he, smoothness="C2"),
-               hf.ScalarField(3, w3_ev, w3_gr, w3_he, smoothness="C2")]
+    streams = [hf.ScalarField(3, w2_ev, w2_gr, w2_he),
+               hf.ScalarField(3, w3_ev, w3_gr, w3_he)]
     b = hf.drift_from_streamfields(streams, hf.constant_scalar(3, 1.0))
     assert b.exact
     x = rng.uniform(-2, 2, (100, 3))

@@ -105,37 +105,34 @@ def test_cell_average_coefficients_must_be_constant():
 
 
 # ---------------------------------------------------------------------------
-# cofactor matrices
+# the Jacobian flux (first cofactor row)
 # ---------------------------------------------------------------------------
 
-def test_cofactor_identity_and_diagonal():
-    assert np.allclose(hf.cofactor_matrix(np.eye(2)), np.eye(2))
-    assert np.allclose(hf.cofactor_matrix(np.diag([2.0, 3.0])), np.diag([3.0, 2.0]))
-
-
-def test_cofactor_transpose_identity_random(rng):
-    A = rng.standard_normal((100, 3, 3))
-    cof = hf.cofactor_matrix(A)
+def _assert_flux_is_first_cofactor_row(A):
+    # A @ jacobian_flux(A) = det(A) e1: the rows of A below the first are
+    # orthogonal to the flux and the first row pairs with it to det(A)
     det = leibniz_det(A)
-    prod = A @ np.swapaxes(cof, -1, -2)
-    resid = prod - det[..., None, None] * np.eye(3)
-    scale = np.maximum(1.0, np.abs(det))[..., None, None]
+    n = A.shape[-1]
+    resid = A @ hf.jacobian_flux(A)[..., None]
+    resid = resid[..., 0] - det[..., None] * np.eye(n)[0]
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)) ** n)[..., None]
     assert (np.abs(resid) / scale).max() < 1e-12
 
 
-def test_cofactor_determinant_power_rule(rng):
-    for n in (2, 3):
-        A = rng.standard_normal((50, n, n))
-        det_cof = np.linalg.det(hf.cofactor_matrix(A))
-        det_pow = np.linalg.det(A) ** (n - 1)
-        rel = np.abs(det_cof - det_pow) / np.maximum(1.0, np.abs(det_pow))
-        assert rel.max() < 1e-10
+def test_jacobian_flux_is_first_cofactor_row_random(rng):
+    for n in (2, 3, 4):
+        _assert_flux_is_first_cofactor_row(rng.standard_normal((100, n, n)))
 
 
-def test_cofactor_handles_singular_matrices():
+def test_jacobian_flux_handles_singular_matrices(rng):
+    for n in (2, 3, 4):
+        A = rng.standard_normal((20, n, n))
+        A[:10, -1] = 2.0 * A[:10, 0]  # two proportional rows
+        A[10:, :, 0] = -A[10:, :, 1]  # two proportional columns
+        _assert_flux_is_first_cofactor_row(A)
+        assert np.abs(leibniz_det(A)).max() < 1e-12
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    cof = hf.cofactor_matrix(A)
-    assert np.allclose(A @ cof.T, 0.0)
+    assert np.array_equal(A @ hf.jacobian_flux(A), [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +150,7 @@ def test_limit_map_affine_gives_constant_cofactor_row(rng):
     M = np.array([[1.0, 0.5], [0.2, 2.0]])
     coeffs = hf.effective_from_limit_map(hf.affine_diffeo(M), 1.0)
     x = rng.uniform(-2, 2, (20, 2))
-    expected = hf.cofactor_matrix(M)[0, :]
+    expected = hf.jacobian_flux(M)
     assert np.abs(coeffs.xi0_at(x) - expected).max() < 1e-12
     # consistency with the cell-average route for the same affine part
     cell_route = hf.effective_from_cell(hf.sine_cell(M, 0.2, 0.3), m=64)

@@ -5,10 +5,11 @@
 
 Run from anywhere inside the repository.  The base revision's committed
 files are exported with ``git archive`` into a temporary directory (under
-``$TMPDIR``, removed at the end; nothing is registered in ``.git``).  Each
-pair runs ``perfbench/run.py`` once in that export and once in the working
-tree, and the side that goes first alternates from pair to pair, so slow
-drift of the machine's speed hits both sides alike.  ``--workload`` may be
+``$TMPDIR``, removed at the end, also when the tool is stopped with SIGTERM
+or Ctrl-C; nothing is registered in ``.git``).  Each pair runs
+``perfbench/run.py`` once in that export and once in the working tree, and
+the side that goes first alternates from pair to pair, so slow drift of the
+machine's speed hits both sides alike.  ``--workload`` may be
 repeated; each workload gets its own pairs and its own summary.
 
 For every metric the runner reports, the summary gives both sides' median
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import statistics
 import subprocess
 import sys
@@ -142,7 +144,14 @@ def summarize(pairs: list[dict], specs: dict[str, dict]) -> list[str]:
     return out
 
 
+def _terminate(signum, frame):
+    # SystemExit unwinds like KeyboardInterrupt: subprocess.run kills the
+    # running benchmark child and TemporaryDirectory removes the export
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    signal.signal(signal.SIGTERM, _terminate)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="base revision (e.g. HEAD~1)")
     parser.add_argument("--workload", required=True, action="append",
