@@ -22,12 +22,11 @@ from .diagnostics import (SpacetimeQuad, TestFunction, convergence_sweep,
                           default_dictionary, invariant_suite, strong_l2_error)
 from .fields import (Curve, FieldError, RectifiedSystem, deltagamma_cell,
                      hyperbolic_twist_family, identity_cell, identity_curve,
-                     periodic_family, perturbed_identity_curve, shear_cell,
-                     sine_cell, sine_curve, zero_curve)
+                     jacobian_flux, periodic_family, perturbed_identity_curve,
+                     shear_cell, sine_cell, sine_curve, zero_curve)
 from .flow import AccuracyError, BlowupError, IntegratorConfig
 from .homogenize import (EffectiveCoefficients, InvalidCoefficientsError,
-                         constant_coefficients, effective_from_cell,
-                         effective_from_limit_map)
+                         constant_coefficients, effective_from_cell)
 from .transport import (Box, bump_datum, dependence_box, solve_homogenized,
                         solve_transport)
 
@@ -303,22 +302,17 @@ def build_system(cfg: ExperimentConfig, eps: float) -> RectifiedSystem:
     if cell is not None:
         return periodic_family(cell, eps, label=cfg.family)
     alpha, beta = _twist_curves(cfg, eps)
-    return hyperbolic_twist_family(alpha, beta, eps, identity_curve(),
-                                   zero_curve(), label=cfg.family)
+    return hyperbolic_twist_family(alpha, beta, eps, label=cfg.family)
 
 
 def build_coefficients(cfg: ExperimentConfig) -> EffectiveCoefficients:
     cell = _build_cell(cfg)
     if cell is not None:
         return effective_from_cell(cell, m=cfg.cell_m)
-    # twist family: the limit profiles are identity/zero, so the limit map is
-    # the identity; detect the constant coefficients and use the fast path
-    coeffs = effective_from_limit_map(build_system(cfg, cfg.eps).limit_W, 1.0)
-    probe = np.array([[0.0, 0.0], [0.7, -0.4], [-1.1, 0.9]])
-    xi = coeffs.xi0_at(probe)
-    if np.all(np.abs(xi - xi[0]) < 1e-12):
-        return constant_coefficients(2, 1.0, xi[0])
-    return coeffs
+    # twist family: the limit map is the identity, so the cofactor-route xi0
+    # is the constant flux of its Jacobian (whose J[1, 0] is -0.0)
+    limit_W = build_system(cfg, cfg.eps).limit_W
+    return constant_coefficients(2, 1.0, jacobian_flux(limit_W.jacobian(np.zeros(2))))
 
 
 def _integrator(cfg: ExperimentConfig) -> IntegratorConfig:
@@ -420,10 +414,9 @@ def run_homogenize(cfg: ExperimentConfig) -> tuple[int, str]:
         det_m = float("nan")
         resid = float("nan")
         resolution = 0
-    xi = np.asarray(coeffs.xi0, dtype=float) if coeffs.is_constant else \
-        coeffs.xi0_at(np.zeros((1, cfg.dim)))[0]
-    sigma0 = float(coeffs.sigma0) if coeffs.is_constant else \
-        float(coeffs.sigma0_at(np.zeros((1, cfg.dim)))[0])
+    origin = np.zeros((1, cfg.dim))
+    xi = coeffs.xi0_at(origin)[0]
+    sigma0 = float(coeffs.sigma0_at(origin)[0])
     rows = [(cfg.family, coeffs.provenance, sigma0, xi[0], xi[1], det_m,
              resid, resolution)]
     csv = _csv(["family", "provenance", "sigma0", "xi0_1", "xi0_2", "det_m",

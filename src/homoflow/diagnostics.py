@@ -280,11 +280,7 @@ def convergence_sweep(family_solver: Callable[[float], tuple[RectifiedSystem, So
     if quad.resolve_scale is None:
         quad = replace(quad, resolve_scale=min(eps_list))
 
-    if isinstance(coeffs.sigma0, (int, float)):
-        v0 = u0.scaled(float(coeffs.sigma0))
-    else:
-        v0 = u0.scaled(coeffs.sigma0.eval)
-    v = solve_homogenized(coeffs, v0, "density", cfg)
+    v = solve_homogenized(coeffs, u0.scaled(coeffs.sigma0_at), "density", cfg)
     limits = [density_pairing(v, phi, quad) for phi in dictionary]
 
     all_pairings: list[list[float]] = [[] for _ in dictionary]
@@ -342,8 +338,7 @@ def _sphere_points(dim: int, radius: float, n: int, seed: int) -> Array:
 
 
 def invariant_suite(system: RectifiedSystem, sample_box: Box | None = None,
-                    n_samples: int = 1000, seed: int = 0,
-                    tolerance: float | None = None) -> InvariantReport:
+                    n_samples: int = 1000, seed: int = 0) -> InvariantReport:
     """Evaluate every structural identity of a rectified system on samples.
 
     Reports (never raises): straightening residual jac(W) b - theta e1;
@@ -352,12 +347,13 @@ def invariant_suite(system: RectifiedSystem, sample_box: Box | None = None,
     sigma*b (2D) or the determinant pairing of the flux with random vectors
     (higher dimension); and the coercivity surrogate for uniform properness
     (the min of |W| over growing spheres must increase roughly linearly).
+    The identities are held to ANALYTIC_TOL when ``system.analytic``, to
+    FLOW_TOL otherwise.
     """
     dim = system.dim
     if sample_box is None:
         sample_box = Box.from_radius(np.zeros(dim), 2.0)
-    tol = tolerance if tolerance is not None else (
-        ANALYTIC_TOL if system.analytic else FLOW_TOL)
+    tol = ANALYTIC_TOL if system.analytic else FLOW_TOL
     rng = np.random.default_rng(seed)
     pts = sample_box.lo + rng.random((n_samples, dim)) * sample_box.widths
 

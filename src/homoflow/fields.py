@@ -89,9 +89,10 @@ class VectorField:
     """Vector field with exact Jacobian and divergence.
 
     ``sup_bound``/``div_bound`` are optional uniform bounds on ``|field|`` and
-    ``|div field|``; generator families estimate them by dense sampling and
-    inflate the estimate, user fields may leave them absent.  They size boxes
-    and warnings, never decide which points are computed.
+    ``|div field|``.  Periodic families estimate ``sup_bound`` by dense
+    sampling and inflate the estimate; no family computes ``div_bound``, which
+    stays for fields built by hand (the divergence-free ones set 0.0).  They
+    size boxes and warnings, never decide which points are computed.
 
     ``proven_sup`` is stronger: a bound on ``|eval(x)|`` as computed in
     floating point, for every finite x, derived rather than sampled.  The
@@ -139,6 +140,8 @@ class RectifiedSystem:
     Contracts (checked by the diagnostics suite, not at construction):
     ``sigma_bounds[0] <= sigma <= sigma_bounds[1]``, ``theta > 0``,
     ``jac(W) @ b = theta * e1`` and ``det(jac(W)) = sigma * theta``.
+    ``analytic`` is derived: the system is analytic when W, sigma, b and
+    theta all carry exact derivatives.
     """
 
     dim: int
@@ -151,7 +154,10 @@ class RectifiedSystem:
     limit_W: Diffeo
     limit_theta: ScalarField
     label: str = ""
-    analytic: bool = True
+
+    @property
+    def analytic(self) -> bool:
+        return all(f.exact for f in (self.W, self.sigma, self.b, self.theta))
 
     @property
     def stability_constant(self) -> float:
@@ -535,8 +541,6 @@ def perturbed_identity_curve(amplitude: float) -> Curve:
 # ---------------------------------------------------------------------------
 
 def hyperbolic_twist_family(alpha: Curve, beta: Curve, eps: float,
-                            alpha_limit: Curve | None = None,
-                            beta_limit: Curve | None = None,
                             label: str = "example31") -> RectifiedSystem:
     """2D family twisting along the hyperbolas a(x1)*a(x2) = const.
 
@@ -545,8 +549,8 @@ def hyperbolic_twist_family(alpha: Curve, beta: Curve, eps: float,
     factors cancel, so all the oscillation of beta lands in the drift while
     theta stays beta-free.  Here sigma = 1 and b = rot_perp(grad w2).
 
-    ``alpha_limit``/``beta_limit`` are the eps -> 0 limits of the profiles
-    (identity / zero when omitted, which covers the canonical instances).
+    The eps -> 0 limits of the profiles are the identity (alpha) and zero
+    (beta), as for the canonical instances, so the limit map is the identity.
 
     The drift is evaluated in one closed-form pass over the profiles' jets
     (see :class:`Curve`) that returns, bit for bit, what the formula
@@ -570,19 +574,12 @@ def hyperbolic_twist_family(alpha: Curve, beta: Curve, eps: float,
             raise InvalidFamilyError(f"{name}'s jet disagrees with its eval/deriv")
         if curve.unit_slope and not np.all(curve.deriv(probe) == 1.0):
             raise InvalidFamilyError(f"{name} claims a unit slope its deriv does not have")
-    alpha_limit = alpha_limit or identity_curve()
-    beta_limit = beta_limit or zero_curve()
-
-    W = _twist_map(alpha, beta)
-    limit_W = _twist_map(alpha_limit, beta_limit)
-    b = _twist_drift(alpha, beta)
-    theta = _product_of_derivatives(alpha)
-    limit_theta = _product_of_derivatives(alpha_limit)
-
     return RectifiedSystem(
-        dim=2, eps=float(eps), W=W, sigma=constant_scalar(2, 1.0), b=b,
-        theta=theta, sigma_bounds=(1.0, 1.0), limit_W=limit_W,
-        limit_theta=limit_theta, label=label, analytic=True)
+        dim=2, eps=float(eps), W=_twist_map(alpha, beta),
+        sigma=constant_scalar(2, 1.0), b=_twist_drift(alpha, beta),
+        theta=_product_of_derivatives(alpha), sigma_bounds=(1.0, 1.0),
+        limit_W=_twist_map(identity_curve(), zero_curve()),
+        limit_theta=_product_of_derivatives(identity_curve()), label=label)
 
 
 def _twist_pieces(alpha: Curve, beta: Curve, x: Array):
@@ -838,17 +835,16 @@ def _cell_sigma_grad(cell: PeriodicCellMap, y: Array) -> Array:
     return det[..., None] * np.einsum("...ji,...ijk->...k", Jinv, H)
 
 
-def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
-                    bound_inflation: float = 1.05,
+def periodic_family(cell: PeriodicCellMap, eps: float,
                     label: str = "periodic") -> RectifiedSystem:
     """Rescaled system W(x) = eps * cell(x/eps), drift b(x) = b_cell(x/eps).
 
     sigma is the cell Jacobian determinant evaluated at x/eps, theta is
     identically one, and the limit map is the affine part x -> M x.  The
-    sigma bounds and the drift's ``sup_bound`` come from a ``sample_m``^N
-    cell scan inflated by ``bound_inflation``; the drift's ``proven_sup`` is
-    the cell's ``proven_drift_sup``, since b takes exactly the cell drift's
-    values.
+    sigma bounds and the drift's ``sup_bound`` come from a 64^N cell scan
+    inflated by 5%; the drift's ``proven_sup`` is the cell's
+    ``proven_drift_sup``, since b takes exactly the cell drift's values.  The
+    system is analytic exactly when the cell carries ``hessians``.
     """
     dim = cell.dim
     eps = float(eps)
@@ -856,35 +852,27 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
         raise FieldError("eps must be positive")
     M = np.asarray(cell.M, dtype=float)
 
-    grid = tensor_grid([np.arange(sample_m) / sample_m] * dim)
+    inflation = 1.05
+    grid = tensor_grid([np.arange(64) / 64] * dim)
     det_grid = np.linalg.det(cell.jacobian(grid))
     if np.any(det_grid <= 0.0):
         bad = grid[int(np.argmin(det_grid))]
         raise InvalidCellError(f"cell determinant is not positive, e.g. at y={bad}")
-    lo = float(det_grid.min()) / bound_inflation
-    hi = float(det_grid.max()) * bound_inflation
+    lo = float(det_grid.min()) / inflation
+    hi = float(det_grid.max()) * inflation
 
     have_hess = cell.hessians is not None
 
     if dim == 2:
-        # hot path for trajectory integration: one Jacobian build, inline det
+        # hot path for trajectory integration: inline det
         def cell_det(J):
             return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-
-        def generic_drift(y):
-            J = cell.jacobian(y)
-            det = cell_det(J)
-            out = np.empty(y.shape)
-            np.divide(J[..., 1, 1], det, out=out[..., 0])
-            np.divide(-J[..., 1, 0], det, out=out[..., 1])
-            return out
     else:
-        def cell_det(J):
-            return np.linalg.det(J)
+        cell_det = np.linalg.det
 
-        def generic_drift(y):
-            J = cell.jacobian(y)
-            return jacobian_flux(J) / np.linalg.det(J)[..., None]
+    def generic_drift(y):
+        J = cell.jacobian(y)
+        return jacobian_flux(J) / cell_det(J)[..., None]
 
     cell_drift = cell.drift or generic_drift
 
@@ -943,13 +931,7 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
     if cell.proven_drift_sup is not None and sampled_b > cell.proven_drift_sup:
         raise InvalidCellError("the cell's proven drift bound is below a sampled |b|;"
                                " rebuild the cell after changing M")
-    sup_b = sampled_b * bound_inflation
-    div_b = None
-    if have_hess:
-        div_grid = -np.einsum("...i,...i->...", _cell_sigma_grad(cell, grid), b_grid) / det_grid
-        div_b = float(np.abs(div_grid).max()) * bound_inflation / eps
-
-    b = VectorField(dim, b_ev, b_jac, b_div, sup_bound=sup_b, div_bound=div_b,
+    b = VectorField(dim, b_ev, b_jac, b_div, sup_bound=sampled_b * inflation,
                     exact=have_hess, proven_sup=cell.proven_drift_sup)
 
     # -- the rescaled map ---------------------------------------------------
@@ -967,4 +949,4 @@ def periodic_family(cell: PeriodicCellMap, eps: float, sample_m: int = 64,
         dim=dim, eps=eps, W=W, sigma=sigma, b=b,
         theta=constant_scalar(dim, 1.0), sigma_bounds=(lo, hi),
         limit_W=affine_diffeo(M), limit_theta=constant_scalar(dim, 1.0),
-        label=label, analytic=have_hess)
+        label=label)

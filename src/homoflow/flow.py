@@ -174,7 +174,7 @@ def advect_times(field: VectorField, x0, times,
     states = _snapshots(field, x0, times, cfg.h, carry_jacobian)
     if cfg.richardson_check:
         fine = _snapshots(field, x0, times, cfg.h / 2.0, False)
-        gap = max(float(np.max(np.abs(f.pos - c.pos)))
+        gap = max(float(np.max(np.abs(f.pos - c.pos), initial=0.0))
                   for f, c in zip(fine, states))
         if gap > cfg.richardson_tol:
             raise AccuracyError(
@@ -263,7 +263,7 @@ class FamilyValidation:
     oscillating field to its limit, reported only: amplitude-one oscillations
     keep it O(1) at every fixed eps even for convergent constructions);
     ``max_amplitude`` samples |a_eps| + |div a_eps|; ``div_gap_lq`` is the
-    sampled Lq distance between the divergences, the one hypothesis the
+    sampled L2 distance between the divergences, the one hypothesis the
     construction genuinely leans on.  Weak-* convergence of the derivatives
     is not sampleable and is recorded as unverified.
     """
@@ -279,7 +279,7 @@ class FamilyValidation:
 
 
 def validate_flow_family(a_eps: VectorField, limit_a: VectorField,
-                         sample_points: Array, div_q: float = 2.0) -> FamilyValidation:
+                         sample_points: Array) -> FamilyValidation:
     pts = as_points(sample_points, a_eps.dim)
     v_eps = a_eps.eval(pts)
     v_lim = limit_a.eval(pts)
@@ -288,7 +288,7 @@ def validate_flow_family(a_eps: VectorField, limit_a: VectorField,
     d_lim = limit_a.divergence(pts)
     amp = np.linalg.norm(v_eps, axis=-1) + np.abs(d_eps)
     dgap = np.abs(d_eps - d_lim)
-    lq = float(np.mean(dgap ** div_q) ** (1.0 / div_q))
+    lq = float(np.mean(dgap ** 2.0) ** 0.5)
     return FamilyValidation(
         sup_speed_gap=float(gap.max()), worst_speed_point=pts[np.argmax(gap)],
         max_amplitude=float(amp.max()), worst_amplitude_point=pts[np.argmax(amp)],
@@ -320,7 +320,7 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
                         eps: float, cfg: IntegratorConfig = IntegratorConfig(),
                         validation_points: Array | None = None,
                         amplitude_bound: float | None = None,
-                        div_tol: float | None = None, div_q: float = 2.0,
+                        div_tol: float | None = None,
                         label: str = "dynamic") -> RectifiedSystem:
     """Rectified system whose straightening map is the time-t_star flow of a_eps.
 
@@ -346,7 +346,7 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
     t_star = float(t_star)
 
     if validation_points is not None:
-        report = validate_flow_family(a_eps, limit_a, validation_points, div_q)
+        report = validate_flow_family(a_eps, limit_a, validation_points)
         if amplitude_bound is not None and report.max_amplitude > amplitude_bound:
             raise FamilyValidationError(
                 f"|a| + |div a| reaches {report.max_amplitude:.4g} > {amplitude_bound:.4g}"
@@ -374,5 +374,4 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
         sigma=constant_scalar(dim, 1.0), b=b,
         theta=_liouville_theta(state, dim), sigma_bounds=(1.0, 1.0),
         limit_W=_flow_map(limit_a, t_star, cfg, limit_state),
-        limit_theta=_liouville_theta(limit_state, dim), label=label,
-        analytic=False)
+        limit_theta=_liouville_theta(limit_state, dim), label=label)

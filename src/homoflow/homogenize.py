@@ -105,15 +105,14 @@ def cell_average(f: Callable[[Array], Array], dim: int, m: int = 64):
 
 
 def effective_from_cell(cell: PeriodicCellMap, m: int = 64,
-                        stabilize_tol: float = 1e-10,
-                        flag_tol: float = 1e-8,
                         max_resolution: int = 1024) -> EffectiveCoefficients:
     """Cell-average coefficients sigma0 = <det DW>, xi0 = <sigma b>.
 
     The determinant is quasi-affine, so <det DW> must equal det(M) for the
     affine part M; the residual of that identity is the resolution check.
-    Resolution doubles until the residual drops below ``stabilize_tol``; if it
-    still exceeds ``flag_tol`` a :class:`ResolutionWarning` is emitted.
+    Resolution doubles from ``m`` until the residual drops to 1e-10 or the
+    resolution reaches ``max_resolution``; if the residual still exceeds
+    1e-8 a :class:`ResolutionWarning` is emitted.
     """
     dim = cell.dim
     det_m = float(np.linalg.det(np.asarray(cell.M, dtype=float)))
@@ -124,10 +123,10 @@ def effective_from_cell(cell: PeriodicCellMap, m: int = 64,
         xi0 = np.asarray(cell_average(lambda y: jacobian_flux(cell.jacobian(y)), dim, res),
                          dtype=float)
         residual = abs(det_m - sigma0)
-        if residual <= stabilize_tol or res >= max_resolution:
+        if residual <= 1e-10 or res >= max_resolution:
             break
         res *= 2
-    if residual > flag_tol:
+    if residual > 1e-8:
         warnings.warn(
             f"quasi-affinity residual {residual:.3e} at resolution {res};"
             " cell averages look under-resolved", ResolutionWarning)

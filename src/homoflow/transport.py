@@ -20,8 +20,9 @@ form  dv/dt - xi0 . grad(v/sigma0) = 0  for the weighted unknown v = sigma0 u.
 The density solver substitutes r = v/sigma0, runs the advective solver and
 scales back, keeping every solution exact along characteristics.
 
-Samplers evaluate purely; quadrature sums reduce in fixed row-major order so
-norms and pairings are bit-reproducible.
+Samplers evaluate purely and through one path: ``eval`` is ``eval_times`` at
+a single time.  Quadrature sums reduce in fixed row-major order so norms and
+pairings are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from typing import Callable
 import numpy as np
 
 from .fields import Array, VectorField, as_points, tensor_grid
-from .flow import IntegratorConfig, advect, advect_times
+# advect is imported though unused: perfbench and the tests patch
+# transport.advect by name
+from .flow import IntegratorConfig, advect, advect_times  # noqa: F401
 from .homogenize import EffectiveCoefficients, InvalidCoefficientsError
 
 
@@ -153,16 +156,18 @@ class SolutionSampler:
     """Lazy (t, x) evaluator of a transport solution.
 
     ``eval_times`` evaluates on a fixed point batch at an increasing list of
-    times in a single integration pass; use it for quadrature grids.
+    times in a single integration pass, shape ``(len(ts),) + x.shape[:-1]``;
+    use it for quadrature grids.  ``eval`` is ``eval_times`` at one time.
     ``drift_sup`` (when known) feeds the domain-of-dependence check.
     """
 
     dim: int
-    provenance: str  # "epsilon-solution" | "homogenized-solution"
-    eval: Callable[[float, Array], Array]
     eval_times: Callable[[Array, Array], Array]
     u0: InitialDatum
     drift_sup: float | None = None
+
+    def eval(self, t: float, x: Array) -> Array:
+        return self.eval_times(np.array([float(t)]), x)[0]
 
     def required_radius(self, t: float) -> float | None:
         if self.drift_sup is None:
@@ -188,36 +193,26 @@ def _reach_mask(b: VectorField, u0: InitialDatum, cfg: IntegratorConfig,
     return ~(np.isfinite(dist) & (dist >= reach))
 
 
-def _characteristics(b: VectorField, u0: InitialDatum, cfg: IntegratorConfig,
-                     provenance: str) -> SolutionSampler:
-    def within_reach(values, times, lead, x):
-        # values(x) on the points that can reach u0's support by max |times|,
-        # +0.0 on the others; ``lead`` is the shape values adds in front
-        x = as_points(x, u0.dim)
-        live = _reach_mask(b, u0, cfg, times, x)
-        if live is None or live.all():
-            return values(x)
-        out = np.zeros(lead + x.shape[:-1])
-        if live.any():
-            out[..., live] = values(x[live])
-        return out
-
-    def ev(t, x):
-        t = float(t)
-        return within_reach(lambda p: u0.eval(advect(b, p, t, cfg).pos),
-                            np.array([t]), (), x)
+def _characteristics(b: VectorField, u0: InitialDatum,
+                     cfg: IntegratorConfig) -> SolutionSampler:
+    def values(ts, p):
+        states = advect_times(b, p, ts, cfg)
+        return np.stack([u0.eval(s.pos) for s in states], axis=0)
 
     def ev_times(ts, x):
+        # integrate the points that can reach u0's support by max |ts|; the
+        # others keep +0.0
         ts = np.asarray(ts, dtype=float)
+        x = as_points(x, u0.dim)
+        live = _reach_mask(b, u0, cfg, ts, x)
+        if live is None or live.all():
+            return values(ts, x)
+        out = np.zeros(ts.shape + x.shape[:-1])
+        if live.any():
+            out[..., live] = values(ts, x[live])
+        return out
 
-        def values(p):
-            states = advect_times(b, p, ts, cfg)
-            return np.stack([u0.eval(s.pos) for s in states], axis=0)
-
-        return within_reach(values, ts, ts.shape, x)
-
-    return SolutionSampler(b.dim, provenance, ev, ev_times, u0,
-                           drift_sup=b.sup_bound)
+    return SolutionSampler(b.dim, ev_times, u0, drift_sup=b.sup_bound)
 
 
 def solve_transport(b: VectorField, u0: InitialDatum,
@@ -249,7 +244,7 @@ def solve_transport(b: VectorField, u0: InitialDatum,
     """
     if b.dim != u0.dim:
         raise ValueError("drift and initial datum dimensions differ")
-    return _characteristics(b, u0, cfg, "epsilon-solution")
+    return _characteristics(b, u0, cfg)
 
 
 def lp_norm(sampler: SolutionSampler, t: float, p: float, box: Box,
@@ -273,18 +268,15 @@ def lp_norm(sampler: SolutionSampler, t: float, p: float, box: Box,
     return float((np.sum(np.abs(vals) ** p) * vol) ** (1.0 / p))
 
 
-def _constant_drift_sampler(drift: Array, datum: InitialDatum,
-                            provenance: str) -> SolutionSampler:
+def _constant_drift_sampler(drift: Array, datum: InitialDatum) -> SolutionSampler:
     v = np.asarray(drift, dtype=float)
 
-    def ev(t, x):
-        x = as_points(x, datum.dim)
-        return datum.eval(x + float(t) * v)
-
     def ev_times(ts, x):
-        return np.stack([ev(t, x) for t in np.asarray(ts, dtype=float)], axis=0)
+        x = as_points(x, datum.dim)
+        return np.stack([datum.eval(x + float(t) * v)
+                         for t in np.asarray(ts, dtype=float)], axis=0)
 
-    return SolutionSampler(datum.dim, provenance, ev, ev_times, datum,
+    return SolutionSampler(datum.dim, ev_times, datum,
                            drift_sup=float(np.linalg.norm(v)))
 
 
@@ -309,31 +301,19 @@ def solve_homogenized(coeffs: EffectiveCoefficients, datum: InitialDatum,
         raise InvalidCoefficientsError("sigma0 must be strictly positive")
 
     if form == "density":
-        if isinstance(coeffs.sigma0, (int, float)):
-            r0 = datum.scaled(1.0 / float(coeffs.sigma0))
-        else:
-            sig = coeffs.sigma0
-
-            def inv_sigma(x):
-                return 1.0 / sig.eval(x)
-
-            r0 = datum.scaled(inv_sigma)
+        r0 = datum.scaled(lambda x: 1.0 / coeffs.sigma0_at(x))
         inner = solve_homogenized(coeffs, r0, "advective", cfg)
-
-        def ev(t, x):
-            return coeffs.sigma0_at(x) * inner.eval(t, x)
 
         def ev_times(ts, x):
             return coeffs.sigma0_at(x)[None, ...] * inner.eval_times(ts, x)
 
-        return SolutionSampler(coeffs.dim, "homogenized-solution", ev, ev_times,
-                               datum, drift_sup=inner.drift_sup)
+        return SolutionSampler(coeffs.dim, ev_times, datum, drift_sup=inner.drift_sup)
 
     drift = coeffs.drift()
     if not isinstance(drift, VectorField):
-        return _constant_drift_sampler(drift, datum, "homogenized-solution")
+        return _constant_drift_sampler(drift, datum)
 
-    return _characteristics(drift, datum, cfg, "homogenized-solution")
+    return _characteristics(drift, datum, cfg)
 
 
 def dependence_box(u0: InitialDatum, sup_bound: float, T: float,

@@ -312,10 +312,27 @@ def test_invariant_suite_flags_violated_bounds():
         dim=2, eps=system.eps, W=system.W, sigma=system.sigma, b=system.b,
         theta=system.theta, sigma_bounds=(0.999, 1.001),  # too tight for sigma
         limit_W=system.limit_W, limit_theta=system.limit_theta,
-        label="broken", analytic=True)
+        label="broken")
     report = hf.invariant_suite(broken, n_samples=500)
     assert not report.check("sigma-bounds").passed
     assert not report.all_passed
+
+
+def test_analytic_is_derived_from_exact_members():
+    # analytic systems get the 1e-10 tolerance, flow-built ones 1e-6
+    field = shear_velocity()
+    no_hess = replace(hf.deltagamma_cell(0.3, 0.3), hessians=None)
+    for system, analytic in (
+            (twist_system(0.2), True),
+            (deltagamma_system(0.2), True),
+            (hf.periodic_family(hf.identity_cell(3), 0.2), True),
+            (hf.periodic_family(no_hess, 0.2), False),
+            (dynamic_flow_family(field, field, 1.0, 0.2, CFG), False)):
+        assert system.analytic is analytic, system.label
+        if system.dim == 2:
+            report = hf.invariant_suite(system, n_samples=20)
+            assert report.check("rectification").tolerance == \
+                (1e-10 if analytic else 1e-6)
 
 
 def test_coercivity_spheres_share_one_batch():

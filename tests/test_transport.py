@@ -1,13 +1,15 @@
 """Transport solves along characteristics, Lp norms, and the limit equation."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 import homoflow as hf
 from homoflow import transport
-from homoflow.flow import AccuracyError, BlowupError, IntegratorConfig, advect
+from homoflow.flow import (AccuracyError, BlowupError, IntegratorConfig, advect,
+                           advect_times)
 from homoflow.transport import TruncationWarning
 
 from conftest import (deltagamma_system, identity_system, shear_velocity,
@@ -320,3 +322,72 @@ def test_non_finite_points_are_integrated():
                              hf.bump_datum(2, [0.0, 0.0], 0.5), CFG)
     with pytest.raises(BlowupError), np.errstate(invalid="ignore"):
         sol.eval(0.1, np.array([[0.0, 0.0], [np.inf, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# one evaluation path: eval is eval_times at a single time
+# ---------------------------------------------------------------------------
+
+def _field_density_sampler(u0):
+    # cofactor-route coefficients of a non-affine limit map, with the field
+    # sigma0(x) = 1.5 + 0.3 sin x1 cos x2
+    limit_W = hf.hyperbolic_twist_family(hf.perturbed_identity_curve(0.3),
+                                         hf.sine_curve(0.1, 10.0), 0.1).W
+    sig = hf.ScalarField(
+        2, lambda x: 1.5 + 0.3 * np.sin(x[..., 0]) * np.cos(x[..., 1]),
+        lambda x: np.stack([0.3 * np.cos(x[..., 0]) * np.cos(x[..., 1]),
+                            -0.3 * np.sin(x[..., 0]) * np.sin(x[..., 1])], axis=-1))
+    coeffs = hf.effective_from_limit_map(limit_W, sig)
+    return hf.solve_homogenized(coeffs, u0.scaled(sig.eval), "density",
+                                IntegratorConfig(h=0.05))
+
+
+_SAMPLER_KINDS = {
+    "pruned-deltagamma": lambda u0: hf.solve_transport(
+        deltagamma_system(0.1).b, u0, IntegratorConfig(h=0.01)),
+    "unpruned-twist": lambda u0: hf.solve_transport(
+        twist_system(0.1).b, u0, IntegratorConfig(h=0.01)),
+    "constant-limit": lambda u0: hf.solve_homogenized(
+        hf.constant_coefficients(2, 1.3, [1.0, 0.4]), u0),
+    "density-float-sigma0": lambda u0: hf.solve_homogenized(
+        hf.constant_coefficients(2, 2.0, [1.0, 0.5]), u0.scaled(2.0), "density"),
+    "density-field-sigma0": _field_density_sampler,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SAMPLER_KINDS))
+def test_eval_is_eval_times_at_one_time(kind):
+    u0 = hf.bump_datum(2, [0.3, -0.2], 1.0)
+    sol = _SAMPLER_KINDS[kind](u0)
+    rng = np.random.default_rng(5)
+    for x in (rng.uniform(-2.5, 2.5, (40, 2)), np.array([0.1, -0.3]),
+              rng.uniform(-2.5, 2.5, (3, 4, 2))):
+        for t in (0.0, 0.4, -0.6):
+            got = sol.eval(t, x)
+            assert np.shape(got) == x.shape[:-1]
+            assert got.tobytes() == sol.eval_times([t], x)[0].tobytes()
+
+
+def test_field_sigma0_density_bytes_are_pinned():
+    # x86-64 Linux, glibc libm, numpy 2.4: the sigma0 field divides the datum
+    # before the advective solve and multiplies the result after it
+    u0 = hf.bump_datum(2, [0.3, -0.2], 1.0)
+    pts, _ = hf.Box.from_radius(u0.center, 1.8).midpoint_grid(16)
+    vals = _field_density_sampler(u0).eval_times([0.3, 0.8], pts)
+    assert np.count_nonzero(vals) > 100
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == \
+        "4611542fe1bcf554712ead37c31e0d1eadbc07ba2b51e88d19c224102862fce8"
+
+
+def test_empty_batch_with_richardson_guard():
+    checked = IntegratorConfig(h=0.01, richardson_check=True)
+    unchecked = IntegratorConfig(h=0.01)
+    field = hf.constant_vector(2, [1.0, 0.0])
+    empty = np.zeros((0, 2))
+    for cfg in (checked, unchecked):
+        states = advect_times(field, empty, [0.5, 1.0], cfg)
+        assert [s.pos.shape for s in states] == [(0, 2), (0, 2)]
+    b = deltagamma_system(0.1).b
+    u0 = hf.bump_datum(2, [0.0, 0.0], 0.5)
+    for cfg in (checked, unchecked):
+        assert hf.solve_transport(b, u0, cfg).eval_times([0.5, 1.0], empty).shape == (2, 0)
