@@ -94,12 +94,14 @@ class VectorField:
     stays for fields built by hand (the divergence-free ones set 0.0).  They
     size boxes and warnings, never decide which points are computed.
 
-    ``proven_sup`` is stronger: a bound on ``|eval(x)|`` as computed in
-    floating point, for every finite x, derived rather than sampled.  The
-    identity and sine cells carry one (see :func:`sine_cell`); with it,
+    ``proven_box`` is stronger: a pair ``(lo, hi)`` of length-N arrays with
+    ``lo <= eval(x) <= hi`` componentwise as computed in floating point, for
+    every finite x, derived rather than sampled.  The identity and sine cells
+    carry one (see :func:`sine_cell`); with it,
     :func:`~homoflow.transport.solve_transport` integrates only the points a
-    compactly supported datum can reach.  Leave it absent unless it is
-    proven: a wrong value silently zeroes parts of solutions.
+    compactly supported datum can reach by each requested time.  Leave it
+    absent unless it is proven: a wrong value silently zeroes parts of
+    solutions.
     """
 
     dim: int
@@ -109,7 +111,7 @@ class VectorField:
     sup_bound: float | None = None
     div_bound: float | None = None
     exact: bool = True
-    proven_sup: float | None = None
+    proven_box: tuple[Array, Array] | None = None
 
 
 @dataclass(frozen=True)
@@ -681,13 +683,14 @@ class PeriodicCellMap:
 
     ``drift`` optionally evaluates the cell drift in closed form; it must
     return the bits of the generic formula built from ``jacobian``.
-    ``proven_drift_sup`` is a proven bound on the computed drift's norm over
-    all of R^N (see ``VectorField.proven_sup``).  Both belong to the
-    constructor that built them from ``M`` and the periodic part: a copy
-    with another ``M`` (``dataclasses.replace(cell, M=...)``) must be rebuilt
-    by that constructor, or have both set to None.  ``periodic_family``
-    refuses a ``drift`` that disagrees with the generic formula, or a bound
-    below the drift's sampled maximum.
+    ``proven_drift_box`` is a proven componentwise box ``(lo, hi)`` around
+    every computed drift value over all of R^N (see
+    ``VectorField.proven_box``).  Both belong to the constructor that built
+    them from ``M`` and the periodic part: a copy with another ``M``
+    (``dataclasses.replace(cell, M=...)``) must be rebuilt by that
+    constructor, or have both set to None.  ``periodic_family`` refuses a
+    ``drift`` that disagrees with the generic formula, or a box that misses
+    a drift value sampled on its cell grid.
     """
 
     dim: int
@@ -695,7 +698,7 @@ class PeriodicCellMap:
     periodic_part: VectorField | None = None
     hessians: Callable[[Array], Array] | None = None
     drift: Callable[[Array], Array] | None = None
-    proven_drift_sup: float | None = None
+    proven_drift_box: tuple[Array, Array] | None = None
 
     def eval(self, y: Array) -> Array:
         y = as_points(y, self.dim)
@@ -718,29 +721,35 @@ def identity_cell(dim: int = 2) -> PeriodicCellMap:
         return np.zeros(y.shape + (dim, dim))
 
     # the drift is e1 computed exactly (unit pivots and zeros only)
+    e1 = np.eye(dim)[0]
     return PeriodicCellMap(dim, np.eye(dim), None, hess,
-                           proven_drift_sup=1.0)
+                           proven_drift_box=(e1, e1.copy()))
 
 
-def _sine_drift_sup(m00: float, m01: float, m10: float, m11: float,
-                    d: float, g: float) -> float | None:
-    """Proven bound on the computed sine-cell drift over all of R^2.
+def _sine_drift_box(m00: float, m01: float, m10: float, m11: float,
+                    d: float, g: float) -> tuple[Array, Array] | None:
+    """Proven componentwise box around the computed sine-cell drift over R^2.
 
     With c1 = cos(2pi y1), c2 = cos(2pi y2) the drift is
     (m11, -(m10 + g c1)) / det and det = m00 m11 - (m01 + d c2)(m10 + g c1)
     is bilinear in (c1, c2), so det > 0 on the square [-1, 1]^2 as soon as
-    it is positive at the four corners.  For fixed c1, |b| = const / det is monotone in c2; for
-    fixed c2, |b| is a convex norm over a positive affine function, which is
-    quasiconvex in c1.  Either way the maximum over the square sits at a
-    corner.
+    it is positive at the four corners.  Each component is then monotone in
+    each cosine: m11 / det because det is affine in either cosine, and
+    -(m10 + g c1) / det because it is monotone in c2 for fixed c1 and, as a
+    function of s = m10 + g c1, has derivative -m00 m11 / det^2 of one sign.
+    So each component's extremes over the square sit at corners.  So does
+    the maximum of |b|: for fixed c1, |b| = const / det is monotone in c2;
+    for fixed c2, |b| is a convex norm over a positive affine function, which
+    is quasiconvex in c1.
 
-    The corner maximum is inflated by 32 u kappa, u = 2^-53 and
-    kappa = (|m00 m11| + A B) / (smallest corner det) with A = |d| + |m01|,
-    B = |g| + |m10|: the products, the determinant's difference and the two
-    divisions perturb the computed drift (at any computed cosine in [-1, 1])
-    and the computed corner values each by less than 12 u kappa relative.
-    None (no bound) when a corner det is not positive, or when kappa > 1e12
-    makes that first-order rounding estimate unsafe.
+    The corner extremes are padded outward by 32 u kappa times the largest
+    corner norm, u = 2^-53 and kappa = (|m00 m11| + A B) / (smallest corner
+    det) with A = |d| + |m01|, B = |g| + |m10|: the products, the
+    determinant's difference and the two divisions perturb each computed
+    drift component (at any computed cosine in [-1, 1]) and each computed
+    corner value by less than 12 u kappa times that norm.  None (no box)
+    when a corner det is not positive, or when kappa > 1e12 makes that
+    first-order rounding estimate unsafe.
     """
     c = np.array([-1.0, 1.0])
     j01 = d * c[None, :] + m01
@@ -752,15 +761,16 @@ def _sine_drift_sup(m00: float, m01: float, m10: float, m11: float,
     kappa = scale / float(det.min())
     if kappa > 1e12:
         return None
-    corner_max = float(np.max(np.hypot(m11, j10) / det))
-    return corner_max * (1.0 + 32.0 * 2.0 ** -53 * kappa)
+    corners = np.stack([m11 / det, -j10 / det], axis=-1).reshape(-1, 2)
+    pad = float(np.max(np.linalg.norm(corners, axis=-1))) * 32.0 * 2.0 ** -53 * kappa
+    return corners.min(axis=0) - pad, corners.max(axis=0) + pad
 
 
 def sine_cell(M, delta: float, gamma: float) -> PeriodicCellMap:
     """2D cell M y + ((delta/2pi) sin(2pi y2), (gamma/2pi) sin(2pi y1)).
 
     Its drift is evaluated straight from the two cosines, and it carries the
-    proven drift bound of :func:`_sine_drift_sup`.
+    proven drift box of :func:`_sine_drift_box`.
     """
     M = np.asarray(M, dtype=float)
     d, g = float(delta), float(gamma)
@@ -809,7 +819,7 @@ def sine_cell(M, delta: float, gamma: float) -> PeriodicCellMap:
         return out
 
     return PeriodicCellMap(2, M, part, hess, drift=drift,
-                           proven_drift_sup=_sine_drift_sup(m00, m01, m10, m11, d, g))
+                           proven_drift_box=_sine_drift_box(m00, m01, m10, m11, d, g))
 
 
 def deltagamma_cell(delta: float, gamma: float) -> PeriodicCellMap:
@@ -842,8 +852,8 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
     sigma is the cell Jacobian determinant evaluated at x/eps, theta is
     identically one, and the limit map is the affine part x -> M x.  The
     sigma bounds and the drift's ``sup_bound`` come from a 64^N cell scan
-    inflated by 5%; the drift's ``proven_sup`` is the cell's
-    ``proven_drift_sup``, since b takes exactly the cell drift's values.  The
+    inflated by 5%; the drift's ``proven_box`` is the cell's
+    ``proven_drift_box``, since b takes exactly the cell drift's values.  The
     system is analytic exactly when the cell carries ``hessians``.
     """
     dim = cell.dim
@@ -927,12 +937,13 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
     if cell.drift is not None and b_grid.tobytes() != generic_drift(grid).tobytes():
         raise InvalidCellError("the cell's closed-form drift disagrees with its Jacobian;"
                                " rebuild the cell after changing M")
+    box = cell.proven_drift_box
+    if box is not None and (np.any(b_grid < box[0]) or np.any(b_grid > box[1])):
+        raise InvalidCellError("a sampled drift value lies outside the cell's proven"
+                               " drift box; rebuild the cell after changing M")
     sampled_b = float(np.linalg.norm(b_grid, axis=-1).max())
-    if cell.proven_drift_sup is not None and sampled_b > cell.proven_drift_sup:
-        raise InvalidCellError("the cell's proven drift bound is below a sampled |b|;"
-                               " rebuild the cell after changing M")
     b = VectorField(dim, b_ev, b_jac, b_div, sup_bound=sampled_b * inflation,
-                    exact=have_hess, proven_sup=cell.proven_drift_sup)
+                    exact=have_hess, proven_box=box)
 
     # -- the rescaled map ---------------------------------------------------
     def w_ev(x):

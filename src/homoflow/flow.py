@@ -128,11 +128,18 @@ def advect(field: VectorField, x0, t_final: float,
     return advect_times(field, x0, [t_final], cfg, carry_jacobian)[0]
 
 
+def snapshot_order(times) -> list[int]:
+    """Indices of ``times`` in the order :func:`advect_times` reaches them:
+    by |t|, ties in input order."""
+    return sorted(range(len(times)), key=lambda i: abs(times[i]))
+
+
 def _snapshots(field: VectorField, x0, times: list[float], h: float,
-               carry: bool) -> list[FlowState]:
+               carry: bool, horizon: Array | None = None) -> list[FlowState]:
     """One RK4 pass from t = 0 through ``times`` in order of |t|, with a
     snapshot at each; every span between snapshots takes uniform steps of
-    at most h that land exactly on its end."""
+    at most h that land exactly on its end.  Before the span to the
+    snapshot of rank k, the points whose ``horizon`` is below k leave."""
     x0 = as_points(x0, field.dim)
     pos = x0.copy()
     jac = logdet = None
@@ -141,29 +148,45 @@ def _snapshots(field: VectorField, x0, times: list[float], h: float,
         logdet = np.zeros(x0.shape[:-1])
     states: list[FlowState | None] = [None] * len(times)
     t_cur = 0.0
-    for idx in sorted(range(len(times)), key=lambda i: abs(times[i])):
+    for rank, idx in enumerate(snapshot_order(times)):
+        if horizon is not None and horizon.min(initial=rank) < rank:
+            keep = horizon >= rank
+            horizon = horizon[keep]
+            pos = pos[keep]
+            if carry:
+                jac, logdet = jac[keep], logdet[keep]
         t_next = times[idx]
         span = t_next - t_cur
         if span != 0.0:
             n = max(1, int(np.ceil(abs(span) / h - 1e-12)))
             pos, jac, logdet = _rk4_segment(field, pos, jac, logdet, t_cur,
                                             span / n, n, carry)
+        # np.array keeps a single point's logdet a 0-d array: the RK4
+        # update turns it into a numpy scalar
         states[idx] = FlowState(t_next,
                                 pos.copy(),
                                 None if jac is None else jac.copy(),
-                                None if logdet is None else logdet.copy())
+                                None if logdet is None else np.array(logdet))
         t_cur = t_next
     return states  # type: ignore[return-value]
 
 
 def advect_times(field: VectorField, x0, times,
                  cfg: IntegratorConfig = IntegratorConfig(),
-                 carry_jacobian: bool = False) -> list[FlowState]:
+                 carry_jacobian: bool = False,
+                 horizon: Array | None = None) -> list[FlowState]:
     """States at an increasing (or decreasing) sequence of times from t = 0.
 
     One continuous integration with snapshots, so the cost is a single pass;
     the Richardson guard (when enabled) re-runs the pass at h/2 and compares
     every snapshot.
+
+    ``horizon`` (for an (n, N) batch, n integers) is, per point, the rank in
+    :func:`snapshot_order` of the last snapshot that needs it.  Each point
+    is integrated only up to its horizon, and the state of the snapshot of
+    rank k holds, in batch order, just the points whose horizon is k or
+    later; a point whose horizon is below 0 is not integrated at all.  A
+    point's values do not depend on which other points share its batch.
     """
     times = [float(t) for t in times]
     if not times:
@@ -171,9 +194,13 @@ def advect_times(field: VectorField, x0, times,
     signs = {np.sign(t) for t in times if t != 0.0}
     if len(signs) > 1:
         raise ValueError("snapshot times must not straddle t = 0")
-    states = _snapshots(field, x0, times, cfg.h, carry_jacobian)
+    if horizon is not None:
+        horizon = np.asarray(horizon)
+        if np.ndim(x0) != 2 or horizon.shape != np.shape(x0)[:1]:
+            raise ValueError("horizon needs an (n, N) batch and n entries")
+    states = _snapshots(field, x0, times, cfg.h, carry_jacobian, horizon)
     if cfg.richardson_check:
-        fine = _snapshots(field, x0, times, cfg.h / 2.0, False)
+        fine = _snapshots(field, x0, times, cfg.h / 2.0, False, horizon)
         gap = max(float(np.max(np.abs(f.pos - c.pos), initial=0.0))
                   for f, c in zip(fine, states))
         if gap > cfg.richardson_tol:

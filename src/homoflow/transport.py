@@ -6,13 +6,17 @@ u(t, x) = u0(X(t, x)).  With a compactly supported datum every norm and
 pairing lives on a finite box (support radius plus travel distance), so the
 truncation to a box is exact rather than an approximation.
 
-Transport has a finite speed.  When the drift carries a proven bound S on
-its computed norm (``VectorField.proven_sup``), u(t, x) is exactly 0 unless
-|x - c| < r0 + |t| S, with c and r0 the datum's center and support radius;
-the samplers of :func:`solve_transport` then integrate only the points inside
-that reach (slightly enlarged to cover rounding) and return +0.0 elsewhere.
-Initial data must therefore return +0.0 outside their support, as
-:func:`bump_datum` does.  Sampled bounds (``sup_bound``) only size boxes.
+Transport has a finite speed.  When the drift carries a proven box B =
+[lo, hi] around its computed values (``VectorField.proven_box``), a point x
+moves by a vector in t B up to time t, so u(t, x) is exactly 0 unless
+dist(c - x, t B) < r0, with c and r0 the datum's center and support radius.
+The samplers of :func:`solve_transport` integrate each point only up to the
+last requested time at which it is inside that reach (slightly enlarged to
+cover rounding) and return +0.0 wherever it is not.  Initial data must
+therefore return +0.0 outside their support, as :func:`bump_datum` does.
+Sampled bounds (``sup_bound``) only size boxes.  A caller that needs only
+some samples passes ``eval_times`` a ``needed`` mask, and each point is
+integrated only up to its last needed time.
 
 The limit equation comes in two equivalent shapes for positive density:
 the plain advective form  du/dt - (xi0/sigma0) . grad u = 0  and the density
@@ -37,7 +41,7 @@ import numpy as np
 from .fields import Array, VectorField, as_points, tensor_grid
 # advect is imported though unused: perfbench and the tests patch
 # transport.advect by name
-from .flow import IntegratorConfig, advect, advect_times  # noqa: F401
+from .flow import IntegratorConfig, advect, advect_times, snapshot_order  # noqa: F401
 from .homogenize import EffectiveCoefficients, InvalidCoefficientsError
 
 
@@ -155,14 +159,17 @@ def bump_datum(dim: int, center, radius: float, amplitude: float = 1.0) -> Initi
 class SolutionSampler:
     """Lazy (t, x) evaluator of a transport solution.
 
-    ``eval_times`` evaluates on a fixed point batch at an increasing list of
-    times in a single integration pass, shape ``(len(ts),) + x.shape[:-1]``;
-    use it for quadrature grids.  ``eval`` is ``eval_times`` at one time.
-    ``drift_sup`` (when known) feeds the domain-of-dependence check.
+    ``eval_times(ts, x, needed=None)`` evaluates on a fixed point batch at
+    an increasing list of times in a single integration pass, shape
+    ``(len(ts),) + x.shape[:-1]``; use it for quadrature grids.  ``needed``,
+    a boolean array of that shape, marks the samples the caller reads: the
+    others are +0.0, and points are integrated only while some later time
+    needs them.  ``eval`` is ``eval_times`` at one time.  ``drift_sup``
+    (when known) feeds the domain-of-dependence check.
     """
 
     dim: int
-    eval_times: Callable[[Array, Array], Array]
+    eval_times: Callable[..., Array]
     u0: InitialDatum
     drift_sup: float | None = None
 
@@ -175,42 +182,66 @@ class SolutionSampler:
         return self.u0.support_radius + abs(float(t)) * self.drift_sup
 
 
-def _reach_mask(b: VectorField, u0: InitialDatum, cfg: IntegratorConfig,
-                times: Array, x: Array) -> Array | None:
-    """Points of x that may carry a nonzero value at one of the times, or
-    None when every point has to be integrated (see solve_transport)."""
-    if b.proven_sup is None or cfg.richardson_check or len(times) == 0:
+def _reach(b: VectorField, u0: InitialDatum, cfg: IntegratorConfig,
+           times: Array, x: Array) -> Array | None:
+    """(len(times), n) mask of the points of the (n, N) batch x that may
+    carry a nonzero value at each time, or None when every point has to be
+    integrated (see solve_transport)."""
+    if b.proven_box is None or len(times) == 0:
         return None
+    lo, hi = (np.asarray(v, dtype=float) for v in b.proven_box)
+    speed = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
     t_max = float(np.max(np.abs(times)))
-    travel = t_max * float(b.proven_sup)
-    reach = u0.support_radius + travel * (1.0 + REACH_SLACK) + REACH_SLACK
+    slack = REACH_SLACK * (1.0 + t_max * speed)
     steps = t_max / cfg.h + len(times) + 1
-    drift_room = reach + float(np.linalg.norm(u0.center)) + travel
-    if 8.0 * steps * _UNIT_ROUNDOFF * drift_room > REACH_SLACK:
+    room = (u0.support_radius + slack + float(np.linalg.norm(u0.center))
+            + 2.0 * t_max * speed)
+    if 8.0 * steps * _UNIT_ROUNDOFF * room > REACH_SLACK:
         return None
-    dist = np.linalg.norm(x - u0.center, axis=-1)
-    # non-finite points stay live, so their BlowupError is still raised
-    return ~(np.isfinite(dist) & (dist >= reach))
+    gap = u0.center - x
+    live = np.empty((len(times), len(x)), dtype=bool)
+    for k, t in enumerate(times):
+        near, far = np.minimum(t * lo, t * hi), np.maximum(t * lo, t * hi)
+        dist = np.linalg.norm(np.maximum(near - gap, 0.0) + np.maximum(gap - far, 0.0),
+                              axis=-1)
+        # non-finite points stay live, so their BlowupError is still raised
+        live[k] = ~(np.isfinite(dist) & (dist >= u0.support_radius + slack))
+    return live
 
 
 def _characteristics(b: VectorField, u0: InitialDatum,
                      cfg: IntegratorConfig) -> SolutionSampler:
-    def values(ts, p):
-        states = advect_times(b, p, ts, cfg)
-        return np.stack([u0.eval(s.pos) for s in states], axis=0)
-
-    def ev_times(ts, x):
-        # integrate the points that can reach u0's support by max |ts|; the
-        # others keep +0.0
+    def ev_times(ts, x, needed=None):
         ts = np.asarray(ts, dtype=float)
         x = as_points(x, u0.dim)
-        live = _reach_mask(b, u0, cfg, ts, x)
-        if live is None or live.all():
-            return values(ts, x)
-        out = np.zeros(ts.shape + x.shape[:-1])
-        if live.any():
-            out[..., live] = values(ts, x[live])
-        return out
+        shape = ts.shape + x.shape[:-1]
+        pts = x.reshape(-1, u0.dim)
+        read = None if needed is None else \
+            np.asarray(needed, dtype=bool).reshape(len(ts), len(pts))
+        if cfg.richardson_check:  # the guard compares every point at every time
+            run = None
+        else:
+            run = _reach(b, u0, cfg, ts, pts)
+            if read is not None:
+                run = read if run is None else run & read
+        if run is None or run.all():  # nothing pruned: the whole batch, every time
+            states = advect_times(b, x, ts, cfg)
+            out = np.array([u0.eval(s.pos) for s in states]).reshape(shape)
+            return out if read is None else np.where(read.reshape(shape), out, 0.0)
+        # each point is integrated up to the last time it runs; the other
+        # samples keep +0.0
+        out = np.zeros(run.shape)
+        batch = np.flatnonzero(run.any(axis=0))
+        if len(batch):
+            order = snapshot_order(ts)
+            horizon = len(ts) - 1 - np.argmax(run[order][::-1][:, batch], axis=0)
+            live = pts if len(batch) == len(pts) else pts[batch]
+            states = advect_times(b, live, ts, cfg, horizon=horizon)
+            for rank, k in enumerate(order):
+                rows = batch[horizon >= rank]
+                take = run[k, rows]
+                out[k, rows[take]] = u0.eval(states[k].pos[take])
+        return out.reshape(shape)
 
     return SolutionSampler(b.dim, ev_times, u0, drift_sup=b.sup_bound)
 
@@ -223,24 +254,40 @@ def solve_transport(b: VectorField, u0: InitialDatum,
     inverse) the right composition: for constant b the profile translates to
     x + t b.
 
-    Reach pruning.  When ``b.proven_sup`` = S is set and the Richardson
-    guard is off, a sample at times up to |t| integrates only the points with
-    |x - c| < R = r0 + |t| S (1 + REACH_SLACK) + REACH_SLACK and returns +0.0
-    for the others, the value u0 has outside its support; the result equals
-    the full integration bit for bit.  The slack covers rounding.  Each RK4
-    step adds (dt/6)(k1 + 2 k2 + 2 k3 + k4) with every computed |k| <= S, so
-    in exact arithmetic a point moves at most |t| S.  With unit roundoff
-    u = 2^-53, forming the increment adds under 8u relative per step and each
-    position update at most u |position|; over n <= |t|/h + (number of
-    times) + 1 steps a point starting at x ends within
-    |t| S (1 + 10u) + 2 n u (|x - c| + |c| + |t| S) of x.  For |x - c| >= R
-    that leaves it farther than r0 + REACH_SLACK/2 from c whenever
-    8 n u (R + |c| + |t| S) <= REACH_SLACK, which is checked before pruning;
-    the margin also dwarfs the rounding of the norm here and of the datum's
-    own distance test.  When the check fails, the drift has no proven bound
-    or the Richardson guard is on (it compares every point), the whole batch
-    is integrated, so no :class:`~homoflow.flow.BlowupError` or
-    :class:`~homoflow.flow.AccuracyError` is hidden.
+    Reach pruning.  When ``b.proven_box`` = B = [lo, hi] is set and the
+    Richardson guard is off, a sample at time t integrates a point x only if
+    dist(c - x, t B) < r0 + m, with m = REACH_SLACK (1 + T S), T the largest
+    requested |t| and S = |max(|lo|, |hi|)| the norm of B's farthest
+    corner; every other sample is +0.0, the value u0 has outside its
+    support, and the result equals the full integration bit for bit.  Each
+    point is integrated up to the last time at which it passes this test
+    (or ``needed`` marks it), and no further.
+
+    The slack covers rounding.  Each RK4 step adds fl((dt/6)(k1 + 2 k2 +
+    2 k3 + k4)), and every computed stage velocity k lies in B, so in exact
+    arithmetic the increment is dt times a convex combination of points of
+    B; the steps' dt share one sign, so the displacement after the steps
+    that sum to t' is in t' B, and by convexity again that holds for every
+    intermediate position.  With unit roundoff u = 2^-53: the computed steps
+    sum to t' with |t' - t| <= 2 u |t| (one rounding of each span and of
+    each span/n), forming an increment adds under 8 u |dt| S, and each
+    position update at most u |position| <= u (|x - c| + |c| + |t| S).  Over
+    n <= T/h + (number of times) + 1 steps a point starting at x therefore
+    ends within 10 u |t| S + 2 n u (|x - c| + |c| + |t| S) of x + t B, for
+    negative t too (t B is then the box [t hi, t lo]).  If D = dist(c - x,
+    t B) >= r0 + m, then |x - c| <= D + |t| S and the end point is at least
+    D (1 - 2 n u) - 10 u |t| S - 2 n u (|c| + 2 |t| S) from c, which grows
+    with D; at D = r0 + m it exceeds r0 + REACH_SLACK/2 whenever
+    8 n u (r0 + m + |c| + 2 T S) <= REACH_SLACK, which is checked before
+    pruning (m's T S part absorbs the 10 u |t| S).  The margin also dwarfs
+    the rounding of the distance here and of the datum's own distance test.
+    When the check fails or the drift has no proven box, nothing is pruned
+    for reach.  With the Richardson guard on (it compares every point),
+    every point is integrated through every time, so no
+    :class:`~homoflow.flow.BlowupError` or
+    :class:`~homoflow.flow.AccuracyError` is hidden.  Otherwise a point is
+    not integrated past the last time it is live and needed, and a blow-up
+    it would meet later is not raised.
     """
     if b.dim != u0.dim:
         raise ValueError("drift and initial datum dimensions differ")
@@ -271,10 +318,12 @@ def lp_norm(sampler: SolutionSampler, t: float, p: float, box: Box,
 def _constant_drift_sampler(drift: Array, datum: InitialDatum) -> SolutionSampler:
     v = np.asarray(drift, dtype=float)
 
-    def ev_times(ts, x):
+    def ev_times(ts, x, needed=None):
         x = as_points(x, datum.dim)
-        return np.stack([datum.eval(x + float(t) * v)
-                         for t in np.asarray(ts, dtype=float)], axis=0)
+        ts = np.asarray(ts, dtype=float)
+        out = np.array([datum.eval(x + float(t) * v)
+                        for t in ts]).reshape(ts.shape + x.shape[:-1])
+        return out if needed is None else np.where(needed, out, 0.0)
 
     return SolutionSampler(datum.dim, ev_times, datum,
                            drift_sup=float(np.linalg.norm(v)))
@@ -304,8 +353,9 @@ def solve_homogenized(coeffs: EffectiveCoefficients, datum: InitialDatum,
         r0 = datum.scaled(lambda x: 1.0 / coeffs.sigma0_at(x))
         inner = solve_homogenized(coeffs, r0, "advective", cfg)
 
-        def ev_times(ts, x):
-            return coeffs.sigma0_at(x)[None, ...] * inner.eval_times(ts, x)
+        def ev_times(ts, x, needed=None):
+            # sigma0 > 0, so +0.0 samples stay +0.0
+            return coeffs.sigma0_at(x)[None, ...] * inner.eval_times(ts, x, needed)
 
         return SolutionSampler(coeffs.dim, ev_times, datum, drift_sup=inner.drift_sup)
 

@@ -1,0 +1,109 @@
+"""tools/bench_record.py writes one record per benchmark run of every workload."""
+
+import importlib.util
+import json
+import shutil
+import subprocess
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_record",
+                                               ROOT / "tools" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+PROV = {"cpu_count": 2, "python": "3.11.7", "numpy": "2.4.6"}
+_REAL_RUN = subprocess.run
+
+
+def _fake_run(calls):
+    """A subprocess.run that passes git through and answers perfbench/run.py
+    without running anything; check-dynamic's run fails and
+    sweep-example31's crashes."""
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return _REAL_RUN(cmd, **kwargs)
+        calls.append(list(cmd))
+        workload = cmd[cmd.index("--workload") + 1]
+        if workload == "sweep-example31":
+            return subprocess.CompletedProcess(cmd, 1, "", "Traceback\nKeyError: 'x'\n")
+        correct = workload != "check-dynamic"
+        result = {"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+                  "metrics": {"wall_s": {"value": 4.5, "unit": "s"},
+                              "peak_rss_mb": {"value": 41.0, "unit": "MB"}}}
+        out = "\n".join([f"# workload {workload} seed 0 trace 0",
+                         "# provenance " + json.dumps(PROV),
+                         "wall_s 4.5 s", json.dumps(result)]) + "\n"
+        return subprocess.CompletedProcess(cmd, 0 if correct else 1, out, "")
+    return run
+
+
+def _git(repo, *args):
+    return _REAL_RUN(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                      *args], cwd=repo, check=True, text=True,
+                     capture_output=True).stdout.strip()
+
+
+def _scratch_repo(path):
+    """A committed repository with this one's benchmark spec and pins."""
+    for name in ("BENCHMARK.json", "perfbench/pins.json"):
+        (path / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(ROOT / name, path / name)
+    (path / "src").mkdir()
+    (path / "src" / "mod.py").write_text("x = 1\n")
+    _git(path, "init", "-q")
+    _git(path, "add", "-A")
+    _git(path, "commit", "-q", "-m", "base")
+    return path
+
+
+def test_record_with_stubbed_runs(monkeypatch, tmp_path):
+    repo = _scratch_repo(tmp_path)
+    calls = []
+    monkeypatch.setattr(bench_record, "ROOT", repo)
+    monkeypatch.setattr(bench_record.subprocess, "run", _fake_run(calls))
+    rec = bench_record.record(3)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    assert list(rec["workloads"]) == names
+    assert rec["bench"] == 3 and rec["provenance"] == PROV
+    assert rec["seed"] == pins["default_seed"] and rec["seconds"] == spec["run_seconds"]
+    # a clean tree names its commit, and its sources are that commit's
+    assert rec["git_sha"] == _git(repo, "rev-parse", "HEAD")
+    assert rec["sources"] == {p: _git(repo, "rev-parse", f"HEAD:{p}")
+                              for p in bench_record.SOURCES}
+    # one untraced run per workload, at the benchmark's seed and length
+    assert [c[c.index("--workload") + 1] for c in calls] == names
+    assert all(c[1] == "perfbench/run.py" and c[c.index("--trace") + 1] == "0"
+               and c[c.index("--seed") + 1] == str(pins["default_seed"])
+               and float(c[c.index("--seconds") + 1]) == spec["run_seconds"]
+               for c in calls)
+    good = rec["workloads"]["sweep-deltagamma"]
+    assert good == {"correct": True, "attempted": 3, "failed": 0,
+                    "medians": {"wall_s": 4.5, "peak_rss_mb": 41.0},
+                    "units": {"wall_s": "s", "peak_rss_mb": "MB"},
+                    "pinned_sha256": pins["workloads"]["sweep-deltagamma"]["sha256"]}
+    # a failed run carries no digest; a crashed one names its error
+    assert rec["workloads"]["check-dynamic"]["pinned_sha256"] is None
+    assert rec["workloads"]["check-dynamic"]["failed"] == 1
+    crashed = rec["workloads"]["sweep-example31"]
+    assert not crashed["correct"] and crashed["medians"] == {}
+    assert crashed["error"] == "KeyError: 'x'"
+
+
+def test_uncommitted_sources_name_no_commit(monkeypatch, tmp_path):
+    repo = _scratch_repo(tmp_path)
+    monkeypatch.setattr(bench_record, "ROOT", repo)
+    monkeypatch.setattr(bench_record.subprocess, "run", _fake_run([]))
+    (repo / "src" / "mod.py").write_text("x = 2\n")
+    (repo / "src" / "untracked.py").write_text("y = 3\n")
+    (repo / "notes.txt").write_text("outside the sources\n")
+    rec = bench_record.record(4)
+    assert rec["git_sha"] is None
+    # the ids are those of the commit that holds the edit; untracked files
+    # and files outside the sources do not count
+    _git(repo, "commit", "-q", "-a", "-m", "edit")
+    assert rec["sources"] == {p: _git(repo, "rev-parse", f"HEAD:{p}")
+                              for p in bench_record.SOURCES}
+    assert bench_record.record(5)["git_sha"] == _git(repo, "rev-parse", "HEAD")

@@ -114,9 +114,9 @@ def _full_grid_pairing(sol, phi, quad, weight):
 
 
 def _recording(sol, calls):
-    def eval_times(ts, x):
-        calls.append((np.array(ts), np.array(x)))
-        return sol.eval_times(ts, x)
+    def eval_times(ts, x, needed=None):
+        calls.append((np.array(ts), np.array(x), needed))
+        return sol.eval_times(ts, x, needed)
     return replace(sol, eval_times=eval_times)
 
 
@@ -136,7 +136,7 @@ def test_pruned_pairings_equal_full_grid(amplitude):
     assert weighted != 0.0 and np.sign(weighted) == np.sign(amplitude)
     # advected up to the last time node in the support, on the ball's nodes,
     # and never skipping a node where phi is nonzero
-    ts_adv, x_adv = calls[0]
+    ts_adv, x_adv, needed = calls[0]
     assert len(ts_adv) == 9 and len(x_adv) < 24 * 24
     pts, _ = phi.space_box.midpoint_grid(24)
     ts = hf.midpoint_times(quad.T, quad.n_time)
@@ -144,6 +144,14 @@ def test_pruned_pairings_equal_full_grid(amplitude):
     assert np.flatnonzero(nonzero.any(axis=1))[-1] < len(ts_adv)
     assert {tuple(p) for p in pts[nonzero.any(axis=0)]} <= {tuple(p) for p in x_adv}
     assert np.array_equal(calls[1][1], x_adv)
+    # needed is phi's own support test, node by node: it covers every
+    # nonzero phi value, and each node's last needed time varies
+    assert needed.shape == (len(ts_adv), len(x_adv))
+    for k, t in enumerate(ts_adv):
+        assert np.all(needed[k] == (phi.eval(t, x_adv) > 0.0))
+    last = len(ts_adv) - 1 - np.argmax(needed[::-1], axis=0)
+    assert len(set(last.tolist())) > 3
+    assert np.array_equal(calls[1][2], needed)
 
 
 def test_pairing_outside_time_window_never_advects(unit_bump):
@@ -152,7 +160,7 @@ def test_pairing_outside_time_window_never_advects(unit_bump):
     quad = SpacetimeQuad(T=1.0, n_time=16, m_space=24)
     phi = TestFunction(2, 1.5, np.array([-1.0, 0.0]), 0.4)
 
-    def refuse(ts, x):
+    def refuse(ts, x, needed=None):
         raise AssertionError("pairing advected outside phi's time support")
 
     silent = replace(sol, eval_times=refuse)

@@ -278,41 +278,51 @@ def test_deltagamma_cell_closed_forms(rng):
 # -- sine cells: the closed-form drift and its proven bound ------------------
 
 def _generic(cell):
-    return dataclasses.replace(cell, drift=None, proven_drift_sup=None)
+    return dataclasses.replace(cell, drift=None, proven_drift_box=None)
 
 
 def test_sine_cell_bounds_of_shipped_cells():
-    assert abs(hf.deltagamma_cell(0.3, 0.3).proven_drift_sup - 1.147286) < 1e-6
+    # deltagamma 0.3/0.3: b1 = 1/(1 - 0.09 c1 c2), b2 = -0.3 c1/(1 - 0.09 c1 c2)
+    lo, hi = hf.deltagamma_cell(0.3, 0.3).proven_drift_box
+    assert np.abs(lo - [1 / 1.09, -0.3 / 0.91]).max() < 1e-12
+    assert np.abs(hi - [1 / 0.91, 0.3 / 0.91]).max() < 1e-12
     assert hf.periodic_family(hf.deltagamma_cell(0.3, 0.3), 0.1).b.sup_bound > 1.2
-    assert hf.identity_cell(2).proven_drift_sup == 1.0
-    assert abs(hf.shear_cell(0.4).proven_drift_sup - np.hypot(1.0, 0.4)) < 1e-12
+    for dim in (2, 3):
+        lo, hi = hf.identity_cell(dim).proven_drift_box
+        assert lo.tolist() == hi.tolist() == np.eye(dim)[0].tolist()
+    lo, hi = hf.shear_cell(0.4).proven_drift_box
+    assert np.abs(lo - [1.0, -0.4]).max() < 1e-12
+    assert np.abs(hi - [1.0, 0.4]).max() < 1e-12
     # a corner with det <= 0, or one so close to 0 that rounding could
-    # dominate: no bound is claimed
-    assert hf.sine_cell(np.eye(2), 1.5, 1.5).proven_drift_sup is None
-    assert hf.sine_cell(np.eye(2), 1.0, 1.0 - 1e-13).proven_drift_sup is None
-    assert hf.sine_cell(np.eye(2), 1.0, 1.0 - 1e-9).proven_drift_sup is not None
+    # dominate: no box is claimed
+    assert hf.sine_cell(np.eye(2), 1.5, 1.5).proven_drift_box is None
+    assert hf.sine_cell(np.eye(2), 1.0, 1.0 - 1e-13).proven_drift_box is None
+    assert hf.sine_cell(np.eye(2), 1.0, 1.0 - 1e-9).proven_drift_box is not None
 
 
 def test_periodic_family_refuses_a_stale_closed_form_drift_or_bound():
-    # drift and proven bound were built for the old M; a copy with a new M
+    # drift and proven box were built for the old M; a copy with a new M
     # must not keep them silently
     M = np.array([[1.0, 0.2], [0.0, 1.0]])
     stale = dataclasses.replace(hf.deltagamma_cell(0.3, 0.3), M=M)
     with pytest.raises(hf.InvalidCellError, match="rebuild"):
         hf.periodic_family(stale, 0.2)
+    # without the closed form, the old box misses b1 = 1/det up to 1/0.85
+    with pytest.raises(hf.InvalidCellError, match="box"):
+        hf.periodic_family(dataclasses.replace(stale, drift=None), 0.2)
     sheared = dataclasses.replace(hf.identity_cell(2), M=M.T)
-    with pytest.raises(hf.InvalidCellError, match="rebuild"):
+    with pytest.raises(hf.InvalidCellError, match="box"):
         hf.periodic_family(sheared, 0.2)
     # rebuilt, or stripped of both, the copy is accepted
-    assert hf.periodic_family(hf.sine_cell(M, 0.3, 0.3), 0.2).b.proven_sup is not None
-    assert hf.periodic_family(_generic(stale), 0.2).b.proven_sup is None
+    assert hf.periodic_family(hf.sine_cell(M, 0.3, 0.3), 0.2).b.proven_box is not None
+    assert hf.periodic_family(_generic(stale), 0.2).b.proven_box is None
 
 
 def test_sampled_only_cells_carry_no_proven_bound(rng):
     cell = hf.deltagamma_cell(0.3, 0.3)
     system = hf.periodic_family(_generic(cell), 0.2)
-    assert system.b.proven_sup is None and system.b.sup_bound is not None
-    assert hf.constant_vector(2, [1.0, 0.0]).proven_sup is None
+    assert system.b.proven_box is None and system.b.sup_bound is not None
+    assert hf.constant_vector(2, [1.0, 0.0]).proven_box is None
 
 
 def test_periodic_rectification_identities(rng):

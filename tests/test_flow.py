@@ -164,6 +164,20 @@ def test_flow_map_determinant_pinned_to_divergence_integral(rng):
     assert np.all(pinned >= 1.0 / bound - 1e-9)
 
 
+def test_flow_map_of_one_unbatched_point():
+    # a single point's log-determinant stays a 0-d array through RK4, so the
+    # memo can make it read-only; the values are row 0 of a (1, 2) batch
+    point = np.array([0.1, 0.2])
+    single = flow_map_diffeo(tanh_sine_velocity(), 1.0, CFG)
+    batch = flow_map_diffeo(tanh_sine_velocity(), 1.0, CFG)
+    jac = single.jacobian(point)
+    det = single.det_at(point)
+    assert jac.shape == (2, 2) and np.shape(det) == ()
+    assert jac.tobytes() == batch.jacobian(point[None])[0].tobytes()
+    assert det.tobytes() == batch.det_at(point[None])[0].tobytes()
+    assert not jac.flags.writeable
+
+
 def test_dynamic_family_of_zero_field_is_identity(rng):
     zero = hf.constant_vector(2, [0.0, 0.0])
     system = dynamic_flow_family(zero, zero, 1.0, 0.1, CFG)

@@ -1,4 +1,4 @@
-"""Property tests over random sine cells: the proven drift bound and the
+"""Property tests over random sine cells: the proven drift box and the
 closed-form drift.
 
 Examples are derandomized, so every run draws the same cells.
@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import homoflow as hf
+from homoflow.fields import _sine_drift_box
 
 _SMALL = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.2, 0.2))
 _LARGE = st.floats(0.5, 1.5)
@@ -42,19 +43,66 @@ def sine_cells(draw):
 @given(sine_cells(), st.floats(0.01, 1.0), st.integers(0, 2 ** 32 - 1))
 def test_sine_cell_proven_bound_and_closed_form_drift(cell_args, eps, seed):
     cell = hf.sine_cell(*cell_args)
-    bound = cell.proven_drift_sup
-    assert bound is not None
-    # the bound covers a dense cell grid (corners included) and is tight
+    box = cell.proven_drift_box
+    assert box is not None
+    lo, hi = box
+    # the box covers a dense cell grid (corners included) and is tight
     axis = np.arange(256) / 256
     y = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    dense = float(np.linalg.norm(cell.drift(y), axis=-1).max())
-    assert dense <= bound <= dense * (1.0 + 1e-12)
+    dense = cell.drift(y)
+    assert np.all(lo <= dense.min(axis=0)) and np.all(dense.max(axis=0) <= hi)
+    corner = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
+    assert np.abs(dense.min(axis=0) - lo).max() <= 1e-12 * corner
+    assert np.abs(dense.max(axis=0) - hi).max() <= 1e-12 * corner
     system = hf.periodic_family(cell, eps)
-    assert system.b.proven_sup == bound <= system.b.sup_bound
+    assert system.b.proven_box is box
     # the closed form returns the generic formula's bits, whatever the shape
-    generic = dataclasses.replace(cell, drift=None, proven_drift_sup=None)
+    generic = dataclasses.replace(cell, drift=None, proven_drift_box=None)
     reference = hf.periodic_family(generic, eps).b
     x = np.random.default_rng(seed).normal(scale=5.0, size=(300, 2))
     for batch in (x, x[7], x.reshape(10, 30, 2), x[:0]):
         assert system.b.eval(batch).tobytes() == reference.eval(batch).tobytes()
         assert system.b.eval(batch).shape == reference.eval(batch).shape
+
+
+_ANY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def sine_cell_params(draw):
+    """(m00, m01, m10, m11, delta, gamma): a valid cell, any parameters, or
+    a cell whose smallest corner det, m00 m11 - delta gamma, is within
+    rounding of 0."""
+    kind = draw(st.sampled_from(["valid", "any", "near"]))
+    if kind == "valid":
+        m, d, g = draw(sine_cells())
+        return (*(float(v) for v in m.ravel()), d, g)
+    if kind == "near":
+        m00, m11, d = draw(_LARGE), draw(_LARGE), draw(_LARGE)
+        return m00, 0.0, 0.0, m11, d, (m00 * m11 - draw(st.floats(-1e-9, 1e-9))) / d
+    return tuple(draw(_ANY) for _ in range(6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sine_cell_params(), st.integers(0, 2 ** 32 - 1))
+def test_sine_drift_box_contains_every_computed_drift(params, seed):
+    m00, m01, m10, m11, d, g = params
+    c = np.array([-1.0, 1.0])
+    det = m00 * m11 - (d * c[None, :] + m01) * (g * c[:, None] + m10)
+    # the box is claimed exactly where a norm bound was claimed before:
+    # every corner det positive and the rounding estimate's kappa <= 1e12
+    claimed = bool(np.all(det > 0.0)) and (
+        abs(m00 * m11) + (abs(d) + abs(m01)) * (abs(g) + abs(m10))) / det.min() <= 1e12
+    box = _sine_drift_box(m00, m01, m10, m11, d, g)
+    assert (box is not None) == claimed
+    if box is None:
+        return
+    lo, hi = box
+    cell = hf.sine_cell(np.array([[m00, m01], [m10, m11]]), d, g)
+    assert np.array_equal(cell.proven_drift_box[0], lo)
+    # the exact cosine corners, where the extremes sit, and random points
+    corners = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])
+    y = np.concatenate([corners, np.random.default_rng(seed).normal(scale=3.0,
+                                                                    size=(2000, 2))])
+    b = cell.drift(y)
+    assert np.all(lo <= b) and np.all(b <= hi)

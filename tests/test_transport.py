@@ -9,7 +9,7 @@ import pytest
 import homoflow as hf
 from homoflow import transport
 from homoflow.flow import (AccuracyError, BlowupError, IntegratorConfig, advect,
-                           advect_times)
+                           advect_times, snapshot_order)
 from homoflow.transport import TruncationWarning
 
 from conftest import (deltagamma_system, identity_system, shear_velocity,
@@ -204,11 +204,12 @@ def test_exact_realignment_of_cell_drift_at_cell_multiples(rng, unit_bump):
 
 
 # ---------------------------------------------------------------------------
-# reach pruning: drifts with a proven bound integrate only what u0 can reach
+# reach pruning: drifts with a proven box integrate each point only while u0
+# can reach it
 # ---------------------------------------------------------------------------
 
 def _unproven(b):
-    return dataclasses.replace(b, proven_sup=None)
+    return dataclasses.replace(b, proven_box=None)
 
 
 def _counting_advect(monkeypatch):
@@ -216,9 +217,9 @@ def _counting_advect(monkeypatch):
     seen = []
     real_times, real_one = transport.advect_times, transport.advect
 
-    def advect_times(field, x0, times, cfg):
+    def advect_times(field, x0, times, cfg, horizon=None):
         seen.append(np.asarray(x0).size // 2)
-        return real_times(field, x0, times, cfg)
+        return real_times(field, x0, times, cfg, horizon=horizon)
 
     def advect_one(field, x0, t, cfg):
         seen.append(np.asarray(x0).size // 2)
@@ -229,6 +230,15 @@ def _counting_advect(monkeypatch):
     return seen
 
 
+def _box_dist(b, u0, t, pts):
+    """dist(c - x, t [lo, hi]) per point."""
+    lo, hi = b.proven_box
+    near, far = np.minimum(t * lo, t * hi), np.maximum(t * lo, t * hi)
+    gap = u0.center - pts
+    return np.linalg.norm(np.maximum(near - gap, 0.0) + np.maximum(gap - far, 0.0),
+                          axis=-1)
+
+
 @pytest.mark.parametrize("system", [identity_system(0.2), deltagamma_system(0.1)],
                          ids=["identity", "deltagamma"])
 @pytest.mark.parametrize("times", [[0.93], [0.3, 0.93], [-1.0, -0.4]])
@@ -237,30 +247,109 @@ def test_reach_pruning_is_bit_exact(system, times, monkeypatch):
     cfg = IntegratorConfig(h=0.01)
     pruned = hf.solve_transport(system.b, u0, cfg)
     full = hf.solve_transport(_unproven(system.b), u0, cfg)
-    reach = 1.0 + max(abs(t) for t in times) * system.b.proven_sup
-    # a grid straddling the reach circle, dense near it
-    pts, _ = hf.Box.from_radius(u0.center, reach + 0.4).midpoint_grid(96)
+    lo, hi = system.b.proven_box
+    speed = np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))
+    t_max = max(abs(t) for t in times)
+    disc = 1.0 + t_max * speed
+    # a grid straddling the old disc reach, dense near it
+    pts, _ = hf.Box.from_radius(u0.center, disc + 0.4).midpoint_grid(96)
     dist = np.linalg.norm(pts - u0.center, axis=-1)
+    slack = 1e-6 * (1.0 + t_max * speed)
+    live = np.array([_box_dist(system.b, u0, t, pts) < 1.0 + slack for t in times])
 
     seen = _counting_advect(monkeypatch)
     got = pruned.eval_times(times, pts)
-    assert seen == [int(np.sum(dist < reach * (1 + 1e-6) + 1e-6))]
-    assert seen[0] < len(pts)
+    # the box reach keeps fewer points than the disc of radius r0 + |t| S
+    assert seen == [int(np.sum(live.any(axis=0)))]
+    assert seen[0] < int(np.sum(dist < disc * (1 + 1e-6) + 1e-6))
     assert got.tobytes() == full.eval_times(times, pts).tobytes()
+    assert np.all(got[~live] == 0.0)
     for t in times:
         assert pruned.eval(t, pts).tobytes() == full.eval(t, pts).tobytes()
     # single points (inside and outside the reach) and (a, b, 2) batches
-    for i in (0, int(np.argmin(np.abs(dist - 0.5 * reach)))):
+    for i in (0, int(np.argmin(np.abs(dist - 0.5 * disc)))):
         assert pruned.eval(times[-1], pts[i]).tobytes() == \
             full.eval(times[-1], pts[i]).tobytes()
     block = pts.reshape(48, 192, 2)
     assert pruned.eval_times(times, block).tobytes() == \
         full.eval_times(times, block).tobytes()
     if system.label == "identity":
-        # b = e1 makes the reach tight: nodes within 3% of it carry nonzero
-        # values, so a shrunken reach would be caught above
-        far = got[int(np.argmax(np.abs(times)))]
-        assert np.any((far != 0.0) & (dist > 0.97 * reach))
+        # b = e1 makes the box reach tight: nodes within 3% of its edge carry
+        # nonzero values, so a shrunken reach would be caught above
+        k = int(np.argmax(np.abs(times)))
+        edge = _box_dist(system.b, u0, times[k], pts)
+        assert np.any((got[k] != 0.0) & (edge > 0.97))
+
+
+_TIME_LISTS = [[0.2, 0.5, 0.93], [-0.9, -0.3, -0.05], [0.6, 0.0, 0.25, 0.9, 0.4]]
+
+
+@pytest.mark.parametrize("times", _TIME_LISTS,
+                         ids=["increasing", "negative", "unsorted"])
+@pytest.mark.parametrize("system", [identity_system(0.2), deltagamma_system(0.1),
+                                    twist_system(0.1)],
+                         ids=["identity", "deltagamma", "twist"])
+def test_box_reach_and_horizons_equal_unpruned(system, times):
+    # the sampler with a proven box and a random needed mask against the one
+    # with neither: equal bits where needed, +0.0 elsewhere
+    u0 = hf.bump_datum(2, [0.3, -0.2], 1.0)
+    cfg = IntegratorConfig(h=0.01)
+    pruned = hf.solve_transport(system.b, u0, cfg)
+    full = hf.solve_transport(_unproven(system.b), u0, cfg)
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-2.5, 2.5, (600, 2))
+    ref = full.eval_times(times, pts)
+    assert np.count_nonzero(ref) > 100
+    assert pruned.eval_times(times, pts).tobytes() == ref.tobytes()
+    for density in (0.1, 0.5, 0.9):
+        needed = rng.random((len(times), len(pts))) < density
+        got = pruned.eval_times(times, pts, needed=needed)
+        assert got.tobytes() == np.where(needed, ref, 0.0).tobytes()
+    # (a, b, 2) blocks with a block mask, and single points
+    block = pts.reshape(20, 30, 2)
+    needed = rng.random((len(times), 20, 30)) < 0.5
+    got = pruned.eval_times(times, block, needed=needed)
+    assert got.tobytes() == np.where(needed, ref.reshape(-1, 20, 30), 0.0).tobytes()
+    for i in (0, 17, int(np.argmax(ref.sum(axis=0)))):
+        assert pruned.eval_times(times, pts[i]).tobytes() == ref[:, i].tobytes()
+        mask = np.arange(len(times)) % 2 == 0
+        assert pruned.eval_times(times, pts[i], needed=mask).tobytes() == \
+            np.where(mask, ref[:, i], 0.0).tobytes()
+
+
+def test_horizons_drop_points_after_their_last_snapshot():
+    # unsorted times: horizons are ranks in |t| order, and each state holds,
+    # in batch order, the points whose horizon is its rank or later
+    field = deltagamma_system(0.1).b
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, (7, 2))
+    times = [0.5, 0.1, -0.0, 0.3]
+    horizon = np.array([3, -1, 0, 2, 1, 3, 0])
+    cfg = IntegratorConfig(h=0.01)
+    states = advect_times(field, x, times, cfg, horizon=horizon)
+    full = advect_times(field, x, times, cfg)
+    order = snapshot_order(times)
+    assert order == [2, 1, 3, 0]
+    for rank, k in enumerate(order):
+        rows = np.flatnonzero(horizon >= rank)
+        assert states[k].pos.tobytes() == full[k].pos[rows].tobytes()
+    none = advect_times(field, x, times, cfg, horizon=np.full(7, -1))
+    assert [s.pos.shape for s in none] == [(0, 2)] * 4
+    with pytest.raises(ValueError, match="horizon"):
+        advect_times(field, x[0], times, cfg, horizon=np.array(3))
+    with pytest.raises(ValueError, match="horizon"):
+        advect_times(field, x, times, cfg, horizon=horizon[:3])
+
+
+def test_needed_mask_of_the_limit_samplers():
+    u0 = hf.bump_datum(2, [0.3, -0.2], 1.0)
+    pts = np.random.default_rng(4).uniform(-2.0, 2.0, (200, 2))
+    times = [0.1, 0.45, 0.8]
+    needed = np.random.default_rng(5).random((3, 200)) < 0.5
+    for kind in ("constant-limit", "density-float-sigma0", "density-field-sigma0"):
+        sol = _SAMPLER_KINDS[kind](u0)
+        ref = sol.eval_times(times, pts)
+        assert sol.eval_times(times, pts, needed=needed).tobytes() == \
+            np.where(needed, ref, 0.0).tobytes()
 
 
 def test_scaled_datum_keeps_positive_zero_outside_support():
@@ -304,7 +393,7 @@ def test_richardson_guard_still_compares_points_out_of_reach():
 
 
 def test_sampled_bound_never_prunes():
-    # sup_bound is a sampled estimate (wrong here); only proven_sup prunes
+    # sup_bound is a sampled estimate (wrong here); only proven_box prunes
     def ev(x):
         with np.errstate(over="ignore", invalid="ignore"):
             return np.stack([x[..., 0] ** 2, np.zeros(x.shape[:-1])], axis=-1)
@@ -366,6 +455,14 @@ def test_eval_is_eval_times_at_one_time(kind):
             got = sol.eval(t, x)
             assert np.shape(got) == x.shape[:-1]
             assert got.tobytes() == sol.eval_times([t], x)[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_SAMPLER_KINDS))
+def test_empty_time_list(kind):
+    sol = _SAMPLER_KINDS[kind](hf.bump_datum(2, [0.3, -0.2], 1.0))
+    x = np.random.default_rng(6).uniform(-2.5, 2.5, (3, 4, 2))
+    assert sol.eval_times([], x).shape == (0, 3, 4)
+    assert sol.eval_times([], x, needed=np.zeros((0, 3, 4), dtype=bool)).shape == (0, 3, 4)
 
 
 def test_field_sigma0_density_bytes_are_pinned():
