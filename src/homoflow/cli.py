@@ -46,7 +46,6 @@ _KEYS: dict[str, tuple[str, str, str]] = {
     "family.m": ("cell_matrix", "1,0,0,1", "matrix"),
     "dim": ("dim", "2", "int"),
     "eps": ("eps", "0.1", "float"),
-    "p": ("p", "2.0", "float"),
     "T": ("T", "1.0", "float"),
     "u0.center": ("u0_center", "0,0", "point"),
     "u0.radius": ("u0_radius", "1.0", "float"),
@@ -91,7 +90,6 @@ class ExperimentConfig:
     cell_matrix: tuple[float, float, float, float]
     dim: int
     eps: float
-    p: float
     T: float
     u0_center: tuple[float, ...]
     u0_radius: float
@@ -222,7 +220,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(all(cfg.sweep_eps[i + 1] < cfg.sweep_eps[i]
              for i in range(len(cfg.sweep_eps) - 1)),
          "sweep.eps", "must be strictly decreasing")
-    need(1.0 < cfg.p < float("inf"), "p", "must lie strictly between 1 and infinity")
     need(cfg.T > 0.0, "T", "must be positive")
     need(cfg.h > 0.0, "integrator.h", "must be positive")
     need(cfg.u0_radius > 0.0, "u0.radius", "must be positive")

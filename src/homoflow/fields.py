@@ -29,8 +29,8 @@ Array = np.ndarray
 
 TWO_PI = 2.0 * math.pi
 
-# Finite-difference fallback step scale for user-supplied fields; generator
-# families always carry hand-coded exact derivatives.
+# Finite-difference step scale for fields without exact derivatives (user
+# supplied or Hessian-less); the step at x is FD_STEP * max(1, |x|).
 FD_STEP = 1e-5
 
 
@@ -183,15 +183,7 @@ def constant_scalar(dim: int, value: float) -> ScalarField:
         x = as_points(x, dim)
         return np.full(x.shape[:-1], float(value))
 
-    def gr(x):
-        x = as_points(x, dim)
-        return np.zeros(x.shape)
-
-    def he(x):
-        x = as_points(x, dim)
-        return np.zeros(x.shape + (dim,))
-
-    return ScalarField(dim, ev, gr, he)
+    return ScalarField(dim, ev, zeros(dim, dim), zeros(dim, dim, dim))
 
 
 def coordinate_scalar(dim: int, axis: int) -> ScalarField:
@@ -206,11 +198,7 @@ def coordinate_scalar(dim: int, axis: int) -> ScalarField:
         x = as_points(x, dim)
         return np.broadcast_to(e, x.shape).copy()
 
-    def he(x):
-        x = as_points(x, dim)
-        return np.zeros(x.shape + (dim,))
-
-    return ScalarField(dim, ev, gr, he)
+    return ScalarField(dim, ev, gr, zeros(dim, dim, dim))
 
 
 def constant_vector(dim: int, value) -> VectorField:
@@ -222,15 +210,7 @@ def constant_vector(dim: int, value) -> VectorField:
         x = as_points(x, dim)
         return np.broadcast_to(v, x.shape).copy()
 
-    def jac(x):
-        x = as_points(x, dim)
-        return np.zeros(x.shape + (dim,))
-
-    def div(x):
-        x = as_points(x, dim)
-        return np.zeros(x.shape[:-1])
-
-    return VectorField(dim, ev, jac, div,
+    return VectorField(dim, ev, zeros(dim, dim, dim), zeros(dim),
                        sup_bound=float(np.linalg.norm(v)), div_bound=0.0)
 
 
@@ -268,24 +248,20 @@ def affine_diffeo(matrix) -> Diffeo:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference fallbacks (flagged approximate)
+# finite-difference fallbacks (flagged approximate) and vanishing derivatives
 # ---------------------------------------------------------------------------
 
-def _fd_steps(x: Array) -> Array:
-    # per-point step 1e-5 * max(1, |x|)
-    return FD_STEP * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-
-
-def fd_gradient(f: Callable[[Array], Array], x: Array, step: float | None = None) -> Array:
+def fd_gradient(f: Callable[[Array], Array], x: Array, scale: float = FD_STEP) -> Array:
     """Central-difference gradient of a scalar function, one batched call."""
-    return fd_jacobian(lambda y: f(y)[..., None], x, step)[..., 0, :]
+    return fd_jacobian(lambda y: f(y)[..., None], x, scale)[..., 0, :]
 
 
-def fd_jacobian(f: Callable[[Array], Array], x: Array, step: float | None = None) -> Array:
-    """Central-difference Jacobian of a vector function, one batched call."""
+def fd_jacobian(f: Callable[[Array], Array], x: Array, scale: float = FD_STEP) -> Array:
+    """Central-difference Jacobian of a vector function, one batched call,
+    with the per-point step ``scale * max(1, |x|)``."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    h = np.asarray(step if step is not None else _fd_steps(x))
+    h = scale * np.maximum(1.0, np.linalg.norm(x, axis=-1))
     shifts = []
     for j in range(n):
         e = np.zeros(n)
@@ -297,6 +273,39 @@ def fd_jacobian(f: Callable[[Array], Array], x: Array, step: float | None = None
     for j in range(n):
         out[..., :, j] = (vals[2 * j] - vals[2 * j + 1]) / (2.0 * h[..., None])
     return out
+
+
+def fd_vector_field(dim: int, ev: Callable[[Array], Array],
+                    divergence: Callable[[Array], Array] | None = None,
+                    scale: float = FD_STEP, **bounds) -> VectorField:
+    """Approximate vector field: its Jacobian is central differences of
+    ``ev``, and a missing ``divergence`` is that Jacobian's trace.
+    ``bounds`` go to :class:`VectorField` as they are."""
+    def jac(x):
+        return fd_jacobian(ev, as_points(x, dim), scale)
+
+    def trace(x):
+        return np.trace(jac(x), axis1=-2, axis2=-1)
+
+    return VectorField(dim, ev, jac, divergence or trace, exact=False, **bounds)
+
+
+def fd_scalar_field(dim: int, ev: Callable[[Array], Array],
+                    scale: float = FD_STEP) -> ScalarField:
+    """Approximate scalar field whose gradient is central differences of ``ev``."""
+    def grad(x):
+        return fd_gradient(ev, as_points(x, dim), scale)
+
+    return ScalarField(dim, ev, grad, exact=False)
+
+
+def zeros(dim: int, *trailing: int) -> Callable[[Array], Array]:
+    """A derivative that vanishes identically: points (..., dim) map to
+    zeros of shape (...,) + trailing."""
+    def derivative(x):
+        return np.zeros(as_points(x, dim).shape[:-1] + trailing)
+
+    return derivative
 
 
 # ---------------------------------------------------------------------------
@@ -413,26 +422,22 @@ def drift_from_streamfields(streams: Sequence[ScalarField], sigma: ScalarField) 
         x = as_points(x, dim)
         return cross_product([s.grad(x) for s in streams]) / sigma.eval(x)[..., None]
 
-    if all(s.hess is not None for s in streams) and sigma.exact:
-        def jac(x):
-            x = as_points(x, dim)
-            grads = [s.grad(x) for s in streams]
-            du = _cross_jacobian(grads, [s.hess(x) for s in streams])
-            return _quotient_jacobian(cross_product(grads), du, sigma.eval(x),
-                                      sigma.grad(x))
-        exact = True
-    else:
-        def jac(x):
-            x = as_points(x, dim)
-            return fd_jacobian(ev, x)
-        exact = False
-
     def div(x):
         x = as_points(x, dim)
         b = ev(x)
         return -np.einsum("...i,...i->...", sigma.grad(x), b) / sigma.eval(x)
 
-    return VectorField(dim, ev, jac, div, exact=exact)
+    if not (all(s.hess is not None for s in streams) and sigma.exact):
+        return fd_vector_field(dim, ev, div)
+
+    def jac(x):
+        x = as_points(x, dim)
+        grads = [s.grad(x) for s in streams]
+        du = _cross_jacobian(grads, [s.hess(x) for s in streams])
+        return _quotient_jacobian(cross_product(grads), du, sigma.eval(x),
+                                  sigma.grad(x))
+
+    return VectorField(dim, ev, jac, div)
 
 
 def theta_of(b: VectorField, w1: ScalarField) -> ScalarField:
@@ -445,20 +450,16 @@ def theta_of(b: VectorField, w1: ScalarField) -> ScalarField:
         x = as_points(x, dim)
         return np.einsum("...i,...i->...", b.eval(x), w1.grad(x))
 
-    if b.exact and w1.hess is not None:
-        def gr(x):
-            x = as_points(x, dim)
-            jb = b.jacobian(x)
-            return (np.einsum("...ij,...i->...j", jb, w1.grad(x))
-                    + np.einsum("...ij,...j->...i", w1.hess(x), b.eval(x)))
-        exact = True
-    else:
-        def gr(x):
-            x = as_points(x, dim)
-            return fd_gradient(ev, x)
-        exact = False
+    if not (b.exact and w1.hess is not None):
+        return fd_scalar_field(dim, ev)
 
-    return ScalarField(dim, ev, gr, exact=exact)
+    def gr(x):
+        x = as_points(x, dim)
+        jb = b.jacobian(x)
+        return (np.einsum("...ij,...i->...j", jb, w1.grad(x))
+                + np.einsum("...ij,...j->...i", w1.hess(x), b.eval(x)))
+
+    return ScalarField(dim, ev, gr)
 
 
 def rectification_residual(system: RectifiedSystem, x: Array) -> Array:
@@ -646,12 +647,8 @@ def _twist_drift(alpha: Curve, beta: Curve) -> VectorField:
         return np.stack([np.stack([j11, j12], axis=-1),
                          np.stack([j21, j22], axis=-1)], axis=-2)
 
-    def div(x):
-        # sigma = 1 and sigma*b is a rotated gradient, hence divergence free
-        x = as_points(x, 2)
-        return np.zeros(x.shape[:-1])
-
-    return VectorField(2, ev, jac, div, div_bound=0.0)
+    # sigma = 1 and sigma*b is a rotated gradient, hence divergence free
+    return VectorField(2, ev, jac, zeros(2), div_bound=0.0)
 
 
 def _product_of_derivatives(alpha: Curve) -> ScalarField:
@@ -716,13 +713,9 @@ class PeriodicCellMap:
 
 
 def identity_cell(dim: int = 2) -> PeriodicCellMap:
-    def hess(y):
-        y = as_points(y, dim)
-        return np.zeros(y.shape + (dim, dim))
-
     # the drift is e1 computed exactly (unit pivots and zeros only)
     e1 = np.eye(dim)[0]
-    return PeriodicCellMap(dim, np.eye(dim), None, hess,
+    return PeriodicCellMap(dim, np.eye(dim), None, zeros(dim, dim, dim, dim),
                            proven_drift_box=(e1, e1.copy()))
 
 
@@ -788,11 +781,7 @@ def sine_cell(M, delta: float, gamma: float) -> PeriodicCellMap:
         out[..., 1, 0] = g * np.cos(TWO_PI * y[..., 0])
         return out
 
-    def div(y):
-        y = as_points(y, 2)
-        return np.zeros(y.shape[:-1])
-
-    part = VectorField(2, ev, jac, div, sup_bound=(abs(d) + abs(g)) / TWO_PI,
+    part = VectorField(2, ev, jac, zeros(2), sup_bound=(abs(d) + abs(g)) / TWO_PI,
                        div_bound=0.0)
 
     def hess(y):
@@ -838,11 +827,8 @@ def _cell_sigma_grad(cell: PeriodicCellMap, y: Array) -> Array:
     # Jacobi's formula: d_k det(J) = det(J) * tr(J^{-1} dJ/dy_k)
     J = cell.jacobian(y)
     det = np.linalg.det(J)
-    H = cell.hessians(y) if cell.hessians is not None else None
-    if H is None:
-        raise FieldError("cell map has no second derivatives")
     Jinv = np.linalg.inv(J)
-    return det[..., None] * np.einsum("...ji,...ijk->...k", Jinv, H)
+    return det[..., None] * np.einsum("...ji,...ijk->...k", Jinv, cell.hessians(y))
 
 
 def periodic_family(cell: PeriodicCellMap, eps: float,
@@ -891,47 +877,34 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
         x = as_points(x, dim)
         return cell_det(cell.jacobian(x / eps))
 
-    if have_hess:
-        def sig_gr(x):
-            x = as_points(x, dim)
-            return _cell_sigma_grad(cell, x / eps) / eps
-    else:
-        def sig_gr(x):
-            x = as_points(x, dim)
-            return fd_gradient(sig_ev, x)
+    def sig_gr(x):
+        x = as_points(x, dim)
+        return _cell_sigma_grad(cell, x / eps) / eps
 
-    sigma = ScalarField(dim, sig_ev, sig_gr, exact=have_hess)
+    sigma = (ScalarField(dim, sig_ev, sig_gr) if have_hess
+             else fd_scalar_field(dim, sig_ev))
 
     # -- drift ------------------------------------------------------------
     def b_ev(x):
         x = as_points(x, dim)
         return cell_drift(x / eps)
 
-    if have_hess:
-        def b_jac(x):
-            x = as_points(x, dim)
-            y = x / eps
-            J = cell.jacobian(y)
-            H = cell.hessians(y)
-            du = _cross_jacobian([J[..., k, :] for k in range(1, dim)],
-                                 [H[..., k, :, :] for k in range(1, dim)])
-            return _quotient_jacobian(jacobian_flux(J), du, np.linalg.det(J),
-                                      _cell_sigma_grad(cell, y)) / eps
+    def b_jac(x):
+        x = as_points(x, dim)
+        y = x / eps
+        J = cell.jacobian(y)
+        H = cell.hessians(y)
+        du = _cross_jacobian([J[..., k, :] for k in range(1, dim)],
+                             [H[..., k, :, :] for k in range(1, dim)])
+        return _quotient_jacobian(jacobian_flux(J), du, np.linalg.det(J),
+                                  _cell_sigma_grad(cell, y)) / eps
 
-        def b_div(x):
-            x = as_points(x, dim)
-            y = x / eps
-            s = np.linalg.det(cell.jacobian(y))
-            return -np.einsum("...i,...i->...", _cell_sigma_grad(cell, y),
-                              cell_drift(y)) / (s * eps)
-    else:
-        def b_jac(x):
-            x = as_points(x, dim)
-            return fd_jacobian(b_ev, x)
-
-        def b_div(x):
-            x = as_points(x, dim)
-            return np.trace(b_jac(x), axis1=-2, axis2=-1)
+    def b_div(x):
+        x = as_points(x, dim)
+        y = x / eps
+        s = np.linalg.det(cell.jacobian(y))
+        return -np.einsum("...i,...i->...", _cell_sigma_grad(cell, y),
+                          cell_drift(y)) / (s * eps)
 
     b_grid = cell_drift(grid)
     if cell.drift is not None and b_grid.tobytes() != generic_drift(grid).tobytes():
@@ -941,9 +914,10 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
     if box is not None and (np.any(b_grid < box[0]) or np.any(b_grid > box[1])):
         raise InvalidCellError("a sampled drift value lies outside the cell's proven"
                                " drift box; rebuild the cell after changing M")
-    sampled_b = float(np.linalg.norm(b_grid, axis=-1).max())
-    b = VectorField(dim, b_ev, b_jac, b_div, sup_bound=sampled_b * inflation,
-                    exact=have_hess, proven_box=box)
+    bounds = dict(sup_bound=float(np.linalg.norm(b_grid, axis=-1).max()) * inflation,
+                  proven_box=box)
+    b = (VectorField(dim, b_ev, b_jac, b_div, **bounds) if have_hess
+         else fd_vector_field(dim, b_ev, **bounds))
 
     # -- the rescaled map ---------------------------------------------------
     def w_ev(x):

@@ -26,11 +26,12 @@ from typing import Callable
 import numpy as np
 
 from .fields import (Array, Diffeo, FieldError, RectifiedSystem, ScalarField,
-                     VectorField, as_points, constant_scalar, fd_gradient,
-                     fd_jacobian, jacobian_flux)
+                     VectorField, as_points, constant_scalar, fd_scalar_field,
+                     fd_vector_field, jacobian_flux, zeros)
 
-# FD step scale for flow-propagated fields: larger than the analytic fallback
-# because each evaluation carries integrator noise that division amplifies.
+# FD step scale for flow-propagated fields (the step at x is
+# FLOW_FD_STEP * max(1, |x|)): ten times fields.FD_STEP, because each
+# evaluation carries integrator noise that the division by the step amplifies.
 FLOW_FD_STEP = 1e-4
 
 
@@ -323,24 +324,12 @@ def validate_flow_family(a_eps: VectorField, limit_a: VectorField,
         n_samples=int(pts.shape[0]))
 
 
-def _flow_fd(fd: Callable, ev: Callable[[Array], Array],
-             dim: int) -> Callable[[Array], Array]:
-    """``fd`` (fd_gradient or fd_jacobian) of a flow-propagated ``ev``, with
-    step FLOW_FD_STEP * max(1, |x|)."""
-    def derivative(x):
-        x = as_points(x, dim)
-        step = FLOW_FD_STEP * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-        return fd(ev, x, step=step)
-
-    return derivative
-
-
 def _liouville_theta(state: Callable[[Array], FlowState], dim: int) -> ScalarField:
     """theta = exp of the integrated divergence of a memoized carried flow."""
     def ev(x):
         return np.exp(state(x).logdet)
 
-    return ScalarField(dim, ev, _flow_fd(fd_gradient, ev, dim), exact=False)
+    return fd_scalar_field(dim, ev, FLOW_FD_STEP)
 
 
 def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
@@ -389,12 +378,7 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
     def b_ev(x):
         return jacobian_flux(state(x).jac)
 
-    def b_div(x):
-        x = as_points(x, dim)
-        return np.zeros(x.shape[:-1])
-
-    b = VectorField(dim, b_ev, _flow_fd(fd_jacobian, b_ev, dim), b_div,
-                    div_bound=0.0, exact=False)
+    b = fd_vector_field(dim, b_ev, zeros(dim), FLOW_FD_STEP, div_bound=0.0)
 
     return RectifiedSystem(
         dim=dim, eps=float(eps), W=_flow_map(a_eps, t_star, cfg, state),

@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .fields import (Array, Diffeo, PeriodicCellMap, ScalarField, VectorField,
-                     as_points, fd_jacobian, jacobian_flux, tensor_grid)
+                     as_points, fd_vector_field, jacobian_flux, tensor_grid,
+                     zeros)
 
 
 class InvalidCoefficientsError(ValueError):
@@ -80,15 +81,7 @@ class EffectiveCoefficients:
         def ev(x):
             return self.xi0_at(x) / self.sigma0_at(x)[..., None]
 
-        def jac(x):
-            x = as_points(x, self.dim)
-            return fd_jacobian(ev, x)
-
-        def div(x):
-            x = as_points(x, self.dim)
-            return np.trace(jac(x), axis1=-2, axis2=-1)
-
-        return VectorField(self.dim, ev, jac, div, exact=False)
+        return fd_vector_field(self.dim, ev)
 
 
 def cell_average(f: Callable[[Array], Array], dim: int, m: int = 64):
@@ -151,15 +144,7 @@ def effective_from_limit_map(limit_W: Diffeo,
         x = as_points(x, dim)
         return jacobian_flux(limit_W.jacobian(x))
 
-    def jac(x):
-        x = as_points(x, dim)
-        return fd_jacobian(ev, x)
-
-    def div(x):
-        x = as_points(x, dim)
-        return np.zeros(x.shape[:-1])
-
-    xi0 = VectorField(dim, ev, jac, div, div_bound=0.0, exact=False)
+    xi0 = fd_vector_field(dim, ev, zeros(dim), div_bound=0.0)
     return EffectiveCoefficients(dim, sigma0, xi0, "cofactor-limit")
 
 

@@ -1,29 +1,32 @@
-"""tools/bench_record.py writes one record per benchmark run of every workload."""
+"""tools/bench_record.py writes one record per benchmark run of every workload,
+through the perfbench runner it shares with tools/ab_pairs.py."""
 
-import importlib.util
 import json
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("bench_record",
-                                               ROOT / "tools" / "bench_record.py")
-bench_record = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_record)
+sys.path.insert(0, str(ROOT / "tools"))
+import ab_pairs  # noqa: E402
+import bench_record  # noqa: E402
 
 PROV = {"cpu_count": 2, "python": "3.11.7", "numpy": "2.4.6"}
 _REAL_RUN = subprocess.run
 
 
-def _fake_run(calls):
+def _fake_run(calls, cwds=None):
     """A subprocess.run that passes git through and answers perfbench/run.py
-    without running anything; check-dynamic's run fails and
-    sweep-example31's crashes."""
+    without running anything, noting each command (and its working
+    directory in ``cwds``); check-dynamic's run fails and sweep-example31's
+    crashes."""
     def run(cmd, **kwargs):
         if cmd[0] == "git":
             return _REAL_RUN(cmd, **kwargs)
         calls.append(list(cmd))
+        if cwds is not None:
+            cwds.append(kwargs["cwd"])
         workload = cmd[cmd.index("--workload") + 1]
         if workload == "sweep-example31":
             return subprocess.CompletedProcess(cmd, 1, "", "Traceback\nKeyError: 'x'\n")
@@ -59,9 +62,9 @@ def _scratch_repo(path):
 
 def test_record_with_stubbed_runs(monkeypatch, tmp_path):
     repo = _scratch_repo(tmp_path)
-    calls = []
+    calls, cwds = [], []
     monkeypatch.setattr(bench_record, "ROOT", repo)
-    monkeypatch.setattr(bench_record.subprocess, "run", _fake_run(calls))
+    monkeypatch.setattr(bench_record.subprocess, "run", _fake_run(calls, cwds))
     rec = bench_record.record(3)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())
@@ -73,8 +76,10 @@ def test_record_with_stubbed_runs(monkeypatch, tmp_path):
     assert rec["git_sha"] == _git(repo, "rev-parse", "HEAD")
     assert rec["sources"] == {p: _git(repo, "rev-parse", f"HEAD:{p}")
                               for p in bench_record.SOURCES}
-    # one untraced run per workload, at the benchmark's seed and length
+    # one untraced run per workload in the checkout, at the benchmark's seed
+    # and length
     assert [c[c.index("--workload") + 1] for c in calls] == names
+    assert cwds == [repo] * len(names)
     assert all(c[1] == "perfbench/run.py" and c[c.index("--trace") + 1] == "0"
                and c[c.index("--seed") + 1] == str(pins["default_seed"])
                and float(c[c.index("--seconds") + 1]) == spec["run_seconds"]
@@ -107,3 +112,19 @@ def test_uncommitted_sources_name_no_commit(monkeypatch, tmp_path):
     assert rec["sources"] == {p: _git(repo, "rev-parse", f"HEAD:{p}")
                               for p in bench_record.SOURCES}
     assert bench_record.record(5)["git_sha"] == _git(repo, "rev-parse", "HEAD")
+
+
+def test_ab_pairs_runs_perfbench_through_the_same_helper(monkeypatch, tmp_path):
+    assert ab_pairs.run_perfbench is bench_record.run_perfbench
+    assert ab_pairs.git is bench_record.git
+    calls, cwds = [], []
+    monkeypatch.setattr(bench_record.subprocess, "run", _fake_run(calls, cwds))
+    prov, result = bench_record.run_perfbench(tmp_path, "check-dynamic", 7, 1.5, trace=1)
+    assert cwds == [tmp_path] and prov == PROV and result["failed"] == 1
+    cmd = calls[0]
+    assert [cmd[cmd.index(f) + 1] for f in ("--seed", "--seconds", "--trace")] == \
+        ["7", "1.5", "1"]
+    # a run that prints no result line is incorrect and names its error
+    prov, result = bench_record.run_perfbench(tmp_path, "sweep-example31", 7, 1.5)
+    assert prov == {} and result == {"correct": False, "attempted": 0, "failed": 0,
+                                     "metrics": {}, "error": "KeyError: 'x'"}

@@ -1,6 +1,7 @@
 """Field algebra: rotations, cross products, drifts, and generator families."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import homoflow as hf
 from homoflow.fields import FieldError, fd_jacobian
 
 from conftest import (central_grad, central_jac, deltagamma_system,
-                      identity_system, leibniz_det, shear_system, twist_system)
+                      identity_system, leibniz_det, oscillating_velocity,
+                      shear_system, tanh_sine_velocity, twist_system)
 
 
 # ---------------------------------------------------------------------------
@@ -509,3 +511,164 @@ def test_three_dimensional_stream_drift_is_solenoidal(rng):
         mat = np.stack([np.broadcast_to(xi, x.shape),
                         streams[0].grad(x), streams[1].grad(x)], axis=-1)
         assert np.abs(lhs - np.linalg.det(mat)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes of approximate and vanishing derivatives
+# ---------------------------------------------------------------------------
+
+def _digest(a):
+    """sha256 over an array's shape and bits."""
+    a = np.asarray(a)
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+def _fallback_outputs():
+    """Every derivative a field takes from central differences, or that
+    vanishes identically, at fixed points (half of them with |x| > 1, where
+    the step grows with |x|)."""
+    points = np.random.default_rng(2024)
+    x2, x3 = points.uniform(-2, 2, (7, 2)), points.uniform(-2, 2, (5, 3))
+    out = {}
+
+    # a Hessian-less stream over a varying density, and a theta of its drift
+    stream = hf.ScalarField(
+        2, lambda x: x[..., 1] + 0.3 * np.sin(x[..., 0]),
+        lambda x: np.stack([0.3 * np.cos(x[..., 0]), np.ones(x.shape[:-1])], axis=-1))
+    sigma = hf.ScalarField(
+        2, lambda x: 2.0 + np.sin(x[..., 0]) * np.cos(x[..., 1]),
+        lambda x: np.stack([np.cos(x[..., 0]) * np.cos(x[..., 1]),
+                            -np.sin(x[..., 0]) * np.sin(x[..., 1])], axis=-1))
+    b = hf.drift_from_streamfields([stream], sigma)
+    out["streams.b.jacobian"] = b.jacobian(x2)
+    out["streams.b.divergence"] = b.divergence(x2)
+    w1 = hf.ScalarField(
+        2, lambda x: x[..., 0] + 0.2 * np.cos(x[..., 1]),
+        lambda x: np.stack([np.ones(x.shape[:-1]), -0.2 * np.sin(x[..., 1])], axis=-1))
+    out["theta_of.grad"] = hf.theta_of(b, w1).grad(x2)
+
+    # Hessian-less periodic cells
+    dg = hf.deltagamma_cell(0.3, 0.2)
+    cells = {"cell2d": (hf.PeriodicCellMap(2, dg.M, dg.periodic_part, None), x2),
+             "cell3d": (hf.PeriodicCellMap(3, np.eye(3)), x3)}
+    for name, (cell, x) in cells.items():
+        system = hf.periodic_family(cell, 0.3)
+        out[f"{name}.sigma.grad"] = system.sigma.grad(x)
+        out[f"{name}.b.jacobian"] = system.b.jacobian(x)
+        out[f"{name}.b.divergence"] = system.b.divergence(x)
+
+    # cofactor-route coefficients and their field drift
+    density = hf.ScalarField(
+        2, lambda x: 1.5 + 0.25 * np.sin(x[..., 0] - x[..., 1]),
+        lambda x: 0.25 * np.cos(x[..., 0] - x[..., 1])[..., None] * np.array([1.0, -1.0]))
+    coeffs = hf.effective_from_limit_map(twist_system(0.3).W, density)
+    out["xi0.jacobian"] = coeffs.xi0.jacobian(x2)
+    out["xi0.divergence"] = coeffs.xi0.divergence(x2)
+    drift = coeffs.drift()
+    out["drift.jacobian"] = drift.jacobian(x2)
+    out["drift.divergence"] = drift.divergence(x2)
+
+    # the dynamic family, on a batch and on one unbatched point
+    system = hf.dynamic_flow_family(oscillating_velocity(0.2), tanh_sine_velocity(),
+                                    1.0, 0.2, hf.IntegratorConfig(h=1e-2))
+    for tag, x in (("batch", x2), ("point", x2[0])):
+        out[f"dynamic.b.jacobian.{tag}"] = system.b.jacobian(x)
+        out[f"dynamic.b.divergence.{tag}"] = system.b.divergence(x)
+        out[f"dynamic.theta.grad.{tag}"] = system.theta.grad(x)
+        out[f"dynamic.limit_theta.grad.{tag}"] = system.limit_theta.grad(x)
+
+    # derivatives that vanish identically
+    for tag, x in (("batch", x2), ("point", x2[0])):
+        out[f"constant_scalar.grad.{tag}"] = hf.constant_scalar(2, 3.0).grad(x)
+        out[f"constant_scalar.hess.{tag}"] = hf.constant_scalar(2, 3.0).hess(x)
+        out[f"coordinate_scalar.hess.{tag}"] = hf.coordinate_scalar(2, 1).hess(x)
+        out[f"constant_vector.jacobian.{tag}"] = hf.constant_vector(2, [1.0, 2.0]).jacobian(x)
+        out[f"constant_vector.divergence.{tag}"] = \
+            hf.constant_vector(2, [1.0, 2.0]).divergence(x)
+        out[f"identity_cell.hessians.{tag}"] = hf.identity_cell(2).hessians(x)
+        out[f"twist.b.divergence.{tag}"] = twist_system(0.3).b.divergence(x)
+        out[f"sine_cell.part.divergence.{tag}"] = dg.periodic_part.divergence(x)
+    return out
+
+
+# x86-64 Linux, glibc libm, numpy 2.4
+FALLBACK_SHA256 = {
+    "streams.b.jacobian":
+        "b6cb50ad746ee19cc0f13aa584533f32d4ff9b31f4c875a109f03fb7bd8db0f0",
+    "streams.b.divergence":
+        "59c4551f0b4772a23fb57d75fc6845db4e8a1c2f2d40149a600f3defedb198cf",
+    "theta_of.grad":
+        "1a465c03df48d6a7993619f41d360211525a3a3edf3cf77484840286405e9dab",
+    "cell2d.sigma.grad":
+        "17e4b6b99efa7d23f5c9d1ae65e1d488bb0bba278df96b6436ab87ad585b0295",
+    "cell2d.b.jacobian":
+        "df478045d64c2dd92e9f7e698da67c117fe020febf15fca91ca390dcbacab30c",
+    "cell2d.b.divergence":
+        "d4a2cc5a86cc743923606dfd630dc5edc489f0aa709f656c3340d4a2d7559988",
+    "cell3d.sigma.grad":
+        "73faeb2b14b2c237352868273d678ce0912173e61bddcf4d991ca600061e5db1",
+    "cell3d.b.jacobian":
+        "20c9a87fab0685d03c530308e553cc09ec7cd45904289bd288208d4213ac8113",
+    "cell3d.b.divergence":
+        "2e6dda3eb90f453dbc465206dd918cda2f3f130fb11fa608d3171c0335c072d5",
+    "xi0.jacobian":
+        "8ec7b821d67e2d2e71247208d1a0395aed6a001a1ba235a38ba913cdc6f6289f",
+    "xi0.divergence":
+        "f0fc96aa7cb14c9e331ecd9cf9a409d3990bae46fc7191a4fe5958e3909d4db6",
+    "drift.jacobian":
+        "04a5641f313931d51cbdbdb1abf75c221c17cd363dbf3a2633dd6377f1949960",
+    "drift.divergence":
+        "69d25682343c78304c7534a5c9dc513f851b799045d95f2d3f80628135f767e3",
+    "dynamic.b.jacobian.batch":
+        "4da3f798f8537abc0de83d328b63e29547c209135f8234c1befe0e9d0eba2f57",
+    "dynamic.b.divergence.batch":
+        "f0fc96aa7cb14c9e331ecd9cf9a409d3990bae46fc7191a4fe5958e3909d4db6",
+    "dynamic.theta.grad.batch":
+        "914334f43dd5ae97635e7b2ce534c225d1caadc40b3bac880d2c4bdfed65750c",
+    "dynamic.limit_theta.grad.batch":
+        "ad5d4f39d067004e0195b6724eb0fcb3baeba991e5f3a45c32958f45d04df03c",
+    "dynamic.b.jacobian.point":
+        "c1d04ef6c17eade1efeeb35b8b753454a236ffcfccf72408ba5a89c55c230566",
+    "dynamic.b.divergence.point":
+        "2d3fc5306167f359ed9f514fda0aa7bdefba1ffd49c7fb27cd21d6faae2f5432",
+    "dynamic.theta.grad.point":
+        "ae0d1fea0faa0f9e96ce5b3140d8dc7d6c1e12a98c7bb2906fb16bd17be14f88",
+    "dynamic.limit_theta.grad.point":
+        "c8eb8679f06e5d924747fe39c6f271c5e78577ab989b46a51cb877ef2ed85aaa",
+    "constant_scalar.grad.batch":
+        "52856dcf260ab4b5e8d8a1a439dc95a5254d8862679b312d913c7815aef20007",
+    "constant_scalar.hess.batch":
+        "50f063445cff0992968447e4c7d57c147d9ca64e1f135aa80aea57bc0d001cd6",
+    "coordinate_scalar.hess.batch":
+        "50f063445cff0992968447e4c7d57c147d9ca64e1f135aa80aea57bc0d001cd6",
+    "constant_vector.jacobian.batch":
+        "50f063445cff0992968447e4c7d57c147d9ca64e1f135aa80aea57bc0d001cd6",
+    "constant_vector.divergence.batch":
+        "f0fc96aa7cb14c9e331ecd9cf9a409d3990bae46fc7191a4fe5958e3909d4db6",
+    "identity_cell.hessians.batch":
+        "abd3e9cbcccafa4b0304b26a1423c36f73a4165ddfb888c72fbee11699bf8627",
+    "twist.b.divergence.batch":
+        "f0fc96aa7cb14c9e331ecd9cf9a409d3990bae46fc7191a4fe5958e3909d4db6",
+    "sine_cell.part.divergence.batch":
+        "f0fc96aa7cb14c9e331ecd9cf9a409d3990bae46fc7191a4fe5958e3909d4db6",
+    "constant_scalar.grad.point":
+        "45e2f25e02832ebe2ff01c77369d754e8270cc3707914b80bc591ac522b5e197",
+    "constant_scalar.hess.point":
+        "be2758a016c074c5b37e4948ff78f03419d2d9a858cf64778f966a512df46395",
+    "coordinate_scalar.hess.point":
+        "be2758a016c074c5b37e4948ff78f03419d2d9a858cf64778f966a512df46395",
+    "constant_vector.jacobian.point":
+        "be2758a016c074c5b37e4948ff78f03419d2d9a858cf64778f966a512df46395",
+    "constant_vector.divergence.point":
+        "2d3fc5306167f359ed9f514fda0aa7bdefba1ffd49c7fb27cd21d6faae2f5432",
+    "identity_cell.hessians.point":
+        "2c533b29aee6f2ec1486ff8eebb6a543365111785dea8f40db571e3c4312c7e6",
+    "twist.b.divergence.point":
+        "2d3fc5306167f359ed9f514fda0aa7bdefba1ffd49c7fb27cd21d6faae2f5432",
+    "sine_cell.part.divergence.point":
+        "2d3fc5306167f359ed9f514fda0aa7bdefba1ffd49c7fb27cd21d6faae2f5432",
+}
+
+
+def test_fallback_and_zero_derivative_bytes_are_pinned():
+    assert {name: _digest(v) for name, v in _fallback_outputs().items()} == FALLBACK_SHA256

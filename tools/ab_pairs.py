@@ -44,12 +44,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, text=True,
-                          capture_output=True).stdout.strip()
+from bench_record import ROOT, git, run_perfbench
 
 
 def export(sha: str, dest: Path) -> None:
@@ -58,20 +53,6 @@ def export(sha: str, dest: Path) -> None:
     tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                          check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
-
-
-def run_once(checkout: Path, workload: str, args) -> dict:
-    """One benchmark run in ``checkout``; its JSON result (or a failure)."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", str(args.trace)]
-    proc = subprocess.run(cmd, cwd=checkout, text=True, capture_output=True)
-    lines = proc.stdout.strip().splitlines()
-    try:
-        return json.loads(lines[-1])
-    except (IndexError, ValueError):
-        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
-                "error": proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]}
 
 
 def metric_specs(trace: int) -> dict[str, dict]:
@@ -164,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    sha = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     specs = metric_specs(args.trace)
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         base_dir = Path(tmp) / "base"
@@ -175,8 +156,9 @@ def main(argv: list[str] | None = None) -> int:
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {}
                 for side in order:
-                    pair[side] = run_once(base_dir if side == "base" else ROOT,
-                                          workload, args)
+                    _, pair[side] = run_perfbench(base_dir if side == "base" else ROOT,
+                                                  workload, args.seed, args.seconds,
+                                                  args.trace)
                     wall = pair[side]["metrics"].get("wall_s", {}).get("value")
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}:"
                           f" correct={pair[side]['correct']}"

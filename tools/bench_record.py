@@ -39,7 +39,7 @@ PROVENANCE = "# provenance "
 SOURCES = ("src", "perfbench", "BENCHMARK.json")
 
 
-def _git(*args: str, env=None) -> str:
+def git(*args: str, env=None) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, text=True,
                           capture_output=True, env=env).stdout.strip()
 
@@ -49,18 +49,21 @@ def source_ids() -> dict:
     files' current contents, written through a scratch copy of the index."""
     with tempfile.TemporaryDirectory() as tmp:
         index = Path(tmp) / "index"
-        shutil.copyfile(ROOT / _git("rev-parse", "--git-path", "index"), index)
+        shutil.copyfile(ROOT / git("rev-parse", "--git-path", "index"), index)
         env = {**os.environ, "GIT_INDEX_FILE": str(index)}
-        _git("add", "--update", "--", *SOURCES, env=env)
-        tree = _git("write-tree", env=env)
-    return {p: _git("rev-parse", f"{tree}:{p}") for p in SOURCES}
+        git("add", "--update", "--", *SOURCES, env=env)
+        tree = git("write-tree", env=env)
+    return {p: git("rev-parse", f"{tree}:{p}") for p in SOURCES}
 
 
-def run_workload(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """(provenance, JSON result) of one untraced benchmark run."""
+def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
+                  trace: int = 0) -> tuple[dict, dict]:
+    """(provenance, JSON result) of one ``perfbench/run.py`` run in
+    ``checkout``.  A run that prints no result line reads as an incorrect
+    one whose ``error`` is the last line of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, text=True, capture_output=True)
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, text=True, capture_output=True)
     lines = proc.stdout.strip().splitlines()
     prov = next((json.loads(line[len(PROVENANCE):]) for line in lines
                  if line.startswith(PROVENANCE)), {})
@@ -78,14 +81,14 @@ def record(number: int) -> dict:
     pins = json.loads((ROOT / "perfbench" / "pins.json").read_text(encoding="utf-8"))
     seed, seconds = pins["default_seed"], spec["run_seconds"]
     sources = source_ids()
-    head = _git("rev-parse", "HEAD")
-    at_head = all(_git("rev-parse", f"HEAD:{p}") == oid for p, oid in sources.items())
+    head = git("rev-parse", "HEAD")
+    at_head = all(git("rev-parse", f"HEAD:{p}") == oid for p, oid in sources.items())
     out = {"bench": number, "git_sha": head if at_head else None,
            "sources": sources, "seed": seed, "seconds": seconds,
            "provenance": {}, "workloads": {}}
     for wl in spec["workloads"]:
         name = wl["name"]
-        prov, result = run_workload(name, seed, seconds)
+        prov, result = run_perfbench(ROOT, name, seed, seconds)
         out["provenance"] = out["provenance"] or prov
         out["workloads"][name] = {
             "correct": result["correct"],
