@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,105 +27,75 @@ from .fields import (Curve, FieldError, RectifiedSystem, deltagamma_cell,
 from .flow import AccuracyError, BlowupError, IntegratorConfig
 from .homogenize import (EffectiveCoefficients, InvalidCoefficientsError,
                          constant_coefficients, effective_from_cell)
-from .transport import (Box, bump_datum, dependence_box, solve_homogenized,
-                        solve_transport)
+from .transport import (Box, SolutionSampler, bump_datum, dependence_box,
+                        solve_homogenized, solve_transport)
 
 CSV_VERSION_LINE = "# homoflow-csv v1"
 
 FAMILY_NAMES = ("identity", "shear", "deltagamma", "example31", "periodic")
-
-# config key -> (ExperimentConfig field, default text, kind); the kinds are
-# the converters in _KINDS, and the keys keep their --help and canonical order
-_KEYS: dict[str, tuple[str, str, str]] = {
-    "family.name": ("family", "identity", "str"),
-    "family.delta": ("delta", "0.3", "float"),
-    "family.gamma": ("gamma", "0.3", "float"),
-    "family.alpha_form": ("alpha_form", "identity", "str"),
-    "family.alpha_amp": ("alpha_amp", "1.0", "float"),
-    "family.beta_amp": ("beta_amp", "1.0", "float"),
-    "family.m": ("cell_matrix", "1,0,0,1", "matrix"),
-    "dim": ("dim", "2", "int"),
-    "eps": ("eps", "0.1", "float"),
-    "T": ("T", "1.0", "float"),
-    "u0.center": ("u0_center", "0,0", "point"),
-    "u0.radius": ("u0_radius", "1.0", "float"),
-    "u0.amplitude": ("u0_amplitude", "1.0", "float"),
-    "integrator.h": ("h", "0.001", "float"),
-    "integrator.richardson": ("richardson", "false", "bool"),
-    "quadrature.m": ("quad_m", "64", "int"),
-    "quadrature.time_nodes": ("time_nodes", "64", "int"),
-    "quadrature.nodes_per_eps": ("nodes_per_eps", "8.0", "float"),
-    "quadrature.cell_m": ("cell_m", "64", "int"),
-    "quadrature.lp_m": ("lp_m", "256", "int"),
-    "dictionary.count": ("dict_count", "5", "int"),
-    "dictionary.radius": ("dict_radius", "0.4", "float"),
-    "dictionary.centers": ("dict_centers", "", "centers"),
-    "check.samples": ("check_samples", "1000", "int"),
-    "check.box": ("check_box", "-2,2", "pair"),
-    "simulate.t": ("simulate_t", "0,0.5,1", "floats"),
-    "simulate.m": ("simulate_m", "9", "int"),
-    "sweep.eps": ("sweep_eps", "0.4,0.2,0.1,0.05", "floats"),
-    # default avoids integer multiples of the sweep eps values, where
-    # cell-periodic drifts realign exactly with the limit flow
-    "sweep.strong_t": ("strong_t", "0.52,0.93", "floats"),
-    "seed": ("seed", "0", "int"),
-    "output": ("output", "", "str"),
-}
-
-_DEFAULTS: dict[str, str] = {key: default for key, (_, default, _) in _KEYS.items()}
 
 
 class ConfigError(ValueError):
     """Malformed or out-of-range configuration, with key/line context."""
 
 
+def _key(key: str, default: str, kind: str):
+    """A config field: its dotted key, default text and kind (a converter in
+    _KINDS).  The fields keep their --help and canonical order."""
+    return field(metadata={"key": key, "default": default, "kind": kind})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    family: str
-    delta: float
-    gamma: float
-    alpha_form: str
-    alpha_amp: float
-    beta_amp: float
-    cell_matrix: tuple[float, float, float, float]
-    dim: int
-    eps: float
-    T: float
-    u0_center: tuple[float, ...]
-    u0_radius: float
-    u0_amplitude: float
-    h: float
-    richardson: bool
-    quad_m: int
-    time_nodes: int
-    nodes_per_eps: float
-    cell_m: int
-    lp_m: int
-    dict_count: int
-    dict_radius: float
-    dict_centers: tuple[tuple[float, ...], ...]
-    check_samples: int
-    check_box: tuple[float, float]
-    simulate_t: tuple[float, ...]
-    simulate_m: int
-    sweep_eps: tuple[float, ...]
-    strong_t: tuple[float, ...]
-    seed: int
-    output: str
+    family: str = _key("family.name", "identity", "str")
+    delta: float = _key("family.delta", "0.3", "float")
+    gamma: float = _key("family.gamma", "0.3", "float")
+    alpha_form: str = _key("family.alpha_form", "identity", "str")
+    alpha_amp: float = _key("family.alpha_amp", "1.0", "float")
+    beta_amp: float = _key("family.beta_amp", "1.0", "float")
+    cell_matrix: tuple[float, float, float, float] = _key("family.m", "1,0,0,1", "matrix")
+    dim: int = _key("dim", "2", "int")
+    eps: float = _key("eps", "0.1", "float")
+    T: float = _key("T", "1.0", "float")
+    u0_center: tuple[float, ...] = _key("u0.center", "0,0", "point")
+    u0_radius: float = _key("u0.radius", "1.0", "float")
+    u0_amplitude: float = _key("u0.amplitude", "1.0", "float")
+    h: float = _key("integrator.h", "0.001", "float")
+    richardson: bool = _key("integrator.richardson", "false", "bool")
+    quad_m: int = _key("quadrature.m", "64", "int")
+    time_nodes: int = _key("quadrature.time_nodes", "64", "int")
+    nodes_per_eps: float = _key("quadrature.nodes_per_eps", "8.0", "float")
+    cell_m: int = _key("quadrature.cell_m", "64", "int")
+    lp_m: int = _key("quadrature.lp_m", "256", "int")
+    dict_count: int = _key("dictionary.count", "5", "int")
+    dict_radius: float = _key("dictionary.radius", "0.4", "float")
+    dict_centers: tuple[tuple[float, ...], ...] = _key("dictionary.centers", "", "centers")
+    check_samples: int = _key("check.samples", "1000", "int")
+    check_box: tuple[float, float] = _key("check.box", "-2,2", "pair")
+    simulate_t: tuple[float, ...] = _key("simulate.t", "0,0.5,1", "floats")
+    simulate_m: int = _key("simulate.m", "9", "int")
+    sweep_eps: tuple[float, ...] = _key("sweep.eps", "0.4,0.2,0.1,0.05", "floats")
+    # the default avoids integer multiples of the sweep eps values, where
+    # cell-periodic drifts realign exactly with the limit flow
+    strong_t: tuple[float, ...] = _key("sweep.strong_t", "0.52,0.93", "floats")
+    seed: int = _key("seed", "0", "int")
+    output: str = _key("output", "", "str")
 
 
-def _to_float(raw: dict, key: str) -> float:
+# config key -> (ExperimentConfig field, default text, kind)
+_KEYS: dict[str, tuple[str, str, str]] = {
+    f.metadata["key"]: (f.name, f.metadata["default"], f.metadata["kind"])
+    for f in fields(ExperimentConfig)}
+
+_DEFAULTS: dict[str, str] = {key: default for key, (_, default, _) in _KEYS.items()}
+
+
+def _to_number(raw: dict, key: str, kind: type = float):
     try:
-        return float(raw[key])
+        return kind(raw[key])
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number ({raw[key]!r})") from exc
-
-
-def _to_int(raw: dict, key: str) -> int:
-    try:
-        return int(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer ({raw[key]!r})") from exc
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r}: not {what} ({raw[key]!r})") from exc
 
 
 def _to_bool(raw: dict, key: str) -> bool:
@@ -168,8 +138,8 @@ def _to_centers(raw: dict, key: str, dim: int) -> tuple[tuple[float, ...], ...]:
 # kind -> converter (raw, key, dim) -> value
 _KINDS = {
     "str": lambda raw, key, dim: raw[key],
-    "int": lambda raw, key, dim: _to_int(raw, key),
-    "float": lambda raw, key, dim: _to_float(raw, key),
+    "int": lambda raw, key, dim: _to_number(raw, key, int),
+    "float": lambda raw, key, dim: _to_number(raw, key),
     "bool": lambda raw, key, dim: _to_bool(raw, key),
     "floats": lambda raw, key, dim: _to_floats(raw, key),
     "pair": lambda raw, key, dim: _to_floats(raw, key, 2),
@@ -198,11 +168,11 @@ def parse_config(text: str) -> ExperimentConfig:
         seen.add(key)
         raw[key] = value.strip()
 
-    dim = _to_int(raw, "dim")
+    dim = _to_number(raw, "dim", int)
     if dim != 2:
         raise ConfigError("key 'dim': the config families are two-dimensional")
-    cfg = ExperimentConfig(**{field: _KINDS[kind](raw, key, dim)
-                              for key, (field, _, kind) in _KEYS.items()})
+    cfg = ExperimentConfig(**{name: _KINDS[kind](raw, key, dim)
+                              for key, (name, _, kind) in _KEYS.items()})
     _validate(cfg)
     return cfg
 
@@ -235,6 +205,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(len(cfg.simulate_t) > 0, "simulate.t", "needs at least one time")
     need(cfg.simulate_m >= 2, "simulate.m", "must be at least 2")
     need(len(cfg.strong_t) > 0, "sweep.strong_t", "needs at least one time")
+    # one integration pass per sampler, inside the strong box (sized for T)
+    need(all(0.0 <= t <= cfg.T for t in cfg.strong_t)
+         or all(-cfg.T <= t <= 0.0 for t in cfg.strong_t), "sweep.strong_t",
+         f"times must all lie in [0, T] or all in [-T, 0] (T = {cfg.T:g})")
     if cfg.family in ("deltagamma", "periodic"):
         need(abs(cfg.delta * cfg.gamma) < 1.0, "family.delta",
              "|delta * gamma| must stay below 1 or the cell density vanishes")
@@ -261,8 +235,8 @@ def _check_alpha_amp(cfg: ExperimentConfig, key: str, values) -> None:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse(serialize(parse(x))) == parse(x)."""
-    return "".join(f"{key} = {_fmt(getattr(cfg, field))}\n"
-                   for key, (field, _, _) in _KEYS.items())
+    return "".join(f"{key} = {_fmt(getattr(cfg, name))}\n"
+                   for key, (name, _, _) in _KEYS.items())
 
 
 # ---------------------------------------------------------------------------
@@ -427,30 +401,28 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
     integ = _integrator(cfg)
     coeffs = build_coefficients(cfg)
     dictionary = _dictionary(cfg)
+    # the sweep sizes the pairing grids from its smallest eps
     quad = SpacetimeQuad(T=cfg.T, n_time=cfg.time_nodes, m_space=cfg.quad_m,
-                         nodes_per_period=cfg.nodes_per_eps,
-                         resolve_scale=min(cfg.sweep_eps))
+                         nodes_per_period=cfg.nodes_per_eps)
 
-    systems: dict[float, RectifiedSystem] = {}
+    # eps -> (system, sampler), each solved once for the weak and strong passes
+    solved: dict[float, tuple[RectifiedSystem, SolutionSampler]] = {}
 
     def family_solver(eps: float):
         system = build_system(cfg, eps)
-        systems[eps] = system
-        return system, solve_transport(system.b, u0, integ)
+        solved[eps] = system, solve_transport(system.b, u0, integ)
+        return solved[eps]
 
     report = convergence_sweep(family_solver, coeffs, u0, cfg.sweep_eps,
                                dictionary, quad, integ, label=cfg.family)
 
     sol_limit = solve_homogenized(coeffs, u0, "advective", integ)
-    sup = _estimated_sup(systems[cfg.sweep_eps[0]],
+    sup = _estimated_sup(solved[cfg.sweep_eps[0]][0],
                          u0.support_radius + cfg.T + 1.0)
     strong_box = dependence_box(u0, sup, cfg.T, margin=0.2)
-    strong = {}
-    for eps in cfg.sweep_eps:
-        system = systems[eps]
-        sol_eps = solve_transport(system.b, u0, integ)
-        strong[eps] = strong_l2_error(sol_eps, sol_limit, system, strong_box,
-                                      cfg.strong_t, quad, resolution=cfg.lp_m)
+    strong = {eps: strong_l2_error(sol_eps, sol_limit, system, strong_box,
+                                   cfg.strong_t, quad, resolution=cfg.lp_m)
+              for eps, (system, sol_eps) in solved.items()}
 
     rows = []
     for i, eps in enumerate(report.eps_values):

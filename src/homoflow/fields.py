@@ -178,53 +178,42 @@ class RectifiedSystem:
 # simple constructors
 # ---------------------------------------------------------------------------
 
-def constant_scalar(dim: int, value: float) -> ScalarField:
-    def ev(x):
-        x = as_points(x, dim)
-        return np.full(x.shape[:-1], float(value))
+def constant(dim: int, value) -> Callable[[Array], Array]:
+    """A member that does not depend on the point: points (..., dim) map to
+    fresh copies of ``value``, shape (...,) + value's shape."""
+    v = np.asarray(value, dtype=float)
 
-    return ScalarField(dim, ev, zeros(dim, dim), zeros(dim, dim, dim))
+    def member(x):
+        return np.broadcast_to(v, as_points(x, dim).shape[:-1] + v.shape).copy()
+
+    return member
+
+
+def constant_scalar(dim: int, value: float) -> ScalarField:
+    return ScalarField(dim, constant(dim, value), zeros(dim, dim), zeros(dim, dim, dim))
 
 
 def coordinate_scalar(dim: int, axis: int) -> ScalarField:
     """The coordinate function x -> x[axis]."""
-    e = np.zeros(dim)
-    e[axis] = 1.0
-
     def ev(x):
         return as_points(x, dim)[..., axis]
 
-    def gr(x):
-        x = as_points(x, dim)
-        return np.broadcast_to(e, x.shape).copy()
-
-    return ScalarField(dim, ev, gr, zeros(dim, dim, dim))
+    return ScalarField(dim, ev, constant(dim, np.eye(dim)[axis]), zeros(dim, dim, dim))
 
 
 def constant_vector(dim: int, value) -> VectorField:
     v = np.asarray(value, dtype=float)
     if v.shape != (dim,):
         raise FieldError(f"constant vector must have shape ({dim},)")
-
-    def ev(x):
-        x = as_points(x, dim)
-        return np.broadcast_to(v, x.shape).copy()
-
-    return VectorField(dim, ev, zeros(dim, dim, dim), zeros(dim),
+    return VectorField(dim, constant(dim, v), zeros(dim, dim, dim), zeros(dim),
                        sup_bound=float(np.linalg.norm(v)), div_bound=0.0)
 
 
 def identity_diffeo(dim: int) -> Diffeo:
-    eye = np.eye(dim)
-
     def ev(x):
         return as_points(x, dim).copy()
 
-    def jac(x):
-        x = as_points(x, dim)
-        return np.broadcast_to(eye, x.shape + (dim,)).copy()
-
-    return Diffeo(dim, ev, jac)
+    return Diffeo(dim, ev, constant(dim, np.eye(dim)))
 
 
 def affine_diffeo(matrix) -> Diffeo:
@@ -240,11 +229,7 @@ def affine_diffeo(matrix) -> Diffeo:
         x = as_points(x, dim)
         return x @ M.T
 
-    def jac(x):
-        x = as_points(x, dim)
-        return np.broadcast_to(M, x.shape + (dim,)).copy()
-
-    return Diffeo(dim, ev, jac)
+    return Diffeo(dim, ev, constant(dim, M))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +287,7 @@ def fd_scalar_field(dim: int, ev: Callable[[Array], Array],
 def zeros(dim: int, *trailing: int) -> Callable[[Array], Array]:
     """A derivative that vanishes identically: points (..., dim) map to
     zeros of shape (...,) + trailing."""
-    def derivative(x):
-        return np.zeros(as_points(x, dim).shape[:-1] + trailing)
-
-    return derivative
+    return constant(dim, np.zeros(trailing))
 
 
 # ---------------------------------------------------------------------------

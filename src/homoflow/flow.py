@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import (Array, Diffeo, FieldError, RectifiedSystem, ScalarField,
-                     VectorField, as_points, constant_scalar, fd_scalar_field,
-                     fd_vector_field, jacobian_flux, zeros)
+from .fields import (Array, Diffeo, FieldError, RectifiedSystem, VectorField,
+                     as_points, constant_scalar, fd_scalar_field, fd_vector_field,
+                     jacobian_flux, zeros)
 
 # FD step scale for flow-propagated fields (the step at x is
 # FLOW_FD_STEP * max(1, |x|)): ten times fields.FD_STEP, because each
@@ -324,14 +324,6 @@ def validate_flow_family(a_eps: VectorField, limit_a: VectorField,
         n_samples=int(pts.shape[0]))
 
 
-def _liouville_theta(state: Callable[[Array], FlowState], dim: int) -> ScalarField:
-    """theta = exp of the integrated divergence of a memoized carried flow."""
-    def ev(x):
-        return np.exp(state(x).logdet)
-
-    return fd_scalar_field(dim, ev, FLOW_FD_STEP)
-
-
 def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
                         eps: float, cfg: IntegratorConfig = IntegratorConfig(),
                         validation_points: Array | None = None,
@@ -373,7 +365,8 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
                 f" (worst sample {report.worst_div_point})")
 
     state = _carried_flow(a_eps, t_star, cfg)
-    limit_state = _carried_flow(limit_a, t_star, cfg)
+    W = _flow_map(a_eps, t_star, cfg, state)
+    limit_W = flow_map_diffeo(limit_a, t_star, cfg)
 
     def b_ev(x):
         return jacobian_flux(state(x).jac)
@@ -381,8 +374,7 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
     b = fd_vector_field(dim, b_ev, zeros(dim), FLOW_FD_STEP, div_bound=0.0)
 
     return RectifiedSystem(
-        dim=dim, eps=float(eps), W=_flow_map(a_eps, t_star, cfg, state),
-        sigma=constant_scalar(dim, 1.0), b=b,
-        theta=_liouville_theta(state, dim), sigma_bounds=(1.0, 1.0),
-        limit_W=_flow_map(limit_a, t_star, cfg, limit_state),
-        limit_theta=_liouville_theta(limit_state, dim), label=label)
+        dim=dim, eps=float(eps), W=W, sigma=constant_scalar(dim, 1.0), b=b,
+        theta=fd_scalar_field(dim, W.det, FLOW_FD_STEP), sigma_bounds=(1.0, 1.0),
+        limit_W=limit_W, limit_theta=fd_scalar_field(dim, limit_W.det, FLOW_FD_STEP),
+        label=label)

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Array, VectorField, as_points, tensor_grid
+from .fields import Array, VectorField, as_points, constant, tensor_grid
 # advect is imported though unused: perfbench and the tests patch
 # transport.advect by name
 from .flow import IntegratorConfig, advect, advect_times, snapshot_order  # noqa: F401
@@ -118,14 +118,12 @@ class InitialDatum:
         Adding +0.0 turns the -0.0 of a negative factor times +0.0 back into
         +0.0 and leaves every other value's bits alone.
         """
-        if callable(factor):
-            def ev(x):
-                return self.eval(x) * factor(x) + 0.0
-        else:
-            c = float(factor)
+        if not callable(factor):
+            factor = constant(self.dim, factor)
 
-            def ev(x):
-                return self.eval(x) * c + 0.0
+        def ev(x):
+            return self.eval(x) * factor(x) + 0.0
+
         return InitialDatum(self.dim, ev, self.support_radius, self.center)
 
 
@@ -209,43 +207,6 @@ def _reach(b: VectorField, u0: InitialDatum, cfg: IntegratorConfig,
     return live
 
 
-def _characteristics(b: VectorField, u0: InitialDatum,
-                     cfg: IntegratorConfig) -> SolutionSampler:
-    def ev_times(ts, x, needed=None):
-        ts = np.asarray(ts, dtype=float)
-        x = as_points(x, u0.dim)
-        shape = ts.shape + x.shape[:-1]
-        pts = x.reshape(-1, u0.dim)
-        read = None if needed is None else \
-            np.asarray(needed, dtype=bool).reshape(len(ts), len(pts))
-        if cfg.richardson_check:  # the guard compares every point at every time
-            run = None
-        else:
-            run = _reach(b, u0, cfg, ts, pts)
-            if read is not None:
-                run = read if run is None else run & read
-        if run is None or run.all():  # nothing pruned: the whole batch, every time
-            states = advect_times(b, x, ts, cfg)
-            out = np.array([u0.eval(s.pos) for s in states]).reshape(shape)
-            return out if read is None else np.where(read.reshape(shape), out, 0.0)
-        # each point is integrated up to the last time it runs; the other
-        # samples keep +0.0
-        out = np.zeros(run.shape)
-        batch = np.flatnonzero(run.any(axis=0))
-        if len(batch):
-            order = snapshot_order(ts)
-            horizon = len(ts) - 1 - np.argmax(run[order][::-1][:, batch], axis=0)
-            live = pts if len(batch) == len(pts) else pts[batch]
-            states = advect_times(b, live, ts, cfg, horizon=horizon)
-            for rank, k in enumerate(order):
-                rows = batch[horizon >= rank]
-                take = run[k, rows]
-                out[k, rows[take]] = u0.eval(states[k].pos[take])
-        return out.reshape(shape)
-
-    return SolutionSampler(b.dim, ev_times, u0, drift_sup=b.sup_bound)
-
-
 def solve_transport(b: VectorField, u0: InitialDatum,
                     cfg: IntegratorConfig = IntegratorConfig()) -> SolutionSampler:
     """Characteristics solution u(t, x) = u0(X(t, x)) with X the forward flow of b.
@@ -291,7 +252,34 @@ def solve_transport(b: VectorField, u0: InitialDatum,
     """
     if b.dim != u0.dim:
         raise ValueError("drift and initial datum dimensions differ")
-    return _characteristics(b, u0, cfg)
+
+    def ev_times(ts, x, needed=None):
+        ts = np.asarray(ts, dtype=float)
+        x = as_points(x, u0.dim)
+        pts = x.reshape(-1, u0.dim)
+        every = np.ones((len(ts), len(pts)), dtype=bool)
+        # fill: the samples that may be nonzero and are read; the others keep +0.0
+        fill = _reach(b, u0, cfg, ts, pts)
+        fill = every if fill is None else fill
+        if needed is not None:
+            fill = fill & np.asarray(needed, dtype=bool).reshape(every.shape)
+        # the guard compares every point at every time
+        run = every if cfg.richardson_check else fill
+        out = np.zeros(run.shape)
+        batch = np.flatnonzero(run.any(axis=0))
+        if len(batch):
+            # each point is integrated up to the last time it runs
+            order = snapshot_order(ts)
+            horizon = len(ts) - 1 - np.argmax(run[order][::-1][:, batch], axis=0)
+            live = pts if len(batch) == len(pts) else pts[batch]
+            states = advect_times(b, live, ts, cfg, horizon=horizon)
+            for rank, k in enumerate(order):
+                rows = batch[horizon >= rank]
+                take = fill[k, rows]
+                out[k, rows[take]] = u0.eval(states[k].pos[take])
+        return out.reshape(ts.shape + x.shape[:-1])
+
+    return SolutionSampler(b.dim, ev_times, u0, drift_sup=b.sup_bound)
 
 
 def lp_norm(sampler: SolutionSampler, t: float, p: float, box: Box,
@@ -363,7 +351,7 @@ def solve_homogenized(coeffs: EffectiveCoefficients, datum: InitialDatum,
     if not isinstance(drift, VectorField):
         return _constant_drift_sampler(drift, datum)
 
-    return _characteristics(drift, datum, cfg)
+    return solve_transport(drift, datum, cfg)
 
 
 def dependence_box(u0: InitialDatum, sup_bound: float, T: float,

@@ -39,6 +39,16 @@ def test_round_trip_is_identity():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+def test_config_text_is_pinned():
+    # key order, default text and the --help listing, byte for byte
+    from homoflow.cli import _CONFIG_HELP
+    digests = [hashlib.sha256(text.encode()).hexdigest()
+               for text in (serialize_config(parse_config("")), _CONFIG_HELP)]
+    assert digests == [
+        "325066459a4e7e79cfc987ac42abf96705265c2a15114f6f7915f8dba16a20f0",
+        "72a42d7bfbfc339c4a85b1c0cbf475c7e536a12e3638d442ad05e87b63059683"]
+
+
 @pytest.mark.parametrize("line,fragment", [
     ("nonsense", "expected 'key = value'"),
     ("family.name = martian", "one of"),
@@ -49,6 +59,8 @@ def test_round_trip_is_identity():
     ("sweep.eps = 0.1,0.2", "strictly decreasing"),
     ("dim = 3", "two-dimensional"),
     ("dictionary.count = 11", "between 1 and 8"),
+    ("sweep.strong_t = -0.5,0.5", "'sweep.strong_t': times must all lie in"),
+    ("sweep.strong_t = 3", "'sweep.strong_t': times must all lie in"),
 ])
 def test_config_errors_carry_context(line, fragment):
     with pytest.raises(ConfigError) as err:

@@ -390,6 +390,29 @@ def test_richardson_guard_still_compares_points_out_of_reach():
         sol.eval(1.0, far)
     with pytest.raises(AccuracyError):
         sol.eval_times([0.5, 1.0], far)
+    # a needed mask that marks none of them does not exempt them either
+    with pytest.raises(AccuracyError):
+        sol.eval_times([0.5, 1.0], far, needed=np.zeros((2, 2), dtype=bool))
+
+
+def test_needed_mask_with_the_richardson_guard():
+    # with the guard on (lenient here) and a proven box, needed samples are
+    # the full integration's bits and the others +0.0
+    system = deltagamma_system(0.1)
+    u0 = hf.bump_datum(2, [0.3, -0.2], 1.0)
+    cfg = IntegratorConfig(h=0.01, richardson_check=True, richardson_tol=1.0)
+    times = [0.6, 0.0, 0.25, 0.9]
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-2.5, 2.5, (400, 2))
+    full = hf.solve_transport(_unproven(system.b), u0, IntegratorConfig(h=0.01))
+    ref = full.eval_times(times, pts)
+    assert np.count_nonzero(ref) > 50
+    sol = hf.solve_transport(system.b, u0, cfg)
+    assert sol.eval_times(times, pts).tobytes() == ref.tobytes()
+    for density in (0.0, 0.3, 0.8):
+        needed = rng.random((len(times), len(pts))) < density
+        assert sol.eval_times(times, pts, needed=needed).tobytes() == \
+            np.where(needed, ref, 0.0).tobytes()
 
 
 def test_sampled_bound_never_prunes():
