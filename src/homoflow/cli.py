@@ -22,8 +22,8 @@ from .diagnostics import (SpacetimeQuad, TestFunction, convergence_sweep,
                           default_dictionary, invariant_suite, strong_l2_error)
 from .fields import (Curve, FieldError, RectifiedSystem, deltagamma_cell,
                      hyperbolic_twist_family, identity_cell, identity_curve,
-                     jacobian_flux, periodic_family, perturbed_identity_curve,
-                     shear_cell, sine_cell, sine_curve, zero_curve)
+                     periodic_family, perturbed_identity_curve, shear_cell,
+                     sine_cell, sine_curve, zero_curve)
 from .flow import AccuracyError, BlowupError, IntegratorConfig
 from .homogenize import (EffectiveCoefficients, InvalidCoefficientsError,
                          constant_coefficients, effective_from_cell)
@@ -178,6 +178,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    """Range checks of single keys, and of the family keys every command
+    reads.  A check across keys that some command never reads runs in the
+    commands that read them, so a key cannot refuse a command that ignores it."""
     def need(cond: bool, key: str, msg: str):
         if not cond:
             raise ConfigError(f"key {key!r}: {msg}")
@@ -205,10 +208,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(len(cfg.simulate_t) > 0, "simulate.t", "needs at least one time")
     need(cfg.simulate_m >= 2, "simulate.m", "must be at least 2")
     need(len(cfg.strong_t) > 0, "sweep.strong_t", "needs at least one time")
-    # one integration pass per sampler, inside the strong box (sized for T)
-    need(all(0.0 <= t <= cfg.T for t in cfg.strong_t)
-         or all(-cfg.T <= t <= 0.0 for t in cfg.strong_t), "sweep.strong_t",
-         f"times must all lie in [0, T] or all in [-T, 0] (T = {cfg.T:g})")
     if cfg.family in ("deltagamma", "periodic"):
         need(abs(cfg.delta * cfg.gamma) < 1.0, "family.delta",
              "|delta * gamma| must stay below 1 or the cell density vanishes")
@@ -216,7 +215,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         need(cfg.alpha_form in ("identity", "perturbed"), "family.alpha_form",
              "must be 'identity' or 'perturbed'")
         need(cfg.alpha_amp >= 0.0, "family.alpha_amp", "must be nonnegative")
-        _check_alpha_amp(cfg, "eps", (cfg.eps,))
 
 
 def _check_alpha_amp(cfg: ExperimentConfig, key: str, values) -> None:
@@ -280,10 +278,9 @@ def build_coefficients(cfg: ExperimentConfig) -> EffectiveCoefficients:
     cell = _build_cell(cfg)
     if cell is not None:
         return effective_from_cell(cell, m=cfg.cell_m)
-    # twist family: the limit map is the identity, so the cofactor-route xi0
-    # is the constant flux of its Jacobian (whose J[1, 0] is -0.0)
-    limit_W = build_system(cfg, cfg.eps).limit_W
-    return constant_coefficients(2, 1.0, jacobian_flux(limit_W.jacobian(np.zeros(2))))
+    # twist family: the limit map is the identity at every eps, so sigma0 = 1
+    # and the cofactor-route xi0 is e1, the flux of the identity Jacobian
+    return constant_coefficients(2, 1.0, (1.0, 0.0))
 
 
 def _integrator(cfg: ExperimentConfig) -> IntegratorConfig:
@@ -339,6 +336,7 @@ def _csv(header: list[str], rows: list[tuple]) -> str:
 # ---------------------------------------------------------------------------
 
 def run_check(cfg: ExperimentConfig) -> tuple[int, str]:
+    _check_alpha_amp(cfg, "eps", (cfg.eps,))
     system = build_system(cfg, cfg.eps)
     lo, hi = cfg.check_box
     box = Box(np.full(cfg.dim, lo), np.full(cfg.dim, hi))
@@ -352,6 +350,7 @@ def run_check(cfg: ExperimentConfig) -> tuple[int, str]:
 
 
 def run_simulate(cfg: ExperimentConfig) -> tuple[int, str]:
+    _check_alpha_amp(cfg, "eps", (cfg.eps,))
     system = build_system(cfg, cfg.eps)
     u0 = _datum(cfg)
     sol = solve_transport(system.b, u0, _integrator(cfg))
@@ -397,6 +396,11 @@ def run_homogenize(cfg: ExperimentConfig) -> tuple[int, str]:
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
     _check_alpha_amp(cfg, "sweep.eps", cfg.sweep_eps)
+    # one integration pass per sampler, inside the strong box (sized for T)
+    if not (all(0.0 <= t <= cfg.T for t in cfg.strong_t)
+            or all(-cfg.T <= t <= 0.0 for t in cfg.strong_t)):
+        raise ConfigError(f"key 'sweep.strong_t': times must all lie in [0, T]"
+                          f" or all in [-T, 0] (T = {cfg.T:g})")
     u0 = _datum(cfg)
     integ = _integrator(cfg)
     coeffs = build_coefficients(cfg)

@@ -231,12 +231,6 @@ class PhiConvergence:
     pairing_limit: float
     errors: tuple[float, ...]
     fitted_rate: float
-    monotone: bool
-
-    @property
-    def converged(self) -> bool:
-        # failure means errors went non-monotone while trending upward
-        return self.monotone or self.fitted_rate > 0.0
 
 
 @dataclass(frozen=True)
@@ -252,10 +246,6 @@ class ConvergenceReport:
         for e in self.entries:
             if not all(np.isfinite(e.errors)):
                 raise ValueError(f"non-finite errors for phi {e.phi_id}")
-
-    @property
-    def all_converged(self) -> bool:
-        return all(e.converged for e in self.entries)
 
 
 def _fit_rate(eps: Sequence[float], errors: Sequence[float]) -> float:
@@ -296,10 +286,8 @@ def convergence_sweep(family_solver: Callable[[float], tuple[RectifiedSystem, So
     entries = []
     for j, phi in enumerate(dictionary):
         errors = [abs(p - limits[j]) for p in all_pairings[j]]
-        rate = _fit_rate(eps_list, errors)
-        monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
         entries.append(PhiConvergence(j, tuple(all_pairings[j]), limits[j],
-                                      tuple(errors), rate, monotone))
+                                      tuple(errors), _fit_rate(eps_list, errors)))
     return ConvergenceReport(label, tuple(eps_list), tuple(entries))
 
 

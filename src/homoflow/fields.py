@@ -129,11 +129,6 @@ class Diffeo:
     det: Callable[[Array], Array] | None = None
     exact: bool = True
 
-    def det_at(self, x: Array) -> Array:
-        if self.det is not None:
-            return self.det(x)
-        return np.linalg.det(self.jacobian(x))
-
 
 @dataclass(frozen=True)
 class RectifiedSystem:
@@ -466,9 +461,9 @@ class Curve:
     the work the two have in common (``sine_curve`` forms its argument once
     for both sin and cos); it must return the same bits as the two separate
     calls.  ``unit_slope`` says that ``deriv`` is exactly 1.0 everywhere, so
-    a product with it may be left out, which is exact.  The twist drift
-    reads both (and never writes into the arrays a curve returns);
-    :func:`hyperbolic_twist_family` checks them on its probe.
+    a product with it may be left out, which is exact.  The twist family's
+    map and drift read both (and never write into the arrays a curve
+    returns); :func:`hyperbolic_twist_family` checks them on its probe.
     """
 
     eval: Callable[[Array], Array]
@@ -568,11 +563,11 @@ def hyperbolic_twist_family(alpha: Curve, beta: Curve, eps: float,
 
 
 def _twist_pieces(alpha: Curve, beta: Curve, x: Array):
-    x1, x2 = x[..., 0], x[..., 1]
-    a1, a2 = alpha.eval(x1), alpha.eval(x2)
-    d1, d2 = alpha.deriv(x1), alpha.deriv(x2)
+    a1, d1 = alpha.value_and_slope(x[..., 0])
+    a2, d2 = alpha.value_and_slope(x[..., 1])
     p = a1 * a2
-    return a1, a2, d1, d2, p, beta.eval(p), beta.deriv(p)
+    bb, bp = beta.value_and_slope(p)
+    return a1, a2, d1, d2, p, bb, bp
 
 
 def _twist_map(alpha: Curve, beta: Curve) -> Diffeo:

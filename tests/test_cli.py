@@ -59,13 +59,27 @@ def test_config_text_is_pinned():
     ("sweep.eps = 0.1,0.2", "strictly decreasing"),
     ("dim = 3", "two-dimensional"),
     ("dictionary.count = 11", "between 1 and 8"),
-    ("sweep.strong_t = -0.5,0.5", "'sweep.strong_t': times must all lie in"),
-    ("sweep.strong_t = 3", "'sweep.strong_t': times must all lie in"),
 ])
 def test_config_errors_carry_context(line, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(line)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("line", ["sweep.strong_t = -0.5,0.5", "sweep.strong_t = 3",
+                                  "T = 0.5"])
+def test_strong_times_checked_when_a_sweep_starts(line, tmp_path, capsys):
+    # only the sweep reads sweep.strong_t; the default times 0.52 and 0.93
+    # lie beyond T = 0.5
+    cfg = parse_config(line)
+    path = tmp_path / "strong.cfg"
+    path.write_text(line + "\ncheck.samples = 20\nsimulate.m = 3\n")
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'sweep.strong_t': times must all lie in" in err
+    assert f"T = {cfg.T:g}" in err
+    for command in ("check", "simulate"):
+        assert main([command, "--config", str(path)]) == 0
 
 
 @pytest.mark.parametrize("key", ["simulate.t", "sweep.strong_t", "sweep.eps"])
@@ -83,10 +97,12 @@ PERTURBED = "family.name = example31\nfamily.alpha_form = perturbed\nfamily.alph
 
 
 def test_perturbed_alpha_amplitude_checked_against_the_eps_it_meets(tmp_path, capsys):
-    # eps is checked when the config is read, sweep.eps when a sweep starts
-    with pytest.raises(ConfigError) as err:
-        parse_config(PERTURBED + "2\neps = 0.5\nsweep.eps = 0.4,0.2")
-    assert "family.alpha_amp" in str(err.value) and "eps = 0.5" in str(err.value)
+    # eps is checked when check or simulate starts, sweep.eps when a sweep does
+    cfg = parse_config(PERTURBED + "2\neps = 0.5\nsweep.eps = 0.4,0.2")
+    for runner in (run_check, run_simulate):
+        with pytest.raises(ConfigError) as err:
+            runner(cfg)
+        assert "family.alpha_amp" in str(err.value) and "eps = 0.5" in str(err.value)
     cfg = parse_config(PERTURBED + "2\nsweep.eps = 0.6,0.2")
     with pytest.raises(ConfigError) as err:
         run_sweep(cfg)
@@ -106,6 +122,25 @@ def test_perturbed_alpha_sweep_eps_does_not_block_other_commands(tmp_path):
     path = tmp_path / "amp.cfg"
     path.write_text(PERTURBED + "3\neps = 0.1\ncheck.samples = 50\n")
     assert main(["check", "--config", str(path)]) == 0
+
+
+def test_perturbed_alpha_eps_does_not_block_homogenize(tmp_path, capsys):
+    # homogenize builds no eps system: 12 * 0.1 >= 1 is refused only by the
+    # commands that build one
+    text = PERTURBED + "12\nsweep.eps = 0.05,0.02\nsimulate.m = 3\ncheck.samples = 20\n"
+    parse_config(text + "eps = 0.1")
+    csvs = []
+    for eps in ("0.1", "0.05"):
+        path = tmp_path / f"amp{eps}.cfg"
+        path.write_text(text + f"eps = {eps}\n")
+        out = tmp_path / f"amp{eps}.csv"
+        assert main(["homogenize", "--config", str(path), "--out", str(out)]) == 0
+        csvs.append(out.read_text())
+    assert csvs[0] == csvs[1]
+    for command in ("check", "simulate"):
+        assert main([command, "--config", str(tmp_path / "amp0.1.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert "family.alpha_amp" in err and "eps = 0.1" in err
 
 
 def test_duplicate_key_rejected():
@@ -140,12 +175,20 @@ def test_build_system_families(rng):
         assert np.abs(hf.rectification_residual(system, x)).max() < 1e-10
 
 
-def test_build_coefficients_twist_detects_constants():
-    cfg = parse_config("family.name = example31")
-    coeffs = build_coefficients(cfg)
-    assert coeffs.is_constant
-    assert np.allclose(coeffs.xi0, [1.0, 0.0])
-    assert coeffs.sigma0 == 1.0
+def test_build_coefficients_twist_detects_constants(monkeypatch):
+    # the identity limit map fixes them at every eps: no eps system is built
+    import homoflow.cli as cli_mod
+
+    def refuse(cfg, eps):
+        raise AssertionError("the twist limit coefficients need no eps system")
+
+    monkeypatch.setattr(cli_mod, "build_system", refuse)
+    for alpha in ("identity", "perturbed"):
+        cfg = parse_config(f"family.name = example31\nfamily.alpha_form = {alpha}")
+        coeffs = build_coefficients(cfg)
+        assert coeffs.is_constant
+        assert np.asarray(coeffs.xi0).tobytes() == np.array([1.0, 0.0]).tobytes()
+        assert coeffs.sigma0 == 1.0
 
 
 def test_run_check_identity_passes():

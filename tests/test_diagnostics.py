@@ -181,23 +181,22 @@ def test_space_resolution_honors_resolve_scale():
 # ---------------------------------------------------------------------------
 
 def test_report_requires_decreasing_eps():
-    entry = PhiConvergence(0, (1.0, 2.0), 0.0, (1.0, 0.5), 1.0, True)
+    entry = PhiConvergence(0, (1.0, 2.0), 0.0, (1.0, 0.5), 1.0)
     with pytest.raises(ValueError):
         ConvergenceReport("x", (0.1, 0.2), (entry,))
 
 
 def test_report_rejects_non_finite_errors():
-    entry = PhiConvergence(0, (1.0, 2.0), 0.0, (1.0, float("nan")), 1.0, True)
+    entry = PhiConvergence(0, (1.0, 2.0), 0.0, (1.0, float("nan")), 1.0)
     with pytest.raises(ValueError):
         ConvergenceReport("x", (0.2, 0.1), (entry,))
 
 
 def test_convergence_failure_is_data_not_exception():
-    growing = PhiConvergence(0, (1.0, 2.0), 0.0, (1.0, 2.0), -1.0, False)
+    growing = PhiConvergence(0, (1.0, 2.0), 0.0, (1.0, 2.0), -1.0)
     report = ConvergenceReport("x", (0.2, 0.1), (growing,))
-    assert not report.all_converged
-    shrinking = PhiConvergence(1, (1.0, 0.5), 0.0, (1.0, 0.5), 1.0, True)
-    assert shrinking.converged
+    assert report.entries[0].errors == (1.0, 2.0)
+    assert report.entries[0].fitted_rate < 0.0
 
 
 def test_sweep_identity_family_sits_at_quadrature_floor(unit_bump):
@@ -229,7 +228,7 @@ def test_sweep_shear_family_decreases(unit_bump):
                                   quad, cfg=CFG, label="shear")
     for entry in report.entries:
         assert entry.errors[1] < entry.errors[0]
-        assert entry.converged
+        assert entry.fitted_rate > 0.0
 
 
 def test_sweep_rejects_unsorted_eps(unit_bump):

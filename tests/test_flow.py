@@ -157,7 +157,7 @@ def test_flow_map_determinant_pinned_to_divergence_integral(rng):
     mapping = flow_map_diffeo(field, 1.0, CFG)
     x = rng.uniform(-2, 2, (30, 2))
     det_from_jac = np.linalg.det(mapping.jacobian(x))
-    pinned = mapping.det_at(x)
+    pinned = mapping.det(x)
     assert np.abs(det_from_jac - pinned).max() < 1e-8
     bound = np.exp(field.div_bound * 1.0)
     assert np.all(pinned <= bound + 1e-9)
@@ -171,10 +171,10 @@ def test_flow_map_of_one_unbatched_point():
     single = flow_map_diffeo(tanh_sine_velocity(), 1.0, CFG)
     batch = flow_map_diffeo(tanh_sine_velocity(), 1.0, CFG)
     jac = single.jacobian(point)
-    det = single.det_at(point)
+    det = single.det(point)
     assert jac.shape == (2, 2) and np.shape(det) == ()
     assert jac.tobytes() == batch.jacobian(point[None])[0].tobytes()
-    assert det.tobytes() == batch.det_at(point[None])[0].tobytes()
+    assert det.tobytes() == batch.det(point[None])[0].tobytes()
     assert not jac.flags.writeable
 
 
@@ -269,7 +269,7 @@ def test_memo_outputs_equal_direct_advect(rng, carried_batches):
     system = _oscillating_family()
     accessors = {
         "W.jacobian": (system.W.jacobian, lambda st: st.jac),
-        "W.det": (system.W.det_at, lambda st: np.exp(st.logdet)),
+        "W.det": (system.W.det, lambda st: np.exp(st.logdet)),
         "b.eval": (system.b.eval, lambda st: hf.rot_perp(st.jac[..., 1, :])),
         "theta.eval": (system.theta.eval, lambda st: np.exp(st.logdet)),
     }
