@@ -11,9 +11,9 @@ from .fields import (Curve, Diffeo, FieldError, InvalidCellError,
                      perturbed_identity_curve, rectification_residual,
                      rot_perp, shear_cell, sine_cell, sine_curve, theta_of,
                      zero_curve)
-from .flow import (AccuracyError, BlowupError, FamilyValidationError, FlowState,
-                   IntegratorConfig, advect, advect_times, dynamic_flow_family,
-                   flow_map_diffeo, semigroup_defect, validate_flow_family)
+from .flow import (AccuracyError, BlowupError, FlowState, IntegratorConfig,
+                   advect, advect_times, dynamic_flow_family, flow_map_diffeo,
+                   semigroup_defect, validate_flow_family)
 from .homogenize import (EffectiveCoefficients, InvalidCoefficientsError,
                          cell_average, constant_coefficients,
                          effective_from_cell, effective_from_limit_map)

@@ -249,6 +249,9 @@ class ConvergenceReport:
 
 
 def _fit_rate(eps: Sequence[float], errors: Sequence[float]) -> float:
+    # a slope needs two points: one eps has no rate
+    if len(eps) < 2:
+        return float("nan")
     errs = np.clip(np.asarray(errors, dtype=float), 1e-300, None)
     return float(np.polyfit(np.log(np.asarray(eps)), np.log(errs), 1)[0])
 

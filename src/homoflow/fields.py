@@ -457,25 +457,16 @@ def rectification_residual(system: RectifiedSystem, x: Array) -> Array:
 class Curve:
     """Scalar function of one variable with exact first/second derivatives.
 
-    ``jet`` optionally returns ``(eval(t), deriv(t))`` in one pass, sharing
-    the work the two have in common (``sine_curve`` forms its argument once
-    for both sin and cos); it must return the same bits as the two separate
-    calls.  ``unit_slope`` says that ``deriv`` is exactly 1.0 everywhere, so
-    a product with it may be left out, which is exact.  The twist family's
-    map and drift read both (and never write into the arrays a curve
-    returns); :func:`hyperbolic_twist_family` checks them on its probe.
+    ``unit_slope`` says that ``deriv`` is exactly 1.0 everywhere, so a
+    product with it may be left out, which is exact.  The twist family's
+    drift reads it (and never writes into the arrays a curve returns);
+    :func:`hyperbolic_twist_family` checks it on its probe.
     """
 
     eval: Callable[[Array], Array]
     deriv: Callable[[Array], Array]
     deriv2: Callable[[Array], Array] | None = None
-    jet: Callable[[Array], tuple[Array, Array]] | None = None
     unit_slope: bool = False
-
-    def value_and_slope(self, t: Array) -> tuple[Array, Array]:
-        if self.jet is not None:
-            return self.jet(t)
-        return self.eval(t), self.deriv(t)
 
 
 def identity_curve() -> Curve:
@@ -495,15 +486,9 @@ def sine_curve(amplitude: float, frequency: float) -> Curve:
     """t -> amplitude * sin(frequency * t)."""
     a, w = float(amplitude), float(frequency)
     aw = a * w
-
-    def jet(t):
-        u = w * np.asarray(t, dtype=float)
-        return a * np.sin(u), aw * np.cos(u)
-
     return Curve(lambda t: a * np.sin(w * np.asarray(t, dtype=float)),
                  lambda t: aw * np.cos(w * np.asarray(t, dtype=float)),
-                 lambda t: -a * w * w * np.sin(w * np.asarray(t, dtype=float)),
-                 jet=jet)
+                 lambda t: -a * w * w * np.sin(w * np.asarray(t, dtype=float)))
 
 
 def perturbed_identity_curve(amplitude: float) -> Curve:
@@ -532,13 +517,12 @@ def hyperbolic_twist_family(alpha: Curve, beta: Curve, eps: float,
     The eps -> 0 limits of the profiles are the identity (alpha) and zero
     (beta), as for the canonical instances, so the limit map is the identity.
 
-    The drift is evaluated in one closed-form pass over the profiles' jets
-    (see :class:`Curve`) that returns, bit for bit, what the formula
+    The drift is evaluated in one closed-form pass over the profiles'
+    ``eval`` and ``deriv`` that returns, bit for bit, what the formula
     b = ((e^{-B} a'(x2))(1 - p beta'(p)), ((e^{-B} a'(x1)) a(x2)^2) beta'(p)),
     p = a(x1) a(x2), gives term by term: every floating-point operation stays
-    the same and in the same order.  A profile whose ``jet`` or
-    ``unit_slope`` disagrees with ``eval``/``deriv`` on the probe t in
-    [-10, 10] is refused.
+    the same and in the same order.  A profile whose ``unit_slope`` claim
+    disagrees with its ``deriv`` on the probe t in [-10, 10] is refused.
     """
     if alpha.deriv2 is None or beta.deriv2 is None:
         raise InvalidFamilyError("twist family profiles need exact second derivatives")
@@ -548,10 +532,6 @@ def hyperbolic_twist_family(alpha: Curve, beta: Curve, eps: float,
         raise InvalidFamilyError(
             f"alpha' must stay positive; found {ap.min():.3g} at t={probe[np.argmin(ap)]:.3g}")
     for name, curve in (("alpha", alpha), ("beta", beta)):
-        value, slope = curve.value_and_slope(probe)
-        if (np.asarray(value).tobytes() != curve.eval(probe).tobytes()
-                or np.asarray(slope).tobytes() != curve.deriv(probe).tobytes()):
-            raise InvalidFamilyError(f"{name}'s jet disagrees with its eval/deriv")
         if curve.unit_slope and not np.all(curve.deriv(probe) == 1.0):
             raise InvalidFamilyError(f"{name} claims a unit slope its deriv does not have")
     return RectifiedSystem(
@@ -563,11 +543,10 @@ def hyperbolic_twist_family(alpha: Curve, beta: Curve, eps: float,
 
 
 def _twist_pieces(alpha: Curve, beta: Curve, x: Array):
-    a1, d1 = alpha.value_and_slope(x[..., 0])
-    a2, d2 = alpha.value_and_slope(x[..., 1])
+    x1, x2 = x[..., 0], x[..., 1]
+    a1, a2 = alpha.eval(x1), alpha.eval(x2)
     p = a1 * a2
-    bb, bp = beta.value_and_slope(p)
-    return a1, a2, d1, d2, p, bb, bp
+    return a1, a2, alpha.deriv(x1), alpha.deriv(x2), p, beta.eval(p), beta.deriv(p)
 
 
 def _twist_map(alpha: Curve, beta: Curve) -> Diffeo:
@@ -596,15 +575,13 @@ def _twist_drift(alpha: Curve, beta: Curve) -> VectorField:
         # (a2 * a2 for a2**2, a unit slope left out), so the bits are the
         # formula's.
         x = as_points(x, 2)
-        if alpha.unit_slope:
-            a1, a2 = alpha.eval(x[..., 0]), alpha.eval(x[..., 1])
-        else:
-            a1, d1 = alpha.value_and_slope(x[..., 0])
-            a2, d2 = alpha.value_and_slope(x[..., 1])
+        x1, x2 = x[..., 0], x[..., 1]
+        a1, a2 = alpha.eval(x1), alpha.eval(x2)
         p = a1 * a2
-        bb, bp = beta.value_and_slope(p)
+        bb, bp = beta.eval(p), beta.deriv(p)
         em = np.exp(-bb)
-        em_d1, em_d2 = (em, em) if alpha.unit_slope else (em * d1, em * d2)
+        em_d1, em_d2 = ((em, em) if alpha.unit_slope
+                        else (em * alpha.deriv(x1), em * alpha.deriv(x2)))
         out = np.empty(x.shape)
         np.multiply(em_d2, 1.0 - p * bp, out=out[..., 0])
         np.multiply(em_d1 * (a2 * a2), bp, out=out[..., 1])
@@ -800,12 +777,10 @@ def shear_cell(gamma: float) -> PeriodicCellMap:
     return sine_cell(np.eye(2), 0.0, gamma)
 
 
-def _cell_sigma_grad(cell: PeriodicCellMap, y: Array) -> Array:
-    # Jacobi's formula: d_k det(J) = det(J) * tr(J^{-1} dJ/dy_k)
-    J = cell.jacobian(y)
-    det = np.linalg.det(J)
-    Jinv = np.linalg.inv(J)
-    return det[..., None] * np.einsum("...ji,...ijk->...k", Jinv, cell.hessians(y))
+def _cell_sigma_grad(J: Array, det: Array, H: Array) -> Array:
+    # Jacobi's formula: d_k det(J) = det(J) * tr(J^{-1} dJ/dy_k), from the
+    # cell Jacobian J, its np.linalg.det and the cell Hessians H at one batch
+    return det[..., None] * np.einsum("...ji,...ijk->...k", np.linalg.inv(J), H)
 
 
 def periodic_family(cell: PeriodicCellMap, eps: float,
@@ -856,7 +831,9 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
 
     def sig_gr(x):
         x = as_points(x, dim)
-        return _cell_sigma_grad(cell, x / eps) / eps
+        y = x / eps
+        J = cell.jacobian(y)
+        return _cell_sigma_grad(J, np.linalg.det(J), cell.hessians(y)) / eps
 
     sigma = (ScalarField(dim, sig_ev, sig_gr) if have_hess
              else fd_scalar_field(dim, sig_ev))
@@ -871,16 +848,18 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
         y = x / eps
         J = cell.jacobian(y)
         H = cell.hessians(y)
+        s = np.linalg.det(J)
         du = _cross_jacobian([J[..., k, :] for k in range(1, dim)],
                              [H[..., k, :, :] for k in range(1, dim)])
-        return _quotient_jacobian(jacobian_flux(J), du, np.linalg.det(J),
-                                  _cell_sigma_grad(cell, y)) / eps
+        return _quotient_jacobian(jacobian_flux(J), du, s,
+                                  _cell_sigma_grad(J, s, H)) / eps
 
     def b_div(x):
         x = as_points(x, dim)
         y = x / eps
-        s = np.linalg.det(cell.jacobian(y))
-        return -np.einsum("...i,...i->...", _cell_sigma_grad(cell, y),
+        J = cell.jacobian(y)
+        s = np.linalg.det(J)
+        return -np.einsum("...i,...i->...", _cell_sigma_grad(J, s, cell.hessians(y)),
                           cell_drift(y)) / (s * eps)
 
     b_grid = cell_drift(grid)

@@ -11,17 +11,16 @@ The two are propagated independently on purpose: their agreement is a
 cross-check, not a tautology.
 
 Each integration call is pure; trajectories for distinct starting batches may
-run concurrently.  Flow-map systems (:func:`flow_map_diffeo`,
-:func:`dynamic_flow_family`) keep a single-entry memo of the last carried
-integration, keyed by the exact bytes of the point batch, so the Jacobian,
-determinant, drift and theta of one batch share one integration.  The arrays
-of a memoized state are read-only.
+run concurrently.  A flow map (:func:`flow_map_diffeo`, which
+:func:`dynamic_flow_family` builds on) keeps a single-entry memo of the last
+carried integration, keyed by the exact bytes of the point batch, so the
+Jacobian, determinant, drift and theta of one batch share one integration.
+The arrays of a memoized state are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -45,10 +44,6 @@ class BlowupError(RuntimeError):
 
 class AccuracyError(RuntimeError):
     """Richardson re-run at h/2 disagreed beyond the configured tolerance."""
-
-
-class FamilyValidationError(ValueError):
-    """Sampled hypotheses of the dynamic-flow construction failed."""
 
 
 @dataclass(frozen=True)
@@ -218,16 +213,24 @@ def semigroup_defect(field: VectorField, s: float, t: float, x,
     return np.linalg.norm(direct - staged, axis=-1)
 
 
-def _carried_flow(field: VectorField, t: float,
-                  cfg: IntegratorConfig) -> Callable[[Array], FlowState]:
-    """``advect(field, x, t, cfg, carry_jacobian=True)`` remembering its last batch.
+def flow_map_diffeo(field: VectorField, t: float,
+                    cfg: IntegratorConfig = IntegratorConfig()) -> Diffeo:
+    """The time-t flow map as a diffeomorphism with propagated Jacobian.
 
-    The key is the exact bytes of the batch (shape, dtype, contents), so
-    ``-0.0`` and ``+0.0`` are distinct and an input mutated in place misses.
-    The stored arrays are made read-only: a caller's in-place write raises
-    instead of corrupting later hits.  A failed integration (blow-up, or the
-    Richardson guard) leaves the previous entry in place.
+    Its determinant is pinned to exp of the integrated divergence, which for
+    fields with bounded |field| + |div field| stays inside fixed positive
+    bounds no matter how strongly the field oscillates.
+
+    ``jacobian`` and ``det`` share one carried integration per point batch:
+    the map remembers the last batch it integrated, keyed by the exact bytes
+    of the batch (shape, dtype, contents), so ``-0.0`` and ``+0.0`` are
+    distinct and an input mutated in place misses.  The remembered arrays are
+    read-only: a caller's in-place write into the Jacobian raises instead of
+    corrupting later hits.  A failed integration (blow-up, or the Richardson
+    guard) leaves the previous entry in place.  ``eval`` integrates positions
+    only and is not memoized.
     """
+    t = float(t)
     memo: tuple | None = None
 
     def state(x) -> FlowState:
@@ -245,38 +248,9 @@ def _carried_flow(field: VectorField, t: float,
         memo = (key, st)
         return st
 
-    return state
-
-
-def _flow_map(field: VectorField, t: float, cfg: IntegratorConfig,
-              state: Callable[[Array], FlowState]) -> Diffeo:
-    def ev(x):
-        return advect(field, x, t, cfg).pos
-
-    def jac(x):
-        return state(x).jac
-
-    def det(x):
-        return np.exp(state(x).logdet)
-
-    return Diffeo(field.dim, ev, jac, det=det, exact=False)
-
-
-def flow_map_diffeo(field: VectorField, t: float,
-                    cfg: IntegratorConfig = IntegratorConfig()) -> Diffeo:
-    """The time-t flow map as a diffeomorphism with propagated Jacobian.
-
-    Its determinant is pinned to exp of the integrated divergence, which for
-    fields with bounded |field| + |div field| stays inside fixed positive
-    bounds no matter how strongly the field oscillates.
-
-    ``jacobian`` and ``det`` share one carried integration per point batch:
-    the map remembers the last batch it integrated, and the Jacobian it
-    returns is a read-only array.  ``eval`` integrates positions only and is
-    not memoized.
-    """
-    t = float(t)
-    return _flow_map(field, t, cfg, _carried_flow(field, t, cfg))
+    return Diffeo(field.dim, lambda x: advect(field, x, t, cfg).pos,
+                  lambda x: state(x).jac, det=lambda x: np.exp(state(x).logdet),
+                  exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +300,6 @@ def validate_flow_family(a_eps: VectorField, limit_a: VectorField,
 
 def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
                         eps: float, cfg: IntegratorConfig = IntegratorConfig(),
-                        validation_points: Array | None = None,
-                        amplitude_bound: float | None = None,
-                        div_tol: float | None = None,
                         label: str = "dynamic") -> RectifiedSystem:
     """Rectified system whose straightening map is the time-t_star flow of a_eps.
 
@@ -339,37 +310,22 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
     evaluated through the Liouville exponential.  Limit data comes from the
     flow of ``limit_a``.
 
-    ``W.jacobian``, ``W.det``, ``b.eval`` and ``theta.eval`` read one memoized
-    carried integration of ``a_eps`` (``limit_W`` and ``limit_theta`` one of
-    ``limit_a``), which keeps only the last point batch: calling them on the
-    same points integrates once.  ``W.jacobian`` returns a read-only array.
-
-    When ``validation_points`` is given the sampled hypotheses are enforced:
-    exceeding ``amplitude_bound`` or ``div_tol`` (both optional) raises
-    :class:`FamilyValidationError` with the offending sample.
+    ``W = flow_map_diffeo(a_eps, t_star, cfg)``, so ``W.jacobian``, ``W.det``,
+    ``b.eval`` and ``theta.eval`` read its one memoized carried integration
+    (``limit_W`` and ``limit_theta`` that of ``limit_a``), which keeps only
+    the last point batch: calling them on the same points integrates once.
+    ``W.jacobian`` returns a read-only array.  The sampled hypotheses are not
+    checked here; :func:`validate_flow_family` reports them.
     """
     dim = a_eps.dim
     if limit_a.dim != dim:
         raise FieldError(f"dimension mismatch: {dim} vs {limit_a.dim}")
     t_star = float(t_star)
-
-    if validation_points is not None:
-        report = validate_flow_family(a_eps, limit_a, validation_points)
-        if amplitude_bound is not None and report.max_amplitude > amplitude_bound:
-            raise FamilyValidationError(
-                f"|a| + |div a| reaches {report.max_amplitude:.4g} > {amplitude_bound:.4g}"
-                f" at {report.worst_amplitude_point}")
-        if div_tol is not None and report.div_gap_lq > div_tol:
-            raise FamilyValidationError(
-                f"divergence mismatch {report.div_gap_lq:.4g} > {div_tol:.4g}"
-                f" (worst sample {report.worst_div_point})")
-
-    state = _carried_flow(a_eps, t_star, cfg)
-    W = _flow_map(a_eps, t_star, cfg, state)
+    W = flow_map_diffeo(a_eps, t_star, cfg)
     limit_W = flow_map_diffeo(limit_a, t_star, cfg)
 
     def b_ev(x):
-        return jacobian_flux(state(x).jac)
+        return jacobian_flux(W.jacobian(x))
 
     b = fd_vector_field(dim, b_ev, zeros(dim), FLOW_FD_STEP, div_bound=0.0)
 

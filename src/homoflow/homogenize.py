@@ -97,14 +97,13 @@ def cell_average(f: Callable[[Array], Array], dim: int, m: int = 64):
     return vals.mean(axis=0)
 
 
-def effective_from_cell(cell: PeriodicCellMap, m: int = 64,
-                        max_resolution: int = 1024) -> EffectiveCoefficients:
+def effective_from_cell(cell: PeriodicCellMap, m: int = 64) -> EffectiveCoefficients:
     """Cell-average coefficients sigma0 = <det DW>, xi0 = <sigma b>.
 
     The determinant is quasi-affine, so <det DW> must equal det(M) for the
     affine part M; the residual of that identity is the resolution check.
     Resolution doubles from ``m`` until the residual drops to 1e-10 or the
-    resolution reaches ``max_resolution``; if the residual still exceeds
+    resolution reaches 1024; if the residual still exceeds
     1e-8 a :class:`ResolutionWarning` is emitted.
     """
     dim = cell.dim
@@ -116,7 +115,7 @@ def effective_from_cell(cell: PeriodicCellMap, m: int = 64,
         xi0 = np.asarray(cell_average(lambda y: jacobian_flux(cell.jacobian(y)), dim, res),
                          dtype=float)
         residual = abs(det_m - sigma0)
-        if residual <= 1e-10 or res >= max_resolution:
+        if residual <= 1e-10 or res >= 1024:
             break
         res *= 2
     if residual > 1e-8:

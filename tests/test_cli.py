@@ -1,6 +1,7 @@
 """Config grammar, runners, CSV schema, determinism, exit codes."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,22 @@ def test_sweep_is_byte_deterministic():
     a = run_sweep(parse_config(FAST_SWEEP))[1]
     b = run_sweep(parse_config(FAST_SWEEP))[1]
     assert a == b
+
+
+def test_one_eps_sweep_writes_no_rate(tmp_path):
+    # a rate is a slope through two or more eps; one eps has none, and
+    # fitting a line through one point would warn and make one up
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(FAST_SWEEP.replace("deltagamma", "shear")
+                   .replace("sweep.eps = 0.4,0.2", "sweep.eps = 0.4"))
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert not [w for w in caught if issubclass(w.category, np.exceptions.RankWarning)]
+    rows = [r.split(",") for r in out.read_text().strip().split("\n")[2:]]
+    assert len(rows) == 2  # 1 eps x 2 phis
+    assert all(r[7] == "nan" for r in rows)
 
 
 # the acceptance criterion-11 sweep size

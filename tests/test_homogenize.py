@@ -82,20 +82,23 @@ def test_effective_anisotropic_affine_part():
 
 
 def test_effective_from_cell_warns_when_unresolved():
-    # a high-frequency cell the 8-point grid cannot represent
+    # a frequency-1024 cell: every grid up to the largest resolution, 1024,
+    # samples its cosine at 1 only, so <det DW> reads 1.5 against det M = 1
+    w = 2 * np.pi * 1024
+
     def ev(y):
-        return np.stack([np.sin(32 * np.pi * y[..., 0]) / (32 * np.pi),
+        return np.stack([np.sin(w * y[..., 0]) / w,
                          np.zeros(y.shape[:-1])], axis=-1) * 0.5
 
     def jac(y):
         z = np.zeros(y.shape[:-1])
-        return np.stack([np.stack([0.5 * np.cos(32 * np.pi * y[..., 0]), z], axis=-1),
+        return np.stack([np.stack([0.5 * np.cos(w * y[..., 0]), z], axis=-1),
                          np.stack([z, z], axis=-1)], axis=-2)
 
-    part = hf.VectorField(2, ev, jac, lambda y: 0.5 * np.cos(32 * np.pi * y[..., 0]))
+    part = hf.VectorField(2, ev, jac, lambda y: 0.5 * np.cos(w * y[..., 0]))
     cell = hf.PeriodicCellMap(2, np.eye(2), part, None)
-    with pytest.warns(ResolutionWarning):
-        hf.effective_from_cell(cell, m=8, max_resolution=8)
+    with pytest.warns(ResolutionWarning, match="resolution 1024"):
+        hf.effective_from_cell(cell, m=8)
 
 
 def test_cell_average_coefficients_must_be_constant():

@@ -58,13 +58,3 @@ def test_twist_drift_matches_the_formula_bit_for_bit(profiles, k, m, data):
         assert got.tobytes() == want.tobytes()
     # the input is left as it was
     assert np.array(flat).reshape(k, m, 2).tobytes() == x.tobytes()
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(twist_profiles(), st.lists(_COORD, min_size=1, max_size=40))
-def test_curve_jets_match_eval_and_deriv(profiles, ts):
-    t = np.array(ts)
-    for curve in profiles[:2]:
-        value, slope = curve.value_and_slope(t)
-        assert np.asarray(value).tobytes() == curve.eval(t).tobytes()
-        assert np.asarray(slope).tobytes() == curve.deriv(t).tobytes()
