@@ -7,10 +7,9 @@ from .fields import (Curve, Diffeo, FieldError, InvalidCellError,
                      constant_scalar, constant_vector, coordinate_scalar,
                      cross_product, deltagamma_cell, drift_from_streamfields,
                      hyperbolic_twist_family, identity_cell, identity_curve,
-                     identity_diffeo, jacobian_flux, periodic_family,
-                     perturbed_identity_curve, rectification_residual,
-                     rot_perp, shear_cell, sine_cell, sine_curve, theta_of,
-                     zero_curve)
+                     jacobian_flux, periodic_family, perturbed_identity_curve,
+                     rectification_residual, rot_perp, shear_cell, sine_cell,
+                     sine_curve, theta_of, zero_curve)
 from .flow import (AccuracyError, BlowupError, FlowState, IntegratorConfig,
                    advect, advect_times, dynamic_flow_family, flow_map_diffeo,
                    semigroup_defect, validate_flow_family)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import (SpacetimeQuad, TestFunction, convergence_sweep,
                           default_dictionary, invariant_suite, strong_l2_error)
-from .fields import (Curve, FieldError, RectifiedSystem, deltagamma_cell,
+from .fields import (FieldError, RectifiedSystem, deltagamma_cell,
                      hyperbolic_twist_family, identity_cell, identity_curve,
                      periodic_family, perturbed_identity_curve, shear_cell,
                      sine_cell, sine_curve, zero_curve)
@@ -254,7 +254,10 @@ def _build_cell(cfg: ExperimentConfig):
     return None
 
 
-def _twist_curves(cfg: ExperimentConfig, eps: float) -> tuple[Curve, Curve]:
+def build_system(cfg: ExperimentConfig, eps: float) -> RectifiedSystem:
+    cell = _build_cell(cfg)
+    if cell is not None:
+        return periodic_family(cell, eps, label=cfg.family)
     if cfg.alpha_form == "perturbed":
         alpha = perturbed_identity_curve(cfg.alpha_amp * eps)
     else:
@@ -263,14 +266,6 @@ def _twist_curves(cfg: ExperimentConfig, eps: float) -> tuple[Curve, Curve]:
         beta = zero_curve()
     else:
         beta = sine_curve(cfg.beta_amp * eps, 1.0 / eps)
-    return alpha, beta
-
-
-def build_system(cfg: ExperimentConfig, eps: float) -> RectifiedSystem:
-    cell = _build_cell(cfg)
-    if cell is not None:
-        return periodic_family(cell, eps, label=cfg.family)
-    alpha, beta = _twist_curves(cfg, eps)
     return hyperbolic_twist_family(alpha, beta, eps, label=cfg.family)
 
 
@@ -443,11 +438,12 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
 # entry point
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "check": run_check,
-    "simulate": run_simulate,
-    "homogenize": run_homogenize,
-    "sweep": run_sweep,
+# subcommand -> (runner, --help text)
+_COMMANDS = {
+    "check": (run_check, "run the invariant suite on one system"),
+    "simulate": (run_simulate, "sample one oscillating solution on a grid"),
+    "homogenize": (run_homogenize, "compute effective coefficients"),
+    "sweep": (run_sweep, "weak/strong convergence table over an eps list"),
 }
 
 _CONFIG_HELP = "\n".join(f"  {k} (default: {v!r})" for k, v in _DEFAULTS.items())
@@ -460,11 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         epilog="config keys:\n" + _CONFIG_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("check", "run the invariant suite on one system"),
-            ("simulate", "sample one oscillating solution on a grid"),
-            ("homogenize", "compute effective coefficients"),
-            ("sweep", "weak/strong convergence table over an eps list")):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", default=None, help="CSV output path (default: config 'output' key or stdout)")
@@ -477,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = parse_config(text)
-        code, csv = _RUNNERS[args.command](cfg)
+        code, csv = _COMMANDS[args.command][0](cfg)
     except (ConfigError, FieldError, InvalidCoefficientsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -372,13 +372,12 @@ def invariant_suite(system: RectifiedSystem, sample_box: Box | None = None,
     checks.append(InvariantCheck("theta-positive", th_res, 0.0,
                                  bool(np.all(th > 0.0))))
 
+    bv = system.b.eval(pts)
     if dim == 2:
-        bv = system.b.eval(pts)
         div_flux = (np.einsum("...i,...i->...", system.sigma.grad(pts), bv)
                     + sig * np.trace(system.b.jacobian(pts), axis1=-2, axis2=-1))
         checks.append(_mk("weighted-drift-divergence", float(np.abs(div_flux).max()), tol))
     else:
-        bv = system.b.eval(pts)
         flux = sig[..., None] * bv
         rows = [jw[..., k, :] for k in range(1, dim)]
         worst = 0.0

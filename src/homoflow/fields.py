@@ -204,13 +204,6 @@ def constant_vector(dim: int, value) -> VectorField:
                        sup_bound=float(np.linalg.norm(v)), div_bound=0.0)
 
 
-def identity_diffeo(dim: int) -> Diffeo:
-    def ev(x):
-        return as_points(x, dim).copy()
-
-    return Diffeo(dim, ev, constant(dim, np.eye(dim)))
-
-
 def affine_diffeo(matrix) -> Diffeo:
     """x -> M x with det(M) > 0."""
     M = np.asarray(matrix, dtype=float)
@@ -230,11 +223,6 @@ def affine_diffeo(matrix) -> Diffeo:
 # ---------------------------------------------------------------------------
 # finite-difference fallbacks (flagged approximate) and vanishing derivatives
 # ---------------------------------------------------------------------------
-
-def fd_gradient(f: Callable[[Array], Array], x: Array, scale: float = FD_STEP) -> Array:
-    """Central-difference gradient of a scalar function, one batched call."""
-    return fd_jacobian(lambda y: f(y)[..., None], x, scale)[..., 0, :]
-
 
 def fd_jacobian(f: Callable[[Array], Array], x: Array, scale: float = FD_STEP) -> Array:
     """Central-difference Jacobian of a vector function, one batched call,
@@ -274,7 +262,7 @@ def fd_scalar_field(dim: int, ev: Callable[[Array], Array],
                     scale: float = FD_STEP) -> ScalarField:
     """Approximate scalar field whose gradient is central differences of ``ev``."""
     def grad(x):
-        return fd_gradient(ev, as_points(x, dim), scale)
+        return fd_jacobian(lambda y: ev(y)[..., None], as_points(x, dim), scale)[..., 0, :]
 
     return ScalarField(dim, ev, grad, exact=False)
 
@@ -457,15 +445,16 @@ def rectification_residual(system: RectifiedSystem, x: Array) -> Array:
 class Curve:
     """Scalar function of one variable with exact first/second derivatives.
 
-    ``unit_slope`` says that ``deriv`` is exactly 1.0 everywhere, so a
-    product with it may be left out, which is exact.  The twist family's
-    drift reads it (and never writes into the arrays a curve returns);
-    :func:`hyperbolic_twist_family` checks it on its probe.
+    ``deriv2`` has no default: the twist family's drift Jacobian and theta
+    gradient read it.  ``unit_slope`` says that ``deriv`` is exactly 1.0
+    everywhere, so a product with it may be left out, which is exact.  The
+    twist family's drift reads it (and never writes into the arrays a curve
+    returns); :func:`hyperbolic_twist_family` checks it on its probe.
     """
 
     eval: Callable[[Array], Array]
     deriv: Callable[[Array], Array]
-    deriv2: Callable[[Array], Array] | None = None
+    deriv2: Callable[[Array], Array]
     unit_slope: bool = False
 
 
@@ -524,8 +513,6 @@ def hyperbolic_twist_family(alpha: Curve, beta: Curve, eps: float,
     the same and in the same order.  A profile whose ``unit_slope`` claim
     disagrees with its ``deriv`` on the probe t in [-10, 10] is refused.
     """
-    if alpha.deriv2 is None or beta.deriv2 is None:
-        raise InvalidFamilyError("twist family profiles need exact second derivatives")
     probe = np.linspace(-10.0, 10.0, 2001)
     ap = alpha.deriv(probe)
     if np.any(ap <= 0.0):
@@ -552,8 +539,8 @@ def _twist_pieces(alpha: Curve, beta: Curve, x: Array):
 def _twist_map(alpha: Curve, beta: Curve) -> Diffeo:
     def ev(x):
         x = as_points(x, 2)
-        a1, a2, _, _, _, bb, _ = _twist_pieces(alpha, beta, x)
-        e = np.exp(bb)
+        a1, a2 = alpha.eval(x[..., 0]), alpha.eval(x[..., 1])
+        e = np.exp(beta.eval(a1 * a2))
         return np.stack([a1 * e, a2 / e], axis=-1)
 
     def jac(x):
@@ -777,12 +764,6 @@ def shear_cell(gamma: float) -> PeriodicCellMap:
     return sine_cell(np.eye(2), 0.0, gamma)
 
 
-def _cell_sigma_grad(J: Array, det: Array, H: Array) -> Array:
-    # Jacobi's formula: d_k det(J) = det(J) * tr(J^{-1} dJ/dy_k), from the
-    # cell Jacobian J, its np.linalg.det and the cell Hessians H at one batch
-    return det[..., None] * np.einsum("...ji,...ijk->...k", np.linalg.inv(J), H)
-
-
 def periodic_family(cell: PeriodicCellMap, eps: float,
                     label: str = "periodic") -> RectifiedSystem:
     """Rescaled system W(x) = eps * cell(x/eps), drift b(x) = b_cell(x/eps).
@@ -812,7 +793,8 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
     have_hess = cell.hessians is not None
 
     if dim == 2:
-        # hot path for trajectory integration: inline det
+        # sigma.eval (the pairings' weight) and the generic drift keep this
+        # inline det: np.linalg.det's last bits differ, and these are pinned
         def cell_det(J):
             return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     else:
@@ -824,16 +806,24 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
 
     cell_drift = cell.drift or generic_drift
 
+    def jets(x):
+        # one cell jet per batch: y = x/eps, the cell Jacobian J and Hessians
+        # H, s = np.linalg.det(J) and grad s by Jacobi's formula,
+        # d_k det(J) = det(J) * tr(J^{-1} dJ/dy_k)
+        y = as_points(x, dim) / eps
+        J = cell.jacobian(y)
+        H = cell.hessians(y)
+        s = np.linalg.det(J)
+        grad_s = s[..., None] * np.einsum("...ji,...ijk->...k", np.linalg.inv(J), H)
+        return y, J, H, s, grad_s
+
     # -- sigma ------------------------------------------------------------
     def sig_ev(x):
         x = as_points(x, dim)
         return cell_det(cell.jacobian(x / eps))
 
     def sig_gr(x):
-        x = as_points(x, dim)
-        y = x / eps
-        J = cell.jacobian(y)
-        return _cell_sigma_grad(J, np.linalg.det(J), cell.hessians(y)) / eps
+        return jets(x)[4] / eps
 
     sigma = (ScalarField(dim, sig_ev, sig_gr) if have_hess
              else fd_scalar_field(dim, sig_ev))
@@ -844,23 +834,14 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
         return cell_drift(x / eps)
 
     def b_jac(x):
-        x = as_points(x, dim)
-        y = x / eps
-        J = cell.jacobian(y)
-        H = cell.hessians(y)
-        s = np.linalg.det(J)
+        _, J, H, s, grad_s = jets(x)
         du = _cross_jacobian([J[..., k, :] for k in range(1, dim)],
                              [H[..., k, :, :] for k in range(1, dim)])
-        return _quotient_jacobian(jacobian_flux(J), du, s,
-                                  _cell_sigma_grad(J, s, H)) / eps
+        return _quotient_jacobian(jacobian_flux(J), du, s, grad_s) / eps
 
     def b_div(x):
-        x = as_points(x, dim)
-        y = x / eps
-        J = cell.jacobian(y)
-        s = np.linalg.det(J)
-        return -np.einsum("...i,...i->...", _cell_sigma_grad(J, s, cell.hessians(y)),
-                          cell_drift(y)) / (s * eps)
+        y, _, _, s, grad_s = jets(x)
+        return -np.einsum("...i,...i->...", grad_s, cell_drift(y)) / (s * eps)
 
     b_grid = cell_drift(grid)
     if cell.drift is not None and b_grid.tobytes() != generic_drift(grid).tobytes():

@@ -149,8 +149,6 @@ def _snapshots(field: VectorField, x0, times: list[float], h: float,
             keep = horizon >= rank
             horizon = horizon[keep]
             pos = pos[keep]
-            if carry:
-                jac, logdet = jac[keep], logdet[keep]
         t_next = times[idx]
         span = t_next - t_cur
         if span != 0.0:
@@ -183,6 +181,7 @@ def advect_times(field: VectorField, x0, times,
     rank k holds, in batch order, just the points whose horizon is k or
     later; a point whose horizon is below 0 is not integrated at all.  A
     point's values do not depend on which other points share its batch.
+    Horizons serve position-only passes: ``carry_jacobian`` refuses them.
     """
     times = [float(t) for t in times]
     if not times:
@@ -192,8 +191,9 @@ def advect_times(field: VectorField, x0, times,
         raise ValueError("snapshot times must not straddle t = 0")
     if horizon is not None:
         horizon = np.asarray(horizon)
-        if np.ndim(x0) != 2 or horizon.shape != np.shape(x0)[:1]:
-            raise ValueError("horizon needs an (n, N) batch and n entries")
+        if carry_jacobian or np.ndim(x0) != 2 or horizon.shape != np.shape(x0)[:1]:
+            raise ValueError("horizon needs an (n, N) batch, n entries and no"
+                             " carry_jacobian")
     states = _snapshots(field, x0, times, cfg.h, carry_jacobian, horizon)
     if cfg.richardson_check:
         fine = _snapshots(field, x0, times, cfg.h / 2.0, False, horizon)

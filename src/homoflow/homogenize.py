@@ -112,12 +112,12 @@ def effective_from_cell(cell: PeriodicCellMap, m: int = 64) -> EffectiveCoeffici
     res = m
     while True:
         sigma0 = float(cell_average(lambda y: np.linalg.det(cell.jacobian(y)), dim, res))
-        xi0 = np.asarray(cell_average(lambda y: jacobian_flux(cell.jacobian(y)), dim, res),
-                         dtype=float)
         residual = abs(det_m - sigma0)
         if residual <= 1e-10 or res >= 1024:
             break
         res *= 2
+    xi0 = np.asarray(cell_average(lambda y: jacobian_flux(cell.jacobian(y)), dim, res),
+                     dtype=float)
     if residual > 1e-8:
         warnings.warn(
             f"quasi-affinity residual {residual:.3e} at resolution {res};"

@@ -81,10 +81,6 @@ class Box:
         c = np.asarray(center, dtype=float)
         return cls(c - radius, c + radius)
 
-    def contains_ball(self, center, radius: float) -> bool:
-        c = np.asarray(center, dtype=float)
-        return bool(np.all(c - radius >= self.lo) and np.all(c + radius <= self.hi))
-
     def midpoint_grid(self, m) -> tuple[Array, float]:
         """Tensor midpoint nodes (row-major flattened) and the cell volume."""
         ms = np.broadcast_to(np.asarray(m, dtype=int), (self.dim,))
@@ -163,7 +159,8 @@ class SolutionSampler:
     a boolean array of that shape, marks the samples the caller reads: the
     others are +0.0, and points are integrated only while some later time
     needs them.  ``eval`` is ``eval_times`` at one time.  ``drift_sup``
-    (when known) feeds the domain-of-dependence check.
+    (when known) bounds the drift's speed; :func:`lp_norm` sizes its
+    domain-of-dependence check from it.
     """
 
     dim: int
@@ -173,11 +170,6 @@ class SolutionSampler:
 
     def eval(self, t: float, x: Array) -> Array:
         return self.eval_times(np.array([float(t)]), x)[0]
-
-    def required_radius(self, t: float) -> float | None:
-        if self.drift_sup is None:
-            return None
-        return self.u0.support_radius + abs(float(t)) * self.drift_sup
 
 
 def _reach(b: VectorField, u0: InitialDatum, cfg: IntegratorConfig,
@@ -287,17 +279,19 @@ def lp_norm(sampler: SolutionSampler, t: float, p: float, box: Box,
     """Tensor-midpoint approximation of the Lp(box) norm at time t.
 
     Exact truncation requires the box to contain the time-t domain of
-    dependence (support radius plus travel distance); when the sampler knows
-    its drift bound and the box is too small a :class:`TruncationWarning`
-    names the radius that would be needed.
+    dependence.  When the sampler knows ``drift_sup``, a box missing the ball
+    of radius r0 + |t| drift_sup around the datum's center (r0 its support
+    radius) gets a :class:`TruncationWarning` naming that radius.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie strictly between 1 and infinity")
-    need = sampler.required_radius(t)
-    if need is not None and not box.contains_ball(sampler.u0.center, need):
-        warnings.warn(
-            f"box may clip the solution: need the ball of radius {need:.4g}"
-            f" around {sampler.u0.center}", TruncationWarning)
+    if sampler.drift_sup is not None:
+        need = sampler.u0.support_radius + abs(float(t)) * sampler.drift_sup
+        c = np.asarray(sampler.u0.center, dtype=float)
+        if not (np.all(c - need >= box.lo) and np.all(c + need <= box.hi)):
+            warnings.warn(
+                f"box may clip the solution: need the ball of radius {need:.4g}"
+                f" around {sampler.u0.center}", TruncationWarning)
     pts, vol = box.midpoint_grid(resolution)
     vals = sampler.eval(t, pts)
     return float((np.sum(np.abs(vals) ** p) * vol) ** (1.0 / p))

@@ -234,9 +234,9 @@ def test_twist_rejects_nonincreasing_alpha():
 
 
 def test_twist_requires_second_derivatives():
-    alpha = hf.Curve(lambda t: np.asarray(t, float), lambda t: np.ones_like(np.asarray(t, float)))
-    with pytest.raises(hf.InvalidFamilyError):
-        hf.hyperbolic_twist_family(alpha, hf.zero_curve(), 0.1)
+    # a curve without deriv2 cannot be built, so no family meets one
+    with pytest.raises(TypeError):
+        hf.Curve(lambda t: np.asarray(t, float), lambda t: np.ones_like(np.asarray(t, float)))
 
 
 def test_twist_refuses_profiles_whose_unit_slope_is_wrong():
@@ -521,7 +521,9 @@ def _digest(a):
 def _fallback_outputs():
     """Every derivative a field takes from central differences, or that
     vanishes identically, at fixed points (half of them with |x| > 1, where
-    the step grows with |x|)."""
+    the step grows with |x|); and the exact derivatives of Hessian-carrying
+    periodic members and the twist map's values, which share their inputs
+    between formulas."""
     points = np.random.default_rng(2024)
     x2, x3 = points.uniform(-2, 2, (7, 2)), points.uniform(-2, 2, (5, 3))
     out = {}
@@ -551,6 +553,27 @@ def _fallback_outputs():
         out[f"{name}.sigma.grad"] = system.sigma.grad(x)
         out[f"{name}.b.jacobian"] = system.b.jacobian(x)
         out[f"{name}.b.divergence"] = system.b.divergence(x)
+
+    # Hessian-carrying periodic cells: exact derivatives from one cell jet
+    exact = {"deltagamma": (dg, x2),
+             "sine": (hf.sine_cell([[1.2, 0.3], [-0.1, 0.9]], 0.3, 0.3), x2),
+             "sine3d": (_sine_cell_3d(0.1), x3)}
+    for name, (cell, x) in exact.items():
+        system = hf.periodic_family(cell, 0.3)
+        for tag, y in (("batch", x), ("point", x[0])):
+            out[f"exact.{name}.sigma.grad.{tag}"] = system.sigma.grad(y)
+            out[f"exact.{name}.b.jacobian.{tag}"] = system.b.jacobian(y)
+            out[f"exact.{name}.b.divergence.{tag}"] = system.b.divergence(y)
+
+    # the twist map for identity and perturbed alpha, and for zero beta
+    twists = {"identity": (hf.identity_curve(), hf.sine_curve(0.3, 1.0 / 0.3)),
+              "perturbed": (hf.perturbed_identity_curve(0.15),
+                            hf.sine_curve(0.3, 1.0 / 0.3)),
+              "zero_beta": (hf.identity_curve(), hf.zero_curve())}
+    for name, (alpha, beta) in twists.items():
+        W = hf.hyperbolic_twist_family(alpha, beta, 0.3).W
+        for tag, y in (("batch", x2), ("point", x2[0])):
+            out[f"twist.{name}.W.eval.{tag}"] = W.eval(y)
 
     # cofactor-route coefficients and their field drift
     density = hf.ScalarField(
@@ -606,6 +629,54 @@ FALLBACK_SHA256 = {
         "20c9a87fab0685d03c530308e553cc09ec7cd45904289bd288208d4213ac8113",
     "cell3d.b.divergence":
         "2e6dda3eb90f453dbc465206dd918cda2f3f130fb11fa608d3171c0335c072d5",
+    "exact.deltagamma.sigma.grad.batch":
+        "cc9ca4f878eebf5439c2e0e187c33d11d1c9cdc4eb56d052b24a1b45c80490ea",
+    "exact.deltagamma.b.jacobian.batch":
+        "7b46732a114df6e8b1b2838c795795df22fff74371916a25df84517c7caef8a8",
+    "exact.deltagamma.b.divergence.batch":
+        "21ac1b6fcd176d4d1fb52efa21b7d9a19216428a6a41aeec38efec910238895b",
+    "exact.deltagamma.sigma.grad.point":
+        "7595fc016ea58516960a22b75089851bc5e27bb3cc763fe7cfa8c51366271647",
+    "exact.deltagamma.b.jacobian.point":
+        "d6537a2dc20e3f0c47e4ed5a2c711e0861d7eceff85591ff245fe467b7a7a474",
+    "exact.deltagamma.b.divergence.point":
+        "8ebcbf9e4dc85a730e420fee3c87de7478d1c76a7c868415dea6afc2e255b64b",
+    "exact.sine.sigma.grad.batch":
+        "46916c331c880dc6e3151b075e434f370e5b9d349d00b34d5ce91d830146032d",
+    "exact.sine.b.jacobian.batch":
+        "c683f7443e6b3653a5e97db432c61390dcfe694af6af5c09cc167d728da45dd0",
+    "exact.sine.b.divergence.batch":
+        "95d0337c089fa58c50e01c60b7b4d10f1d11c33c688469106f6838b776e61977",
+    "exact.sine.sigma.grad.point":
+        "275a4059bc9da25c97592552e21e51dcc7204435014c0d838f648ca504ee8431",
+    "exact.sine.b.jacobian.point":
+        "dd934bceb5276765ff625c6a1cde4da588637fdf5b4b799977fb2566ce183a90",
+    "exact.sine.b.divergence.point":
+        "dff70a237023766bc007b1465e2ee595d7b65649cc7771ac9b1f998d19edbc94",
+    "exact.sine3d.sigma.grad.batch":
+        "41ae39b14233c25b72cffb97c7140a3e25770fea5f998dac13f6bd49e61af3df",
+    "exact.sine3d.b.jacobian.batch":
+        "47c5ef515910b9dc399e90ef1d9aefef162885d55fbd49c75ffc00868323b4e5",
+    "exact.sine3d.b.divergence.batch":
+        "7891253eac51729baf26beb1f485b9d83840d7d5f7b65800cf111d4de54c00cb",
+    "exact.sine3d.sigma.grad.point":
+        "829887cee61065e6e8c58dbc41acb1759221fa8190b887fe041a7c786195117d",
+    "exact.sine3d.b.jacobian.point":
+        "3e20b420dc289251d7fb6f9cf7ed3dfdffb5d273da473ff79d59f84cbd2318b7",
+    "exact.sine3d.b.divergence.point":
+        "7ac72e7600060838fb502b6c9da8e4632c0b188651696f2c6f5c04ae5298712a",
+    "twist.identity.W.eval.batch":
+        "428e3d539040676afb6e82ae744556f6a0e81871230f86e5d1b3ee8256fd6573",
+    "twist.identity.W.eval.point":
+        "ec0ca3ef447c45dd77af074b565ed3f862edbc1127d8528d3da2580beac16078",
+    "twist.perturbed.W.eval.batch":
+        "c4d5d7a9ed9385c8bc511b6b7ed6d6b0397a4ec563f33e4674609e15ad713bdc",
+    "twist.perturbed.W.eval.point":
+        "8c4b1202bb43b54d4c2e7d9f6718e217d3cb43b39e5b425bc04a24ed7a74fbad",
+    "twist.zero_beta.W.eval.batch":
+        "502454b8f2f742ce0ce06348cd17e99c606c6543619f3a78eedf441844751d30",
+    "twist.zero_beta.W.eval.point":
+        "401c9ab88e29a154f6bd52bba43c4745cb95d1b217f9faa766693f1d66bb6bbf",
     "xi0.jacobian":
         "8ec7b821d67e2d2e71247208d1a0395aed6a001a1ba235a38ba913cdc6f6289f",
     "xi0.divergence":

@@ -143,7 +143,7 @@ def test_jacobian_flux_handles_singular_matrices(rng):
 # ---------------------------------------------------------------------------
 
 def test_limit_map_identity_gives_unit_drift(rng):
-    coeffs = hf.effective_from_limit_map(hf.identity_diffeo(2), 1.0)
+    coeffs = hf.effective_from_limit_map(hf.affine_diffeo(np.eye(2)), 1.0)
     x = rng.uniform(-2, 2, (20, 2))
     assert np.allclose(coeffs.xi0_at(x), [1.0, 0.0])
     assert coeffs.provenance == "cofactor-limit"

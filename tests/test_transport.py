@@ -338,6 +338,9 @@ def test_horizons_drop_points_after_their_last_snapshot():
         advect_times(field, x[0], times, cfg, horizon=np.array(3))
     with pytest.raises(ValueError, match="horizon"):
         advect_times(field, x, times, cfg, horizon=horizon[:3])
+    # horizons serve position-only passes
+    with pytest.raises(ValueError, match="carry_jacobian"):
+        advect_times(field, x, times, cfg, carry_jacobian=True, horizon=horizon)
 
 
 def test_needed_mask_of_the_limit_samplers():
@@ -365,6 +368,22 @@ def test_scaled_datum_keeps_positive_zero_outside_support():
     full = hf.solve_transport(_unproven(system.b), v0, IntegratorConfig(h=0.01))
     assert pruned.eval_times([0.4, 0.8], pts).tobytes() == \
         full.eval_times([0.4, 0.8], pts).tobytes()
+
+
+def test_reach_guard_turns_pruning_off_far_from_the_origin():
+    # a datum centred 2e6 from the origin: 8 n u (r0 + m + |c| + 2 T S) is
+    # about 2e-6 > REACH_SLACK for 1,000 steps, so no point is pruned
+    system = deltagamma_system(0.1)
+    u0 = hf.bump_datum(2, [2e6, 0.0], 0.5)
+    cfg = IntegratorConfig(h=1e-3)
+    times = np.array([0.5, 1.0])
+    pts = u0.center + np.array([[0.0, 0.0], [-0.7, 0.1], [0.3, -0.2], [-3.0, 0.0]])
+    assert transport._reach(system.b, u0, cfg, times, pts) is None
+    pruned = hf.solve_transport(system.b, u0, cfg)
+    full = hf.solve_transport(_unproven(system.b), u0, cfg)
+    got = pruned.eval_times(times, pts)
+    assert np.count_nonzero(got) > 0
+    assert got.tobytes() == full.eval_times(times, pts).tobytes()
 
 
 def test_reach_pruning_skips_a_batch_out_of_reach(monkeypatch):
