@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 invariant failure (check only), 2 config error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -90,12 +91,19 @@ _KEYS: dict[str, tuple[str, str, str]] = {
 _DEFAULTS: dict[str, str] = {key: default for key, (_, default, _) in _KEYS.items()}
 
 
+def _finite(raw: dict, key: str, vals: tuple):
+    if not all(abs(v) < math.inf for v in vals):  # nan fails too
+        raise ConfigError(f"key {key!r}: must be finite ({raw[key]!r})")
+    return vals
+
+
 def _to_number(raw: dict, key: str, kind: type = float):
     try:
-        return kind(raw[key])
+        val = kind(raw[key])
     except ValueError as exc:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"key {key!r}: not {what} ({raw[key]!r})") from exc
+    return _finite(raw, key, (val,))[0]
 
 
 def _to_bool(raw: dict, key: str) -> bool:
@@ -115,7 +123,7 @@ def _to_floats(raw: dict, key: str, n: int | None = None) -> tuple[float, ...]:
         raise ConfigError(f"key {key!r}: not a number list ({raw[key]!r})") from exc
     if n is not None and len(vals) != n:
         raise ConfigError(f"key {key!r}: expected {n} numbers, got {len(vals)}")
-    return vals
+    return _finite(raw, key, vals)
 
 
 def _to_centers(raw: dict, key: str, dim: int) -> tuple[tuple[float, ...], ...]:
@@ -129,9 +137,10 @@ def _to_centers(raw: dict, key: str, dim: int) -> tuple[tuple[float, ...], ...]:
             raise ConfigError(
                 f"key {key!r}: each center needs t:{':'.join(['x'] * dim)}")
         try:
-            out.append(tuple(float(p) for p in parts))
+            vals = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: bad number in {chunk!r}") from exc
+        out.append(_finite(raw, key, vals))
     return tuple(out)
 
 
@@ -209,8 +218,14 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.simulate_m >= 2, "simulate.m", "must be at least 2")
     need(len(cfg.strong_t) > 0, "sweep.strong_t", "needs at least one time")
     if cfg.family in ("deltagamma", "periodic"):
-        need(abs(cfg.delta * cfg.gamma) < 1.0, "family.delta",
-             "|delta * gamma| must stay below 1 or the cell density vanishes")
+        # the cell determinant m00 m11 - (m01 + delta c2)(m10 + gamma c1) is
+        # bilinear in the cosines c1, c2, so its least value sits at a corner
+        m00, m01, m10, m11 = (cfg.cell_matrix if cfg.family == "periodic"
+                              else (1.0, 0.0, 0.0, 1.0))
+        low = min(m00 * m11 - (m01 + d) * (m10 + g)
+                  for d in (cfg.delta, -cfg.delta) for g in (cfg.gamma, -cfg.gamma))
+        need(low > 0.0, "family.delta", "the cell determinant (M = family.m, the"
+             f" identity for deltagamma) must stay positive, but reaches {low:g}")
     if cfg.family == "example31":
         need(cfg.alpha_form in ("identity", "perturbed"), "family.alpha_form",
              "must be 'identity' or 'perturbed'")

@@ -1,14 +1,17 @@
 """ODE flow maps with simultaneous Jacobian and log-determinant transport.
 
-The integrator is fixed-step classical RK4 on the augmented system
+The integrator is fixed-step classical RK4 on a state of arrays, position
+first: (X,) for plain flows, and for carried ones the augmented system
 
     dX/dt = f(X),   dJ/dt = Df(X) J,   dL/dt = div f(X),
 
-with J(0) = I and L(0) = 0.  J solves the variational equation, so its
-columns are the sensitivities of the flow map; L integrates the divergence
-along the trajectory, so exp(L) reproduces det(J) up to integrator error.
-The two are propagated independently on purpose: their agreement is a
-cross-check, not a tautology.
+with J(0) = I and L(0) = 0, whose three rates are three entries of one rate
+function.  J solves the variational equation, so its columns are the
+sensitivities of the flow map; L integrates the divergence along the
+trajectory, so exp(L) reproduces det(J) up to integrator error.  The two are
+propagated independently on purpose: their agreement is a cross-check, not
+a tautology.  :func:`advect_times` decides how far each point is integrated
+from a ``needed`` mask, in the order of its own snapshots.
 
 Each integration call is pure; trajectories for distinct starting batches may
 run concurrently.  A flow map (:func:`flow_map_diffeo`, which
@@ -74,41 +77,21 @@ class FlowState:
     logdet: Array | None = None
 
 
-def _rk4_segment(field: VectorField, pos, jac, logdet, t0: float, dt: float,
-                 n_steps: int, carry: bool):
-    """Advance (pos, jac, logdet) by n_steps steps of size dt."""
-    f = field.eval
-    if carry:
-        df = field.jacobian
-        dv = field.divergence
+def _rk4_segment(rate, state: tuple, t0: float, dt: float, n_steps: int) -> tuple:
+    """Advance the state (a tuple of arrays, position first) by n_steps RK4
+    steps of size dt of d state/dt = rate(state)."""
     t = t0
     for _ in range(n_steps):
-        k1p = f(pos)
-        p2 = pos + 0.5 * dt * k1p
-        k2p = f(p2)
-        p3 = pos + 0.5 * dt * k2p
-        k3p = f(p3)
-        p4 = pos + dt * k3p
-        k4p = f(p4)
-        if carry:
-            k1j = df(pos) @ jac
-            k1l = dv(pos)
-            j2 = jac + 0.5 * dt * k1j
-            k2j = df(p2) @ j2
-            k2l = dv(p2)
-            j3 = jac + 0.5 * dt * k2j
-            k3j = df(p3) @ j3
-            k3l = dv(p3)
-            j4 = jac + dt * k3j
-            k4j = df(p4) @ j4
-            k4l = dv(p4)
-            jac = jac + (dt / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-            logdet = logdet + (dt / 6.0) * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
-        pos = pos + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        k1 = rate(state)
+        k2 = rate(tuple(s + 0.5 * dt * k for s, k in zip(state, k1)))
+        k3 = rate(tuple(s + 0.5 * dt * k for s, k in zip(state, k2)))
+        k4 = rate(tuple(s + dt * k for s, k in zip(state, k3)))
+        state = tuple(s + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                      for s, a, b, c, d in zip(state, k1, k2, k3, k4))
         t += dt
-        if not np.all(np.isfinite(pos)):
+        if not np.all(np.isfinite(state[0])):
             raise BlowupError(t)
-    return pos, jac, logdet
+    return state
 
 
 def advect(field: VectorField, x0, t_final: float,
@@ -124,43 +107,34 @@ def advect(field: VectorField, x0, t_final: float,
     return advect_times(field, x0, [t_final], cfg, carry_jacobian)[0]
 
 
-def snapshot_order(times) -> list[int]:
-    """Indices of ``times`` in the order :func:`advect_times` reaches them:
-    by |t|, ties in input order."""
-    return sorted(range(len(times)), key=lambda i: abs(times[i]))
-
-
-def _snapshots(field: VectorField, x0, times: list[float], h: float,
-               carry: bool, horizon: Array | None = None) -> list[FlowState]:
-    """One RK4 pass from t = 0 through ``times`` in order of |t|, with a
-    snapshot at each; every span between snapshots takes uniform steps of
-    at most h that land exactly on its end.  Before the span to the
-    snapshot of rank k, the points whose ``horizon`` is below k leave."""
-    x0 = as_points(x0, field.dim)
-    pos = x0.copy()
-    jac = logdet = None
-    if carry:
-        jac = np.broadcast_to(np.eye(field.dim), x0.shape + (field.dim,)).copy()
-        logdet = np.zeros(x0.shape[:-1])
+def _snapshots(rate, state: tuple, times: list[float], h: float,
+               needed: Array | None) -> list[FlowState]:
+    """One RK4 pass from t = 0 through ``times`` in order of |t| (ties in
+    input order), with a snapshot at each; every span between snapshots
+    takes uniform steps of at most h that land exactly on its end.  Each
+    point leaves the state after its last ``needed`` snapshot."""
+    order = sorted(range(len(times)), key=lambda i: abs(times[i]))
+    if needed is not None:
+        rows = np.arange(needed.shape[1])
+        # per point, the rank in ``order`` of its last needed snapshot (-1: none)
+        last = np.where(needed[order], np.arange(len(times))[:, None], -1).max(axis=0)
     states: list[FlowState | None] = [None] * len(times)
     t_cur = 0.0
-    for rank, idx in enumerate(snapshot_order(times)):
-        if horizon is not None and horizon.min(initial=rank) < rank:
-            keep = horizon >= rank
-            horizon = horizon[keep]
-            pos = pos[keep]
+    for rank, idx in enumerate(order):
+        take = ...
+        if needed is not None:
+            keep = last >= rank
+            if not keep.all():
+                state, last, rows = tuple(s[keep] for s in state), last[keep], rows[keep]
+            take = needed[idx, rows]
         t_next = times[idx]
         span = t_next - t_cur
         if span != 0.0:
             n = max(1, int(np.ceil(abs(span) / h - 1e-12)))
-            pos, jac, logdet = _rk4_segment(field, pos, jac, logdet, t_cur,
-                                            span / n, n, carry)
-        # np.array keeps a single point's logdet a 0-d array: the RK4
-        # update turns it into a numpy scalar
-        states[idx] = FlowState(t_next,
-                                pos.copy(),
-                                None if jac is None else jac.copy(),
-                                None if logdet is None else np.array(logdet))
+            state = _rk4_segment(rate, state, t_cur, span / n, n)
+        # np.array copies, and keeps a single point's logdet a 0-d array: the
+        # RK4 update turns it into a numpy scalar
+        states[idx] = FlowState(t_next, *(np.array(s[take]) for s in state))
         t_cur = t_next
     return states  # type: ignore[return-value]
 
@@ -168,20 +142,20 @@ def _snapshots(field: VectorField, x0, times: list[float], h: float,
 def advect_times(field: VectorField, x0, times,
                  cfg: IntegratorConfig = IntegratorConfig(),
                  carry_jacobian: bool = False,
-                 horizon: Array | None = None) -> list[FlowState]:
+                 needed: Array | None = None) -> list[FlowState]:
     """States at an increasing (or decreasing) sequence of times from t = 0.
 
     One continuous integration with snapshots, so the cost is a single pass;
-    the Richardson guard (when enabled) re-runs the pass at h/2 and compares
-    every snapshot.
+    the Richardson guard (when enabled) re-runs the positions at h/2 and
+    compares every snapshot.  With ``carry_jacobian`` the state carries
+    J and L as further entries of one RK4 system (see the module docstring).
 
-    ``horizon`` (for an (n, N) batch, n integers) is, per point, the rank in
-    :func:`snapshot_order` of the last snapshot that needs it.  Each point
-    is integrated only up to its horizon, and the state of the snapshot of
-    rank k holds, in batch order, just the points whose horizon is k or
-    later; a point whose horizon is below 0 is not integrated at all.  A
-    point's values do not depend on which other points share its batch.
-    Horizons serve position-only passes: ``carry_jacobian`` refuses them.
+    ``needed`` (for an (n, N) batch, a (len(times), n) boolean mask) marks
+    the points each time needs.  The state at times[k] then holds, in batch
+    order, just the points needed[k] marks, and each point is integrated only
+    up to the last time that needs it (in the pass's |t| order); a point no
+    time needs is not integrated at all.  A point's values do not depend on
+    which other points share its batch.
     """
     times = [float(t) for t in times]
     if not times:
@@ -189,14 +163,26 @@ def advect_times(field: VectorField, x0, times,
     signs = {np.sign(t) for t in times if t != 0.0}
     if len(signs) > 1:
         raise ValueError("snapshot times must not straddle t = 0")
-    if horizon is not None:
-        horizon = np.asarray(horizon)
-        if carry_jacobian or np.ndim(x0) != 2 or horizon.shape != np.shape(x0)[:1]:
-            raise ValueError("horizon needs an (n, N) batch, n entries and no"
-                             " carry_jacobian")
-    states = _snapshots(field, x0, times, cfg.h, carry_jacobian, horizon)
+    x0 = as_points(x0, field.dim)
+    if needed is not None:
+        needed = np.asarray(needed, dtype=bool)
+        if x0.ndim != 2 or needed.shape != (len(times), len(x0)):
+            raise ValueError("needed needs an (n, N) batch and a (len(times), n) mask")
+
+    def rate(s):
+        x = s[0]
+        if len(s) == 1:
+            return (field.eval(x),)
+        return field.eval(x), field.jacobian(x) @ s[1], field.divergence(x)
+
+    # the passes never write into a state array, so they may share x0
+    state = (x0,)
+    if carry_jacobian:
+        state += (np.broadcast_to(np.eye(field.dim), x0.shape + (field.dim,)).copy(),
+                  np.zeros(x0.shape[:-1]))
+    states = _snapshots(rate, state, times, cfg.h, needed)
     if cfg.richardson_check:
-        fine = _snapshots(field, x0, times, cfg.h / 2.0, False, horizon)
+        fine = _snapshots(rate, state[:1], times, cfg.h / 2.0, needed)
         gap = max(float(np.max(np.abs(f.pos - c.pos), initial=0.0))
                   for f, c in zip(fine, states))
         if gap > cfg.richardson_tol:

@@ -41,7 +41,7 @@ import numpy as np
 from .fields import Array, VectorField, as_points, constant, tensor_grid
 # advect is imported though unused: perfbench and the tests patch
 # transport.advect by name
-from .flow import IntegratorConfig, advect, advect_times, snapshot_order  # noqa: F401
+from .flow import IntegratorConfig, advect, advect_times  # noqa: F401
 from .homogenize import EffectiveCoefficients, InvalidCoefficientsError
 
 
@@ -212,9 +212,10 @@ def solve_transport(b: VectorField, u0: InitialDatum,
     dist(c - x, t B) < r0 + m, with m = REACH_SLACK (1 + T S), T the largest
     requested |t| and S = |max(|lo|, |hi|)| the norm of B's farthest
     corner; every other sample is +0.0, the value u0 has outside its
-    support, and the result equals the full integration bit for bit.  Each
-    point is integrated up to the last time at which it passes this test
-    (or ``needed`` marks it), and no further.
+    support, and the result equals the full integration bit for bit.  The
+    (time, point) mask of the samples to fill, the ones that pass this test
+    and that ``needed`` marks, goes to :func:`~homoflow.flow.advect_times`
+    as its ``needed``, so each point is integrated up to its last such time.
 
     The slack covers rounding.  Each RK4 step adds fl((dt/6)(k1 + 2 k2 +
     2 k3 + k4)), and every computed stage velocity k lies in B, so in exact
@@ -260,15 +261,12 @@ def solve_transport(b: VectorField, u0: InitialDatum,
         out = np.zeros(run.shape)
         batch = np.flatnonzero(run.any(axis=0))
         if len(batch):
-            # each point is integrated up to the last time it runs
-            order = snapshot_order(ts)
-            horizon = len(ts) - 1 - np.argmax(run[order][::-1][:, batch], axis=0)
             live = pts if len(batch) == len(pts) else pts[batch]
-            states = advect_times(b, live, ts, cfg, horizon=horizon)
-            for rank, k in enumerate(order):
-                rows = batch[horizon >= rank]
+            states = advect_times(b, live, ts, cfg, needed=run[:, batch])
+            for k, state in enumerate(states):
+                rows = batch[run[k, batch]]
                 take = fill[k, rows]
-                out[k, rows[take]] = u0.eval(states[k].pos[take])
+                out[k, rows[take]] = u0.eval(state.pos[take])
         return out.reshape(ts.shape + x.shape[:-1])
 
     return SolutionSampler(b.dim, ev_times, u0, drift_sup=b.sup_bound)

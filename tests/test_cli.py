@@ -60,6 +60,14 @@ def test_config_text_is_pinned():
     ("sweep.eps = 0.1,0.2", "strictly decreasing"),
     ("dim = 3", "two-dimensional"),
     ("dictionary.count = 11", "between 1 and 8"),
+    ("T = inf", "'T': must be finite"),
+    ("eps = nan", "'eps': must be finite"),
+    ("sweep.eps = inf,0.2", "'sweep.eps': must be finite"),
+    ("dictionary.radius = inf", "'dictionary.radius': must be finite"),
+    ("u0.center = 0,-inf", "'u0.center': must be finite"),
+    ("dictionary.centers = 0.5:nan:0", "'dictionary.centers': must be finite"),
+    ("family.name = periodic\nfamily.m = 0.5,0,0,0.5\nfamily.delta = 0.9\n"
+     "family.gamma = 0.9", "'family.delta': the cell determinant"),
 ])
 def test_config_errors_carry_context(line, fragment):
     with pytest.raises(ConfigError) as err:
@@ -412,6 +420,32 @@ def test_main_exit_codes(tmp_path, capsys):
     degenerate = tmp_path / "degenerate.cfg"
     degenerate.write_text("family.name = periodic\nfamily.m = 0.05,0,0,0.05\n")
     assert main(["check", "--config", str(degenerate)]) == 2  # cell rejected
+
+
+@pytest.mark.parametrize("text,key", [
+    ("T = inf", "T"),
+    ("sweep.eps = inf,0.2", "sweep.eps"),
+    ("dictionary.radius = inf", "dictionary.radius"),
+    ("family.name = periodic\nfamily.m = 0.5,0,0,0.5\nfamily.delta = 0.9\n"
+     "family.gamma = 0.9", "family.delta"),
+])
+def test_out_of_range_numbers_exit_2_naming_the_key(text, key, tmp_path, capsys):
+    # non-finite numbers crashed (T), broke the SVD (sweep.eps) or zeroed every
+    # weak error (dictionary.radius); the 0.5 I cell's determinant reaches
+    # 0.25 - 0.81 < 0, which only the cell scan refused, naming no key
+    path = tmp_path / "bad.cfg"
+    path.write_text(text + "\n")
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert f"key {key!r}:" in capsys.readouterr().err
+
+
+def test_periodic_cell_rule_is_the_corner_determinant(tmp_path):
+    # M = 3 I with delta = gamma = 1.5: the determinant lies in [6.75, 11.25],
+    # though |delta * gamma| > 1
+    path = tmp_path / "wide.cfg"
+    path.write_text("family.name = periodic\nfamily.m = 3,0,0,3\nfamily.delta = 1.5\n"
+                    "family.gamma = 1.5\ncheck.samples = 50\n")
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
 
 
 def test_numeric_error_exit_code(tmp_path):

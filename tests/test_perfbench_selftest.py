@@ -33,3 +33,17 @@ def test_perfbench_workload_sets_up(workload, seed):
                          cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
     assert out.stdout.strip() == "perfbench-ready"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_perfbench_workload_output_is_correct(workload):
+    # the shortest benchmark run (two entry-point calls) checks each output's
+    # sha256 and verdicts against perfbench/pins.json; check-dynamic's
+    # carried-Jacobian integrations are pinned nowhere else
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", "0", "--seconds", "0"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=900)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

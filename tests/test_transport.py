@@ -9,7 +9,7 @@ import pytest
 import homoflow as hf
 from homoflow import transport
 from homoflow.flow import (AccuracyError, BlowupError, IntegratorConfig, advect,
-                           advect_times, snapshot_order)
+                           advect_times)
 from homoflow.transport import TruncationWarning
 
 from conftest import (deltagamma_system, identity_system, shear_velocity,
@@ -217,9 +217,9 @@ def _counting_advect(monkeypatch):
     seen = []
     real_times, real_one = transport.advect_times, transport.advect
 
-    def advect_times(field, x0, times, cfg, horizon=None):
+    def advect_times(field, x0, times, cfg, needed=None):
         seen.append(np.asarray(x0).size // 2)
-        return real_times(field, x0, times, cfg, horizon=horizon)
+        return real_times(field, x0, times, cfg, needed=needed)
 
     def advect_one(field, x0, t, cfg):
         seen.append(np.asarray(x0).size // 2)
@@ -317,30 +317,46 @@ def test_box_reach_and_horizons_equal_unpruned(system, times):
             np.where(mask, ref[:, i], 0.0).tobytes()
 
 
-def test_horizons_drop_points_after_their_last_snapshot():
-    # unsorted times: horizons are ranks in |t| order, and each state holds,
-    # in batch order, the points whose horizon is its rank or later
+def test_needed_mask_drops_points_after_their_last_snapshot():
+    # unsorted times: the state at times[k] holds, in batch order, the points
+    # needed[k] marks; each point is integrated up to its last needed time in
+    # |t| order, and a point no time needs is not integrated at all
     field = deltagamma_system(0.1).b
     x = np.random.default_rng(2).uniform(-1.0, 1.0, (7, 2))
     times = [0.5, 0.1, -0.0, 0.3]
-    horizon = np.array([3, -1, 0, 2, 1, 3, 0])
+    needed = np.array([[1, 0, 0, 0, 0, 1, 0],
+                       [0, 0, 0, 1, 1, 0, 0],
+                       [1, 0, 1, 0, 0, 0, 1],
+                       [0, 0, 0, 1, 0, 1, 0]], dtype=bool)
     cfg = IntegratorConfig(h=0.01)
-    states = advect_times(field, x, times, cfg, horizon=horizon)
-    full = advect_times(field, x, times, cfg)
-    order = snapshot_order(times)
-    assert order == [2, 1, 3, 0]
-    for rank, k in enumerate(order):
-        rows = np.flatnonzero(horizon >= rank)
-        assert states[k].pos.tobytes() == full[k].pos[rows].tobytes()
-    none = advect_times(field, x, times, cfg, horizon=np.full(7, -1))
+    full = advect_times(field, x, times, cfg, carry_jacobian=True)
+    evaluated = []
+    counted = dataclasses.replace(
+        field, eval=lambda p: evaluated.append(len(p)) or field.eval(p))
+    for carry in (False, True):
+        evaluated.clear()
+        states = advect_times(counted, x, times, cfg, carry, needed=needed)
+        for k, state in enumerate(states):
+            rows = np.flatnonzero(needed[k])
+            assert state.t == times[k]
+            assert state.pos.tobytes() == full[k].pos[rows].tobytes()
+            if carry:
+                # the carried entries are trimmed with the position
+                assert state.jac.tobytes() == full[k].jac[rows].tobytes()
+                assert state.logdet.tobytes() == full[k].logdet[rows].tobytes()
+            else:
+                assert state.jac is None and state.logdet is None
+        # |t| order -0.0, 0.1, 0.3, 0.5 (0, 10, 20, 20 steps of 4 stages):
+        # points 0, 3, 4, 5 run to 0.1, then 0, 3, 5 to 0.3, then 0, 5 to 0.5
+        assert sum(evaluated) == 4 * (10 * 4 + 20 * 3 + 20 * 2)
+    evaluated.clear()
+    none = advect_times(counted, x, times, cfg, True, needed=np.zeros((4, 7), bool))
     assert [s.pos.shape for s in none] == [(0, 2)] * 4
-    with pytest.raises(ValueError, match="horizon"):
-        advect_times(field, x[0], times, cfg, horizon=np.array(3))
-    with pytest.raises(ValueError, match="horizon"):
-        advect_times(field, x, times, cfg, horizon=horizon[:3])
-    # horizons serve position-only passes
-    with pytest.raises(ValueError, match="carry_jacobian"):
-        advect_times(field, x, times, cfg, carry_jacobian=True, horizon=horizon)
+    assert [s.jac.shape for s in none] == [(0, 2, 2)] * 4
+    assert sum(evaluated) == 0
+    for bad_x, bad in ((x[0], needed[:, :1]), (x, needed[:3]), (x, needed.T)):
+        with pytest.raises(ValueError, match="needed"):
+            advect_times(field, bad_x, times, cfg, needed=bad)
 
 
 def test_needed_mask_of_the_limit_samplers():
