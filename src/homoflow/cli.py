@@ -23,8 +23,8 @@ from .diagnostics import (SpacetimeQuad, TestFunction, convergence_sweep,
                           default_dictionary, invariant_suite, strong_l2_error)
 from .fields import (FieldError, RectifiedSystem, deltagamma_cell,
                      hyperbolic_twist_family, identity_cell, identity_curve,
-                     periodic_family, perturbed_identity_curve, shear_cell,
-                     sine_cell, sine_curve, zero_curve)
+                     jacobian_det, periodic_family, perturbed_identity_curve,
+                     shear_cell, sine_cell, sine_curve, zero_curve)
 from .flow import AccuracyError, BlowupError, IntegratorConfig
 from .homogenize import (EffectiveCoefficients, InvalidCoefficientsError,
                          constant_coefficients, effective_from_cell)
@@ -387,7 +387,7 @@ def run_homogenize(cfg: ExperimentConfig) -> tuple[int, str]:
     cell = _build_cell(cfg)
     coeffs = build_coefficients(cfg)
     if cell is not None:
-        det_m = float(np.linalg.det(np.asarray(cell.M, dtype=float)))
+        det_m = float(jacobian_det(np.asarray(cell.M, dtype=float)))
         resid = coeffs.quasi_affinity_residual
         resolution = coeffs.resolution
     else:

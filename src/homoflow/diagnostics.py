@@ -46,10 +46,12 @@ class TestFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "x_center", np.asarray(self.x_center, dtype=float))
-        if self.x_center.shape != (self.dim,):
-            raise ValueError(f"center must have shape ({self.dim},)")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if self.x_center.shape != (self.dim,) or not np.all(np.isfinite(self.x_center)):
+            raise ValueError(f"x_center must be a finite vector of shape ({self.dim},)")
+        if not math.isfinite(self.t_center):
+            raise ValueError(f"t_center must be finite, got {self.t_center!r}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
 
     def space_sq(self, x) -> Array:
         """Squared spatial distance to the center, as ``eval`` rounds it."""

@@ -29,8 +29,8 @@ Array = np.ndarray
 
 TWO_PI = 2.0 * math.pi
 
-# Finite-difference step scale for fields without exact derivatives (user
-# supplied or Hessian-less); the step at x is FD_STEP * max(1, |x|).
+# Finite-difference step scale for derivatives no formula supplies (fields
+# built from maps, missing Hessians); the step at x is FD_STEP * max(1, |x|).
 FD_STEP = 1e-5
 
 
@@ -210,7 +210,7 @@ def affine_diffeo(matrix) -> Diffeo:
     dim = M.shape[0]
     if M.shape != (dim, dim):
         raise FieldError("affine map needs a square matrix")
-    if np.linalg.det(M) <= 0.0:
+    if jacobian_det(M) <= 0.0:
         raise FieldError("affine map must be orientation preserving")
 
     def ev(x):
@@ -225,22 +225,18 @@ def affine_diffeo(matrix) -> Diffeo:
 # ---------------------------------------------------------------------------
 
 def fd_jacobian(f: Callable[[Array], Array], x: Array, scale: float = FD_STEP) -> Array:
-    """Central-difference Jacobian of a vector function, one batched call,
-    with the per-point step ``scale * max(1, |x|)``."""
+    """Central-difference derivative of a function of points, one batched
+    call, with the per-point step ``scale * max(1, |x|)``: values of shape
+    (...,) + S give out[..., s, j] = d f_s / d x_j for any trailing shape S,
+    so a gradient differences into a Hessian and a Jacobian into a stack of
+    Hessians."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     h = scale * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-    shifts = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        shifts.append(x + h[..., None] * e)
-        shifts.append(x - h[..., None] * e)
-    vals = f(np.stack(shifts, axis=0))
-    out = np.empty(vals.shape[1:] + (n,))
-    for j in range(n):
-        out[..., :, j] = (vals[2 * j] - vals[2 * j + 1]) / (2.0 * h[..., None])
-    return out
+    e = np.eye(n)
+    vals = f(np.stack([x + s * h[..., None] * e[j] for j in range(n) for s in (1.0, -1.0)]))
+    step = (2.0 * h).reshape(h.shape + (1,) * (vals.ndim - 1 - h.ndim))
+    return np.stack([(vals[2 * j] - vals[2 * j + 1]) / step for j in range(n)], axis=-1)
 
 
 def fd_vector_field(dim: int, ev: Callable[[Array], Array],
@@ -331,6 +327,14 @@ def jacobian_flux(J: Array) -> Array:
     return cross_product([J[..., k, :] for k in range(1, J.shape[-1])])
 
 
+def jacobian_det(J: Array) -> Array:
+    """det over the last two axes: the inline formula J00 J11 - J01 J10 in
+    the plane (np.linalg.det's last bits differ), np.linalg.det for N >= 3."""
+    if J.shape[-1] == 2:
+        return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    return np.linalg.det(J)
+
+
 def _cross_jacobian(grads: Sequence[Array], hessians: Sequence[Array]) -> Array:
     """Jacobian of x -> cross_product(grads(x)).
 
@@ -365,9 +369,11 @@ def drift_from_streamfields(streams: Sequence[ScalarField], sigma: ScalarField) 
     In 2D the single stream w gives sigma*b = rot_perp(grad w); in higher
     dimension the N-1 streams give sigma*b = grad w2 x ... x grad wN.  The
     product sigma*b is divergence free by construction, so
-    div b = -(grad sigma . b)/sigma exactly.  The drift Jacobian is exact when
-    every stream carries a Hessian and sigma is exact, otherwise it falls back
-    to central differences and the field is flagged approximate.
+    div b = -(grad sigma . b)/sigma exactly.  The drift Jacobian follows from
+    multilinearity of the cross product and the quotient rule; a stream
+    without a Hessian gets central differences of its exact gradient, and
+    the drift is flagged approximate unless every stream carries a Hessian
+    and sigma is exact.
     """
     dim = sigma.dim
     n_streams = 1 if dim == 2 else dim - 1
@@ -392,21 +398,23 @@ def drift_from_streamfields(streams: Sequence[ScalarField], sigma: ScalarField) 
         b = ev(x)
         return -np.einsum("...i,...i->...", sigma.grad(x), b) / sigma.eval(x)
 
-    if not (all(s.hess is not None for s in streams) and sigma.exact):
-        return fd_vector_field(dim, ev, div)
+    hessians = [s.hess or (lambda x, s=s: fd_jacobian(s.grad, x)) for s in streams]
 
     def jac(x):
         x = as_points(x, dim)
         grads = [s.grad(x) for s in streams]
-        du = _cross_jacobian(grads, [s.hess(x) for s in streams])
+        du = _cross_jacobian(grads, [hess(x) for hess in hessians])
         return _quotient_jacobian(cross_product(grads), du, sigma.eval(x),
                                   sigma.grad(x))
 
-    return VectorField(dim, ev, jac, div)
+    exact = all(s.hess is not None for s in streams) and sigma.exact
+    return VectorField(dim, ev, jac, div, exact=exact)
 
 
 def theta_of(b: VectorField, w1: ScalarField) -> ScalarField:
-    """Pointwise speed b . grad(w1) along the straightened first coordinate."""
+    """Pointwise speed b . grad(w1) along the straightened first coordinate;
+    its gradient is jac(b)^T grad w1 + hess(w1) b (a missing hess(w1) is
+    central differences of grad w1), exact when b is and w1 has a Hessian."""
     if b.dim != w1.dim:
         raise FieldError("dimension mismatch between drift and scalar field")
     dim = b.dim
@@ -415,16 +423,15 @@ def theta_of(b: VectorField, w1: ScalarField) -> ScalarField:
         x = as_points(x, dim)
         return np.einsum("...i,...i->...", b.eval(x), w1.grad(x))
 
-    if not (b.exact and w1.hess is not None):
-        return fd_scalar_field(dim, ev)
+    hess = w1.hess or (lambda x: fd_jacobian(w1.grad, x))
 
     def gr(x):
         x = as_points(x, dim)
         jb = b.jacobian(x)
         return (np.einsum("...ij,...i->...j", jb, w1.grad(x))
-                + np.einsum("...ij,...j->...i", w1.hess(x), b.eval(x)))
+                + np.einsum("...ij,...j->...i", hess(x), b.eval(x)))
 
-    return ScalarField(dim, ev, gr)
+    return ScalarField(dim, ev, gr, exact=b.exact and w1.hess is not None)
 
 
 def rectification_residual(system: RectifiedSystem, x: Array) -> Array:
@@ -617,7 +624,8 @@ class PeriodicCellMap:
     ``hessians`` optionally supplies the exact second derivatives of the
     periodic part, shape ``(..., N, N, N)`` with entry [i, j, k] equal to
     d^2(part_i)/(dy_j dy_k); with it the rescaled drift gets an exact
-    Jacobian, without it finite differences take over.
+    Jacobian, without it the same formulas read central differences of the
+    exact cell Jacobian and the drift is flagged approximate.
 
     ``drift`` optionally evaluates the cell drift in closed form; it must
     return the bits of the generic formula built from ``jacobian``.
@@ -779,59 +787,51 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
     eps = float(eps)
     if eps <= 0.0:
         raise FieldError("eps must be positive")
-    M = np.asarray(cell.M, dtype=float)
 
     inflation = 1.05
     grid = tensor_grid([np.arange(64) / 64] * dim)
-    det_grid = np.linalg.det(cell.jacobian(grid))
+    det_grid = jacobian_det(cell.jacobian(grid))
     if np.any(det_grid <= 0.0):
         bad = grid[int(np.argmin(det_grid))]
         raise InvalidCellError(f"cell determinant is not positive, e.g. at y={bad}")
     lo = float(det_grid.min()) / inflation
     hi = float(det_grid.max()) * inflation
 
-    have_hess = cell.hessians is not None
-
-    if dim == 2:
-        # sigma.eval (the pairings' weight) and the generic drift keep this
-        # inline det: np.linalg.det's last bits differ, and these are pinned
-        def cell_det(J):
-            return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    else:
-        cell_det = np.linalg.det
-
     def generic_drift(y):
         J = cell.jacobian(y)
-        return jacobian_flux(J) / cell_det(J)[..., None]
+        return jacobian_flux(J) / jacobian_det(J)[..., None]
 
     cell_drift = cell.drift or generic_drift
 
+    def w_jac(x):
+        return cell.jacobian(as_points(x, dim) / eps)
+
+    have_hess = cell.hessians is not None
+
     def jets(x):
-        # one cell jet per batch: y = x/eps, the cell Jacobian J and Hessians
-        # H, s = np.linalg.det(J) and grad s by Jacobi's formula,
+        # one cell jet per batch: y = x/eps, the cell Jacobian J, its
+        # Hessians H (the cell's own, or eps times central differences of
+        # w_jac in x), s = det(J) and grad s by Jacobi's formula,
         # d_k det(J) = det(J) * tr(J^{-1} dJ/dy_k)
         y = as_points(x, dim) / eps
         J = cell.jacobian(y)
-        H = cell.hessians(y)
-        s = np.linalg.det(J)
+        H = cell.hessians(y) if have_hess else eps * fd_jacobian(w_jac, x)
+        s = jacobian_det(J)
         grad_s = s[..., None] * np.einsum("...ji,...ijk->...k", np.linalg.inv(J), H)
         return y, J, H, s, grad_s
 
     # -- sigma ------------------------------------------------------------
     def sig_ev(x):
-        x = as_points(x, dim)
-        return cell_det(cell.jacobian(x / eps))
+        return jacobian_det(w_jac(x))
 
     def sig_gr(x):
         return jets(x)[4] / eps
 
-    sigma = (ScalarField(dim, sig_ev, sig_gr) if have_hess
-             else fd_scalar_field(dim, sig_ev))
+    sigma = ScalarField(dim, sig_ev, sig_gr, exact=have_hess)
 
     # -- drift ------------------------------------------------------------
     def b_ev(x):
-        x = as_points(x, dim)
-        return cell_drift(x / eps)
+        return cell_drift(as_points(x, dim) / eps)
 
     def b_jac(x):
         _, J, H, s, grad_s = jets(x)
@@ -851,24 +851,18 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
     if box is not None and (np.any(b_grid < box[0]) or np.any(b_grid > box[1])):
         raise InvalidCellError("a sampled drift value lies outside the cell's proven"
                                " drift box; rebuild the cell after changing M")
-    bounds = dict(sup_bound=float(np.linalg.norm(b_grid, axis=-1).max()) * inflation,
-                  proven_box=box)
-    b = (VectorField(dim, b_ev, b_jac, b_div, **bounds) if have_hess
-         else fd_vector_field(dim, b_ev, **bounds))
+    b = VectorField(dim, b_ev, b_jac, b_div, exact=have_hess,
+                    sup_bound=float(np.linalg.norm(b_grid, axis=-1).max()) * inflation,
+                    proven_box=box)
 
     # -- the rescaled map ---------------------------------------------------
     def w_ev(x):
-        x = as_points(x, dim)
-        return eps * cell.eval(x / eps)
-
-    def w_jac(x):
-        x = as_points(x, dim)
-        return cell.jacobian(x / eps)
+        return eps * cell.eval(as_points(x, dim) / eps)
 
     W = Diffeo(dim, w_ev, w_jac)
 
     return RectifiedSystem(
         dim=dim, eps=eps, W=W, sigma=sigma, b=b,
         theta=constant_scalar(dim, 1.0), sigma_bounds=(lo, hi),
-        limit_W=affine_diffeo(M), limit_theta=constant_scalar(dim, 1.0),
+        limit_W=affine_diffeo(cell.M), limit_theta=constant_scalar(dim, 1.0),
         label=label)

@@ -63,8 +63,8 @@ class IntegratorConfig:
     richardson_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("step size h must be positive")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError(f"step size h must be positive and finite, got {self.h!r}")
 
 
 @dataclass(frozen=True)

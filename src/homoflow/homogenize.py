@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .fields import (Array, Diffeo, PeriodicCellMap, ScalarField, VectorField,
-                     as_points, fd_vector_field, jacobian_flux, tensor_grid,
-                     zeros)
+                     as_points, fd_vector_field, jacobian_det, jacobian_flux,
+                     tensor_grid, zeros)
 
 
 class InvalidCoefficientsError(ValueError):
@@ -107,11 +107,11 @@ def effective_from_cell(cell: PeriodicCellMap, m: int = 64) -> EffectiveCoeffici
     1e-8 a :class:`ResolutionWarning` is emitted.
     """
     dim = cell.dim
-    det_m = float(np.linalg.det(np.asarray(cell.M, dtype=float)))
+    det_m = float(jacobian_det(np.asarray(cell.M, dtype=float)))
 
     res = m
     while True:
-        sigma0 = float(cell_average(lambda y: np.linalg.det(cell.jacobian(y)), dim, res))
+        sigma0 = float(cell_average(lambda y: jacobian_det(cell.jacobian(y)), dim, res))
         residual = abs(det_m - sigma0)
         if residual <= 1e-10 or res >= 1024:
             break

@@ -65,6 +65,9 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
+        for name, v in (("lo", self.lo), ("hi", self.hi)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"box bound {name} must be finite, got {v!r}")
         if self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
             raise ValueError("box needs lo < hi componentwise")
 
@@ -129,11 +132,11 @@ def bump_datum(dim: int, center, radius: float, amplitude: float = 1.0) -> Initi
     Smooth, compactly supported, peak value ``amplitude`` at the center.
     """
     c = np.asarray(center, dtype=float)
-    if c.shape != (dim,):
-        raise ValueError(f"center must have shape ({dim},)")
+    if c.shape != (dim,) or not np.all(np.isfinite(c)):
+        raise ValueError(f"center must be a finite vector of shape ({dim},), got {c!r}")
     r0 = float(radius)
-    if r0 <= 0.0:
-        raise ValueError("bump radius must be positive")
+    if not 0.0 < r0 < math.inf:
+        raise ValueError(f"bump radius must be positive and finite, got {r0!r}")
     a = float(amplitude)
 
     def ev(x):

@@ -373,7 +373,7 @@ integrator.h = 0.005
     ("family.name = deltagamma\nfamily.delta = 0.5\nfamily.gamma = 0.7",
      "57b40cea5d5bfbe675822463aced2d7cc75b89d918628d5fa401065f75ba3326", run_check),
     ("family.name = periodic\nfamily.m = 1.2,0.3,-0.1,0.9",
-     "739a74e006ca5409fc40a1d969466a3f9457cfd6d77434bbe0bfd4aaddd1af4a", run_check),
+     "c93cd905f80082dee3ce92c8822e53e2c1359049879fa2e100a284da6ce93c0d", run_check),
     ("family.name = example31",
      "c218509fcfd6f439eb870b1cee7eec621877fe3058c867d8b6160618cfb6c239", run_check),
     ("family.name = example31\nfamily.alpha_form = perturbed\n"

@@ -47,6 +47,15 @@ def test_default_dictionary_layout():
         hf.default_dictionary(2, count=20)
 
 
+def test_test_function_refuses_non_finite_sizes():
+    with pytest.raises(ValueError, match="radius"):
+        TestFunction(2, 0.5, np.zeros(2), np.nan)
+    with pytest.raises(ValueError, match="x_center"):
+        TestFunction(2, 0.5, np.array([np.inf, 0.0]), 0.3)
+    with pytest.raises(ValueError, match="t_center"):
+        TestFunction(2, np.nan, np.zeros(2), 0.3)
+
+
 def test_pairing_of_zero_solution_is_zero(unit_bump):
     system = identity_system(0.2)
     zero = unit_bump.scaled(0.0)

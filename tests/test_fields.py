@@ -412,6 +412,70 @@ def test_fd_jacobian_helper_on_linear_map(rng):
     assert np.abs(jac - M).max() < 1e-9
 
 
+def test_fd_jacobian_of_a_jacobian_gives_hessians(rng):
+    cell = hf.sine_cell([[1.2, 0.3], [-0.1, 0.9]], 0.3, 0.3)
+    y = rng.uniform(-2, 2, (30, 2))
+    hess = fd_jacobian(cell.jacobian, y)
+    assert hess.shape == (30, 2, 2, 2)
+    # central differences: truncation error h^2 |d^3 J| / 6 with h <= 3e-5
+    assert np.abs(hess - cell.hessians(y)).max() < 1e-7
+    assert np.abs(fd_jacobian(cell.jacobian, y[0]) - cell.hessians(y[0])).max() < 1e-7
+
+
+def test_fd_jacobian_of_an_affine_matrix_field_is_exact(rng):
+    # f(x) = A + sum_k x_k B[k], values of shape (..., 2, 3): the difference
+    # quotient is B[k] up to the rounding of f over the step
+    A = rng.standard_normal((2, 3))
+    B = rng.standard_normal((2, 2, 3))
+    x = rng.uniform(-2, 2, (25, 2))
+    jac = fd_jacobian(lambda p: A + np.einsum("...k,kij->...ij", p, B), x)
+    assert jac.shape == (25, 2, 3, 2)
+    assert np.abs(jac - np.moveaxis(B, 0, -1)).max() < 1e-9
+
+
+def _hessianless(field):
+    return hf.ScalarField(field.dim, field.eval, field.grad)
+
+
+def test_exact_flags_follow_second_derivatives(rng):
+    w = hf.ScalarField(
+        2, lambda x: x[..., 1] + 0.3 * np.sin(x[..., 0]),
+        lambda x: np.stack([0.3 * np.cos(x[..., 0]), np.ones(x.shape[:-1])], axis=-1),
+        lambda x: np.stack([np.stack([-0.3 * np.sin(x[..., 0]), np.zeros(x.shape[:-1])], -1),
+                            np.zeros(x.shape[:-1] + (2,))], axis=-2))
+    w1 = hf.coordinate_scalar(2, 0)
+    one = hf.constant_scalar(2, 1.0)
+    b = hf.drift_from_streamfields([w], one)
+    assert b.exact and hf.theta_of(b, w1).exact
+    b_fd = hf.drift_from_streamfields([_hessianless(w)], one)
+    assert not b_fd.exact
+    assert not hf.theta_of(b_fd, w1).exact
+    assert not hf.theta_of(b, _hessianless(w1)).exact
+    x = rng.uniform(-2, 2, (40, 2))
+    assert np.abs(b_fd.jacobian(x) - b.jacobian(x)).max() < 1e-9
+    assert np.abs(hf.theta_of(b, _hessianless(w1)).grad(x)
+                  - hf.theta_of(b, w1).grad(x)).max() < 1e-9
+
+    base = hf.deltagamma_cell(0.3, 0.3)
+    exact = hf.periodic_family(base, 0.1)
+    stripped = hf.periodic_family(hf.PeriodicCellMap(2, base.M, base.periodic_part, None), 0.1)
+    assert exact.analytic and exact.sigma.exact and exact.b.exact
+    assert not (stripped.analytic or stripped.sigma.exact or stripped.b.exact)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.02])
+def test_hessianless_cell_keeps_the_paper_identities(eps):
+    # the missing Hessians come from differences of the exact cell Jacobian,
+    # so div(sigma b) = 0 holds to rounding, not to the step's truncation
+    base = hf.deltagamma_cell(0.3, 0.3)
+    cell = hf.PeriodicCellMap(2, base.M, base.periodic_part, None)
+    system = hf.periodic_family(cell, eps)
+    assert not system.analytic
+    report = hf.invariant_suite(system, hf.Box(np.full(2, -2.0), np.full(2, 2.0)), 1000, 0)
+    assert report.all_passed, report.checks
+    assert report.check("weighted-drift-divergence").tolerance == 1e-6
+
+
 def _sine_cell_3d(amp=0.1):
     """Nontrivial 3D cell: y + (amp/2pi)(sin 2pi y2, sin 2pi y3, sin 2pi y1)."""
     a = amp
@@ -612,23 +676,23 @@ def _fallback_outputs():
 # x86-64 Linux, glibc libm, numpy 2.4
 FALLBACK_SHA256 = {
     "streams.b.jacobian":
-        "b6cb50ad746ee19cc0f13aa584533f32d4ff9b31f4c875a109f03fb7bd8db0f0",
+        "20f7a37da456e928a5805b8af424b06f1f5b19bdf269482c56cf07635e470eef",
     "streams.b.divergence":
         "59c4551f0b4772a23fb57d75fc6845db4e8a1c2f2d40149a600f3defedb198cf",
     "theta_of.grad":
-        "1a465c03df48d6a7993619f41d360211525a3a3edf3cf77484840286405e9dab",
+        "54052f0adf05bac3b7bf26d69430f9aa2efedb7b55a138422e4e6d1fa69e82aa",
     "cell2d.sigma.grad":
-        "17e4b6b99efa7d23f5c9d1ae65e1d488bb0bba278df96b6436ab87ad585b0295",
+        "5c6e7a06adcc869a40921b905030fee33c8652d34fa4606f184aa98024776ff9",
     "cell2d.b.jacobian":
-        "df478045d64c2dd92e9f7e698da67c117fe020febf15fca91ca390dcbacab30c",
+        "850733caf88de19c562cade53fae611d1df1b34761eb0a97331ec0b2c9df3311",
     "cell2d.b.divergence":
-        "d4a2cc5a86cc743923606dfd630dc5edc489f0aa709f656c3340d4a2d7559988",
+        "2361026c6e1a2075a713f219cae8225b7ce69683eb333dad56ee61c1b0152803",
     "cell3d.sigma.grad":
         "73faeb2b14b2c237352868273d678ce0912173e61bddcf4d991ca600061e5db1",
     "cell3d.b.jacobian":
         "20c9a87fab0685d03c530308e553cc09ec7cd45904289bd288208d4213ac8113",
     "cell3d.b.divergence":
-        "2e6dda3eb90f453dbc465206dd918cda2f3f130fb11fa608d3171c0335c072d5",
+        "033714b49b3609782de7a8d1c080ddf498f38bf72397295f0d4418ac2beaca14",
     "exact.deltagamma.sigma.grad.batch":
         "cc9ca4f878eebf5439c2e0e187c33d11d1c9cdc4eb56d052b24a1b45c80490ea",
     "exact.deltagamma.b.jacobian.batch":
@@ -642,17 +706,17 @@ FALLBACK_SHA256 = {
     "exact.deltagamma.b.divergence.point":
         "8ebcbf9e4dc85a730e420fee3c87de7478d1c76a7c868415dea6afc2e255b64b",
     "exact.sine.sigma.grad.batch":
-        "46916c331c880dc6e3151b075e434f370e5b9d349d00b34d5ce91d830146032d",
+        "de8ab5d9a49c142aebf2999a4197b4da90bb585209de8fe2caf8cb752ffdd06b",
     "exact.sine.b.jacobian.batch":
-        "c683f7443e6b3653a5e97db432c61390dcfe694af6af5c09cc167d728da45dd0",
+        "0592ede71d10cbb4b330d2a734fd7f34312e7ea366413322ac2d53521ccc3864",
     "exact.sine.b.divergence.batch":
-        "95d0337c089fa58c50e01c60b7b4d10f1d11c33c688469106f6838b776e61977",
+        "9de64fe615e45be70ab7322ec379d615c2d7c6233ed07893d89bff89c4b7a549",
     "exact.sine.sigma.grad.point":
-        "275a4059bc9da25c97592552e21e51dcc7204435014c0d838f648ca504ee8431",
+        "1d56cb78f81f81c4cb44c6ab98f230091b4e01fe432b5d8f9d47270b67749f64",
     "exact.sine.b.jacobian.point":
-        "dd934bceb5276765ff625c6a1cde4da588637fdf5b4b799977fb2566ce183a90",
+        "bbabc18634296ce768490724f48a933db8d73a91f388a40b23ff5ece3ec17266",
     "exact.sine.b.divergence.point":
-        "dff70a237023766bc007b1465e2ee595d7b65649cc7771ac9b1f998d19edbc94",
+        "16df779dc53aa08eaf201e18a0e09836b4bbceaf319109e1aa8dddd0e6bb5d51",
     "exact.sine3d.sigma.grad.batch":
         "41ae39b14233c25b72cffb97c7140a3e25770fea5f998dac13f6bd49e61af3df",
     "exact.sine3d.b.jacobian.batch":

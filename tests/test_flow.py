@@ -298,6 +298,12 @@ def test_memo_keys_on_exact_input_bytes(carried_batches):
     assert len(carried_batches) == 4
 
 
+@pytest.mark.parametrize("h", [np.inf, np.nan])
+def test_integrator_config_refuses_non_finite_steps(h):
+    with pytest.raises(ValueError, match="step size h"):
+        IntegratorConfig(h=h)
+
+
 def test_memo_returns_read_only_arrays():
     system = _oscillating_family()
     x = np.array([[0.2, 0.4], [-1.0, 0.7]])

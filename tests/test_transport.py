@@ -112,6 +112,23 @@ def test_lp_stability_bound(unit_bump):
             assert nt <= c ** (2.0 / p) * n0 * 1.001
 
 
+def test_bump_datum_refuses_non_finite_radius_or_center():
+    for radius in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="radius"):
+            hf.bump_datum(2, [0.0, 0.0], radius)
+    with pytest.raises(ValueError, match="center"):
+        hf.bump_datum(2, [np.nan, 0.0], 0.5)
+
+
+def test_box_refuses_non_finite_bounds():
+    with pytest.raises(ValueError, match="lo"):
+        hf.Box([np.nan, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="hi"):
+        hf.Box([0.0, 0.0], [1.0, np.inf])
+    with pytest.raises(ValueError, match="lo"):
+        hf.Box.from_radius([0.0, 0.0], np.inf)
+
+
 def test_lp_norm_rejects_endpoint_exponents(unit_bump):
     sol = hf.solve_transport(hf.constant_vector(2, [1.0, 0.0]), unit_bump, CFG)
     box = hf.Box.from_radius([0.0, 0.0], 2.0)
