@@ -309,11 +309,13 @@ def _dictionary(cfg: ExperimentConfig) -> list[TestFunction]:
 
 
 def _estimated_sup(system: RectifiedSystem, radius: float) -> float:
-    if system.b.sup_bound is not None:
-        return system.b.sup_bound
-    box = Box.from_radius(np.zeros(system.dim), radius)
-    pts, _ = box.midpoint_grid(33)
-    return float(np.linalg.norm(system.b.eval(pts), axis=-1).max()) * 1.1
+    sup = system.b.sup_bound
+    if sup is None:
+        pts, _ = Box.from_radius(np.zeros(system.dim), radius).midpoint_grid(33)
+        sup = float(np.linalg.norm(system.b.eval(pts), axis=-1).max()) * 1.1
+    if not math.isfinite(sup):
+        raise FloatingPointError(f"the drift's sampled sup is {sup} within radius {radius:g}")
+    return sup
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FieldError, InvalidCoefficientsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BlowupError, AccuracyError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (BlowupError, AccuracyError, ArithmeticError, MemoryError,
+            np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

@@ -47,7 +47,7 @@ class InvalidFamilyError(FieldError):
 
 
 class InvalidCellError(FieldError):
-    """Periodic cell map fails orientation/positivity on the unit cell."""
+    """Periodic cell map fails orientation/positivity or lacks Hessians."""
 
 
 def as_points(x, dim: int) -> Array:
@@ -225,17 +225,15 @@ def affine_diffeo(matrix) -> Diffeo:
 # ---------------------------------------------------------------------------
 
 def fd_jacobian(f: Callable[[Array], Array], x: Array, scale: float = FD_STEP) -> Array:
-    """Central-difference derivative of a function of points, one batched
-    call, with the per-point step ``scale * max(1, |x|)``: values of shape
-    (...,) + S give out[..., s, j] = d f_s / d x_j for any trailing shape S,
-    so a gradient differences into a Hessian and a Jacobian into a stack of
-    Hessians."""
+    """Central-difference Jacobian of a vector function of points, one
+    batched call, with the per-point step ``scale * max(1, |x|)``:
+    out[..., i, j] = d f_i / d x_j."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     h = scale * np.maximum(1.0, np.linalg.norm(x, axis=-1))
     e = np.eye(n)
     vals = f(np.stack([x + s * h[..., None] * e[j] for j in range(n) for s in (1.0, -1.0)]))
-    step = (2.0 * h).reshape(h.shape + (1,) * (vals.ndim - 1 - h.ndim))
+    step = 2.0 * h[..., None]
     return np.stack([(vals[2 * j] - vals[2 * j + 1]) / step for j in range(n)], axis=-1)
 
 
@@ -621,11 +619,10 @@ def _product_of_derivatives(alpha: Curve) -> ScalarField:
 class PeriodicCellMap:
     """Unit-cell map y -> M y + periodic_part(y) with det of its Jacobian > 0.
 
-    ``hessians`` optionally supplies the exact second derivatives of the
-    periodic part, shape ``(..., N, N, N)`` with entry [i, j, k] equal to
-    d^2(part_i)/(dy_j dy_k); with it the rescaled drift gets an exact
-    Jacobian, without it the same formulas read central differences of the
-    exact cell Jacobian and the drift is flagged approximate.
+    ``hessians`` holds the exact second derivatives of the periodic part,
+    shape ``(..., N, N, N)``, entry [i, j, k] = d^2(part_i)/(dy_j dy_k);
+    ``periodic_family`` requires them, while ``effective_from_cell`` reads
+    only ``jacobian``.
 
     ``drift`` optionally evaluates the cell drift in closed form; it must
     return the bits of the generic formula built from ``jacobian``.
@@ -780,13 +777,15 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
     identically one, and the limit map is the affine part x -> M x.  The
     sigma bounds and the drift's ``sup_bound`` come from a 64^N cell scan
     inflated by 5%; the drift's ``proven_box`` is the cell's
-    ``proven_drift_box``, since b takes exactly the cell drift's values.  The
-    system is analytic exactly when the cell carries ``hessians``.
+    ``proven_drift_box``, since b takes exactly the cell drift's values.
+    The system is analytic: its derivatives read the cell's ``hessians``.
     """
     dim = cell.dim
     eps = float(eps)
     if eps <= 0.0:
         raise FieldError("eps must be positive")
+    if cell.hessians is None:
+        raise InvalidCellError("periodic_family needs the cell's hessians; this cell has none")
 
     inflation = 1.05
     grid = tensor_grid([np.arange(64) / 64] * dim)
@@ -806,16 +805,13 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
     def w_jac(x):
         return cell.jacobian(as_points(x, dim) / eps)
 
-    have_hess = cell.hessians is not None
-
     def jets(x):
         # one cell jet per batch: y = x/eps, the cell Jacobian J, its
-        # Hessians H (the cell's own, or eps times central differences of
-        # w_jac in x), s = det(J) and grad s by Jacobi's formula,
+        # Hessians H, s = det(J) and grad s by Jacobi's formula,
         # d_k det(J) = det(J) * tr(J^{-1} dJ/dy_k)
         y = as_points(x, dim) / eps
         J = cell.jacobian(y)
-        H = cell.hessians(y) if have_hess else eps * fd_jacobian(w_jac, x)
+        H = cell.hessians(y)
         s = jacobian_det(J)
         grad_s = s[..., None] * np.einsum("...ji,...ijk->...k", np.linalg.inv(J), H)
         return y, J, H, s, grad_s
@@ -827,7 +823,7 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
     def sig_gr(x):
         return jets(x)[4] / eps
 
-    sigma = ScalarField(dim, sig_ev, sig_gr, exact=have_hess)
+    sigma = ScalarField(dim, sig_ev, sig_gr)
 
     # -- drift ------------------------------------------------------------
     def b_ev(x):
@@ -851,7 +847,7 @@ def periodic_family(cell: PeriodicCellMap, eps: float,
     if box is not None and (np.any(b_grid < box[0]) or np.any(b_grid > box[1])):
         raise InvalidCellError("a sampled drift value lies outside the cell's proven"
                                " drift box; rebuild the cell after changing M")
-    b = VectorField(dim, b_ev, b_jac, b_div, exact=have_hess,
+    b = VectorField(dim, b_ev, b_jac, b_div,
                     sup_bound=float(np.linalg.norm(b_grid, axis=-1).max()) * inflation,
                     proven_box=box)
 

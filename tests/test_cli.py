@@ -1,14 +1,18 @@
 """Config grammar, runners, CSV schema, determinism, exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import homoflow as hf
-from homoflow.cli import (CSV_VERSION_LINE, ConfigError, build_coefficients,
-                          build_system, main, parse_config, run_check,
+from homoflow.cli import (CSV_VERSION_LINE, FAMILY_NAMES, ConfigError,
+                          build_coefficients, build_system, main, parse_config, run_check,
                           run_homogenize, run_simulate, run_sweep,
                           serialize_config)
 
@@ -182,6 +186,17 @@ def test_build_system_families(rng):
         system = build_system(cfg, 0.2)
         assert system.label == name
         assert np.abs(hf.rectification_residual(system, x)).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_every_family_is_analytic(name):
+    # the invariant suite holds analytic systems to 1e-10, flow-built ones
+    # to 1e-6: a family whose derivatives stop being exact fails here
+    system = build_system(parse_config(f"family.name = {name}"), 0.2)
+    assert system.analytic
+    report = hf.invariant_suite(system, n_samples=200)
+    assert report.check("rectification").tolerance == 1e-10
+    assert report.all_passed, report.checks
 
 
 def test_build_coefficients_twist_detects_constants(monkeypatch):
@@ -455,6 +470,37 @@ def test_numeric_error_exit_code(tmp_path):
                    "integrator.h = 0.5\nintegrator.richardson = true\n"
                    "simulate.m = 3\nsimulate.t = 1\n")
     assert main(["simulate", "--config", str(cfg)]) == 3
+
+
+def _cli(command, text, tmp_path):
+    """Run the CLI in a child process, outside pytest's warning filters
+    (numpy's overflow warnings reach stderr as plain warnings)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    src = str(Path(hf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "homoflow.cli", command, "--config",
+                           str(cfg), "--out", str(tmp_path / "out.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_overflowing_drift_exits_3(tmp_path):
+    # the sampled sup of the twist drift is inf, which sized no finite box
+    run = _cli("simulate", "family.name = example31\nfamily.beta_amp = 1e300\n"
+               "simulate.m = 3\n", tmp_path)
+    assert run.returncode == 3, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "numeric error: the drift's sampled sup is inf" in run.stderr
+
+
+def test_unallocatable_grid_exits_3(tmp_path):
+    # a pairing grid of 2,000,000^2 nodes; only its two 16 MB axes are made
+    run = _cli("sweep", "family.name = deltagamma\nsweep.eps = 0.4\ndictionary.count = 1\n"
+               "quadrature.nodes_per_eps = 1e6\n", tmp_path)
+    assert run.returncode == 3, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("numeric error: Unable to allocate")
 
 
 def test_main_writes_to_stdout_without_out(tmp_path, capsys):

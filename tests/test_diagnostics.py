@@ -337,12 +337,10 @@ def test_invariant_suite_flags_violated_bounds():
 def test_analytic_is_derived_from_exact_members():
     # analytic systems get the 1e-10 tolerance, flow-built ones 1e-6
     field = shear_velocity()
-    no_hess = replace(hf.deltagamma_cell(0.3, 0.3), hessians=None)
     for system, analytic in (
             (twist_system(0.2), True),
             (deltagamma_system(0.2), True),
             (hf.periodic_family(hf.identity_cell(3), 0.2), True),
-            (hf.periodic_family(no_hess, 0.2), False),
             (dynamic_flow_family(field, field, 1.0, 0.2, CFG), False)):
         assert system.analytic is analytic, system.label
         if system.dim == 2:

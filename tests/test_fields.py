@@ -385,15 +385,17 @@ def test_periodic_family_requires_positive_eps():
         hf.periodic_family(hf.identity_cell(2), 0.0)
 
 
-def test_cell_without_hessians_is_flagged_approximate(rng):
-    base = hf.deltagamma_cell(0.2, 0.2)
-    stripped = hf.PeriodicCellMap(2, base.M, base.periodic_part, None)
-    system = hf.periodic_family(stripped, 0.2)
-    assert not system.analytic
-    assert not system.b.exact
-    x = rng.uniform(-1, 1, (20, 2))
-    exact = deltagamma_system(0.2, 0.2, 0.2)
-    assert np.abs(system.b.jacobian(x) - exact.b.jacobian(x)).max() < 1e-4
+def test_cell_without_hessians_is_refused():
+    # refused before the cell scan: no member of the cell is evaluated
+    base = hf.deltagamma_cell(0.3, 0.3)
+
+    def fail(y):
+        raise AssertionError("the cell was evaluated")
+
+    part = dataclasses.replace(base.periodic_part, eval=fail, jacobian=fail)
+    stripped = dataclasses.replace(base, hessians=None, drift=fail, periodic_part=part)
+    with pytest.raises(hf.InvalidCellError, match="hessians"):
+        hf.periodic_family(stripped, 0.1)
 
 
 def test_scalar_field_gradients_match_finite_differences(rng):
@@ -410,27 +412,6 @@ def test_fd_jacobian_helper_on_linear_map(rng):
     x = rng.uniform(-1, 1, (20, 3))
     jac = fd_jacobian(lambda p: p @ M.T, x)
     assert np.abs(jac - M).max() < 1e-9
-
-
-def test_fd_jacobian_of_a_jacobian_gives_hessians(rng):
-    cell = hf.sine_cell([[1.2, 0.3], [-0.1, 0.9]], 0.3, 0.3)
-    y = rng.uniform(-2, 2, (30, 2))
-    hess = fd_jacobian(cell.jacobian, y)
-    assert hess.shape == (30, 2, 2, 2)
-    # central differences: truncation error h^2 |d^3 J| / 6 with h <= 3e-5
-    assert np.abs(hess - cell.hessians(y)).max() < 1e-7
-    assert np.abs(fd_jacobian(cell.jacobian, y[0]) - cell.hessians(y[0])).max() < 1e-7
-
-
-def test_fd_jacobian_of_an_affine_matrix_field_is_exact(rng):
-    # f(x) = A + sum_k x_k B[k], values of shape (..., 2, 3): the difference
-    # quotient is B[k] up to the rounding of f over the step
-    A = rng.standard_normal((2, 3))
-    B = rng.standard_normal((2, 2, 3))
-    x = rng.uniform(-2, 2, (25, 2))
-    jac = fd_jacobian(lambda p: A + np.einsum("...k,kij->...ij", p, B), x)
-    assert jac.shape == (25, 2, 3, 2)
-    assert np.abs(jac - np.moveaxis(B, 0, -1)).max() < 1e-9
 
 
 def _hessianless(field):
@@ -456,24 +437,8 @@ def test_exact_flags_follow_second_derivatives(rng):
     assert np.abs(hf.theta_of(b, _hessianless(w1)).grad(x)
                   - hf.theta_of(b, w1).grad(x)).max() < 1e-9
 
-    base = hf.deltagamma_cell(0.3, 0.3)
-    exact = hf.periodic_family(base, 0.1)
-    stripped = hf.periodic_family(hf.PeriodicCellMap(2, base.M, base.periodic_part, None), 0.1)
+    exact = hf.periodic_family(hf.deltagamma_cell(0.3, 0.3), 0.1)
     assert exact.analytic and exact.sigma.exact and exact.b.exact
-    assert not (stripped.analytic or stripped.sigma.exact or stripped.b.exact)
-
-
-@pytest.mark.parametrize("eps", [0.05, 0.02])
-def test_hessianless_cell_keeps_the_paper_identities(eps):
-    # the missing Hessians come from differences of the exact cell Jacobian,
-    # so div(sigma b) = 0 holds to rounding, not to the step's truncation
-    base = hf.deltagamma_cell(0.3, 0.3)
-    cell = hf.PeriodicCellMap(2, base.M, base.periodic_part, None)
-    system = hf.periodic_family(cell, eps)
-    assert not system.analytic
-    report = hf.invariant_suite(system, hf.Box(np.full(2, -2.0), np.full(2, 2.0)), 1000, 0)
-    assert report.all_passed, report.checks
-    assert report.check("weighted-drift-divergence").tolerance == 1e-6
 
 
 def _sine_cell_3d(amp=0.1):
@@ -585,9 +550,8 @@ def _digest(a):
 def _fallback_outputs():
     """Every derivative a field takes from central differences, or that
     vanishes identically, at fixed points (half of them with |x| > 1, where
-    the step grows with |x|); and the exact derivatives of Hessian-carrying
-    periodic members and the twist map's values, which share their inputs
-    between formulas."""
+    the step grows with |x|); and the exact derivatives of periodic members
+    and the twist map's values, which share their inputs between formulas."""
     points = np.random.default_rng(2024)
     x2, x3 = points.uniform(-2, 2, (7, 2)), points.uniform(-2, 2, (5, 3))
     out = {}
@@ -608,17 +572,14 @@ def _fallback_outputs():
         lambda x: np.stack([np.ones(x.shape[:-1]), -0.2 * np.sin(x[..., 1])], axis=-1))
     out["theta_of.grad"] = hf.theta_of(b, w1).grad(x2)
 
-    # Hessian-less periodic cells
+    # the identity cell in 3D, whose derivatives vanish or are constant
+    system = hf.periodic_family(hf.identity_cell(3), 0.3)
+    out["cell3d.sigma.grad"] = system.sigma.grad(x3)
+    out["cell3d.b.jacobian"] = system.b.jacobian(x3)
+    out["cell3d.b.divergence"] = system.b.divergence(x3)
     dg = hf.deltagamma_cell(0.3, 0.2)
-    cells = {"cell2d": (hf.PeriodicCellMap(2, dg.M, dg.periodic_part, None), x2),
-             "cell3d": (hf.PeriodicCellMap(3, np.eye(3)), x3)}
-    for name, (cell, x) in cells.items():
-        system = hf.periodic_family(cell, 0.3)
-        out[f"{name}.sigma.grad"] = system.sigma.grad(x)
-        out[f"{name}.b.jacobian"] = system.b.jacobian(x)
-        out[f"{name}.b.divergence"] = system.b.divergence(x)
 
-    # Hessian-carrying periodic cells: exact derivatives from one cell jet
+    # sine cells: exact derivatives from one cell jet
     exact = {"deltagamma": (dg, x2),
              "sine": (hf.sine_cell([[1.2, 0.3], [-0.1, 0.9]], 0.3, 0.3), x2),
              "sine3d": (_sine_cell_3d(0.1), x3)}
@@ -681,12 +642,6 @@ FALLBACK_SHA256 = {
         "59c4551f0b4772a23fb57d75fc6845db4e8a1c2f2d40149a600f3defedb198cf",
     "theta_of.grad":
         "54052f0adf05bac3b7bf26d69430f9aa2efedb7b55a138422e4e6d1fa69e82aa",
-    "cell2d.sigma.grad":
-        "5c6e7a06adcc869a40921b905030fee33c8652d34fa4606f184aa98024776ff9",
-    "cell2d.b.jacobian":
-        "850733caf88de19c562cade53fae611d1df1b34761eb0a97331ec0b2c9df3311",
-    "cell2d.b.divergence":
-        "2361026c6e1a2075a713f219cae8225b7ce69683eb333dad56ee61c1b0152803",
     "cell3d.sigma.grad":
         "73faeb2b14b2c237352868273d678ce0912173e61bddcf4d991ca600061e5db1",
     "cell3d.b.jacobian":
