@@ -51,26 +51,23 @@ class ExperimentConfig:
     family: str = _key("family.name", "identity", "str")
     delta: float = _key("family.delta", "0.3", "float")
     gamma: float = _key("family.gamma", "0.3", "float")
-    alpha_form: str = _key("family.alpha_form", "identity", "str")
-    alpha_amp: float = _key("family.alpha_amp", "1.0", "float")
+    # alpha(t) = t + (alpha_amp * eps) sin(t); amplitude 0 is the identity
+    alpha_amp: float = _key("family.alpha_amp", "0.0", "float")
     beta_amp: float = _key("family.beta_amp", "1.0", "float")
     cell_matrix: tuple[float, float, float, float] = _key("family.m", "1,0,0,1", "matrix")
-    dim: int = _key("dim", "2", "int")
     eps: float = _key("eps", "0.1", "float")
     T: float = _key("T", "1.0", "float")
-    u0_center: tuple[float, ...] = _key("u0.center", "0,0", "point")
+    u0_center: tuple[float, float] = _key("u0.center", "0,0", "pair")
     u0_radius: float = _key("u0.radius", "1.0", "float")
-    u0_amplitude: float = _key("u0.amplitude", "1.0", "float")
     h: float = _key("integrator.h", "0.001", "float")
     richardson: bool = _key("integrator.richardson", "false", "bool")
     quad_m: int = _key("quadrature.m", "64", "int")
     time_nodes: int = _key("quadrature.time_nodes", "64", "int")
     nodes_per_eps: float = _key("quadrature.nodes_per_eps", "8.0", "float")
-    cell_m: int = _key("quadrature.cell_m", "64", "int")
     lp_m: int = _key("quadrature.lp_m", "256", "int")
     dict_count: int = _key("dictionary.count", "5", "int")
     dict_radius: float = _key("dictionary.radius", "0.4", "float")
-    dict_centers: tuple[tuple[float, ...], ...] = _key("dictionary.centers", "", "centers")
+    dict_centers: tuple[tuple[float, float, float], ...] = _key("dictionary.centers", "", "centers")
     check_samples: int = _key("check.samples", "1000", "int")
     check_box: tuple[float, float] = _key("check.box", "-2,2", "pair")
     simulate_t: tuple[float, ...] = _key("simulate.t", "0,0.5,1", "floats")
@@ -80,7 +77,8 @@ class ExperimentConfig:
     # cell-periodic drifts realign exactly with the limit flow
     strong_t: tuple[float, ...] = _key("sweep.strong_t", "0.52,0.93", "floats")
     seed: int = _key("seed", "0", "int")
-    output: str = _key("output", "", "str")
+
+    dim = 2  # every config family is two-dimensional
 
 
 # config key -> (ExperimentConfig field, default text, kind)
@@ -91,70 +89,54 @@ _KEYS: dict[str, tuple[str, str, str]] = {
 _DEFAULTS: dict[str, str] = {key: default for key, (_, default, _) in _KEYS.items()}
 
 
-def _finite(raw: dict, key: str, vals: tuple):
+def _finite(key: str, text: str, vals: tuple):
     if not all(abs(v) < math.inf for v in vals):  # nan fails too
-        raise ConfigError(f"key {key!r}: must be finite ({raw[key]!r})")
+        raise ConfigError(f"key {key!r}: must be finite ({text!r})")
     return vals
 
 
-def _to_number(raw: dict, key: str, kind: type = float):
+def _to_number(key: str, text: str, kind: type = float):
     try:
-        val = kind(raw[key])
+        val = kind(text)
     except ValueError as exc:
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"key {key!r}: not {what} ({raw[key]!r})") from exc
-    return _finite(raw, key, (val,))[0]
+        raise ConfigError(f"key {key!r}: not {what} ({text!r})") from exc
+    return _finite(key, text, (val,))[0]
 
 
-def _to_bool(raw: dict, key: str) -> bool:
-    val = raw[key].strip().lower()
+def _to_bool(key: str, text: str) -> bool:
+    val = text.strip().lower()
     if val in ("true", "1", "yes", "on"):
         return True
     if val in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"key {key!r}: not a boolean ({raw[key]!r})")
+    raise ConfigError(f"key {key!r}: not a boolean ({text!r})")
 
 
-def _to_floats(raw: dict, key: str, n: int | None = None) -> tuple[float, ...]:
-    parts = [p for p in raw[key].split(",") if p.strip() != ""]
+def _to_floats(key: str, text: str, n: int | None = None,
+               sep: str = ",") -> tuple[float, ...]:
+    parts = [p for p in text.split(sep) if p.strip() != ""]
     try:
         vals = tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number list ({raw[key]!r})") from exc
+        raise ConfigError(f"key {key!r}: not a number list ({text!r})") from exc
     if n is not None and len(vals) != n:
         raise ConfigError(f"key {key!r}: expected {n} numbers, got {len(vals)}")
-    return _finite(raw, key, vals)
+    return _finite(key, text, vals)
 
 
-def _to_centers(raw: dict, key: str, dim: int) -> tuple[tuple[float, ...], ...]:
-    text = raw[key].strip()
-    if not text:
-        return ()
-    out = []
-    for chunk in text.split(";"):
-        parts = chunk.split(":")
-        if len(parts) != dim + 1:
-            raise ConfigError(
-                f"key {key!r}: each center needs t:{':'.join(['x'] * dim)}")
-        try:
-            vals = tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: bad number in {chunk!r}") from exc
-        out.append(_finite(raw, key, vals))
-    return tuple(out)
-
-
-# kind -> converter (raw, key, dim) -> value
+# kind -> converter (key, text) -> value; dictionary centers are
+# ";"-separated t:x1:x2 triples
 _KINDS = {
-    "str": lambda raw, key, dim: raw[key],
-    "int": lambda raw, key, dim: _to_number(raw, key, int),
-    "float": lambda raw, key, dim: _to_number(raw, key),
-    "bool": lambda raw, key, dim: _to_bool(raw, key),
-    "floats": lambda raw, key, dim: _to_floats(raw, key),
-    "pair": lambda raw, key, dim: _to_floats(raw, key, 2),
-    "point": lambda raw, key, dim: _to_floats(raw, key, dim),
-    "matrix": lambda raw, key, dim: _to_floats(raw, key, dim * dim),
-    "centers": _to_centers,
+    "str": lambda key, text: text,
+    "int": lambda key, text: _to_number(key, text, int),
+    "float": _to_number,
+    "bool": _to_bool,
+    "floats": _to_floats,
+    "pair": lambda key, text: _to_floats(key, text, 2),
+    "matrix": lambda key, text: _to_floats(key, text, 4),
+    "centers": lambda key, text: tuple(_to_floats(key, c, 3, ":")
+                                       for c in text.split(";") if c.strip()),
 }
 
 
@@ -177,10 +159,7 @@ def parse_config(text: str) -> ExperimentConfig:
         seen.add(key)
         raw[key] = value.strip()
 
-    dim = _to_number(raw, "dim", int)
-    if dim != 2:
-        raise ConfigError("key 'dim': the config families are two-dimensional")
-    cfg = ExperimentConfig(**{name: _KINDS[kind](raw, key, dim)
+    cfg = ExperimentConfig(**{name: _KINDS[kind](key, raw[key])
                               for key, (name, _, kind) in _KEYS.items()})
     _validate(cfg)
     return cfg
@@ -208,7 +187,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.quad_m >= 2, "quadrature.m", "must be at least 2")
     need(cfg.time_nodes >= 1, "quadrature.time_nodes", "must be at least 1")
     need(cfg.nodes_per_eps > 0.0, "quadrature.nodes_per_eps", "must be positive")
-    need(cfg.cell_m >= 8, "quadrature.cell_m", "must be at least 8")
     need(cfg.lp_m >= 2, "quadrature.lp_m", "must be at least 2")
     need(1 <= cfg.dict_count <= 8, "dictionary.count", "must be between 1 and 8")
     need(cfg.dict_radius > 0.0, "dictionary.radius", "must be positive")
@@ -227,23 +205,30 @@ def _validate(cfg: ExperimentConfig) -> None:
         need(low > 0.0, "family.delta", "the cell determinant (M = family.m, the"
              f" identity for deltagamma) must stay positive, but reaches {low:g}")
     if cfg.family == "example31":
-        need(cfg.alpha_form in ("identity", "perturbed"), "family.alpha_form",
-             "must be 'identity' or 'perturbed'")
         need(cfg.alpha_amp >= 0.0, "family.alpha_amp", "must be nonnegative")
 
 
-def _check_alpha_amp(cfg: ExperimentConfig, key: str, values) -> None:
-    """Refuse a perturbed alpha(t) = t + (alpha_amp * e) sin(t) that stops
-    increasing at one of the eps ``values`` the command builds (config
-    key ``key``)."""
-    if cfg.family != "example31" or cfg.alpha_form != "perturbed":
+# exp(x) overflows for x at or above log(largest float), about 709.78
+_EXP_LIMIT = math.log(sys.float_info.max)
+
+
+def _check_twist(cfg: ExperimentConfig, key: str, values) -> None:
+    """Refuse twist profiles that leave the regime at one of the eps
+    ``values`` the command builds (config key ``key``): alpha(t) = t +
+    (alpha_amp * e) sin(t) must keep increasing, and the map's exp(+-beta)
+    of beta(t) = (beta_amp * e) sin(t / e) must stay finite."""
+    if cfg.family != "example31":
         return
     for e in values:
         if not cfg.alpha_amp * e < 1.0:
             raise ConfigError(
-                f"key 'family.alpha_amp': alpha_amp * eps must stay below 1 for a"
-                f" perturbed alpha, but {cfg.alpha_amp:g} * {e:g} is not"
-                f" ({key} = {e:g})")
+                f"key 'family.alpha_amp': alpha_amp * eps must stay below 1,"
+                f" but {cfg.alpha_amp:g} * {e:g} is not ({key} = {e:g})")
+        if not abs(cfg.beta_amp) * e < _EXP_LIMIT:
+            raise ConfigError(
+                f"key 'family.beta_amp': |beta_amp| * eps must stay below"
+                f" {_EXP_LIMIT:.2f}, where exp(beta) overflows, but"
+                f" |{cfg.beta_amp:g}| * {e:g} is not ({key} = {e:g})")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -273,10 +258,10 @@ def build_system(cfg: ExperimentConfig, eps: float) -> RectifiedSystem:
     cell = _build_cell(cfg)
     if cell is not None:
         return periodic_family(cell, eps, label=cfg.family)
-    if cfg.alpha_form == "perturbed":
-        alpha = perturbed_identity_curve(cfg.alpha_amp * eps)
-    else:
+    if cfg.alpha_amp == 0.0:
         alpha = identity_curve()
+    else:
+        alpha = perturbed_identity_curve(cfg.alpha_amp * eps)
     if cfg.beta_amp == 0.0:
         beta = zero_curve()
     else:
@@ -287,7 +272,7 @@ def build_system(cfg: ExperimentConfig, eps: float) -> RectifiedSystem:
 def build_coefficients(cfg: ExperimentConfig) -> EffectiveCoefficients:
     cell = _build_cell(cfg)
     if cell is not None:
-        return effective_from_cell(cell, m=cfg.cell_m)
+        return effective_from_cell(cell)
     # twist family: the limit map is the identity at every eps, so sigma0 = 1
     # and the cofactor-route xi0 is e1, the flux of the identity Jacobian
     return constant_coefficients(2, 1.0, (1.0, 0.0))
@@ -298,7 +283,7 @@ def _integrator(cfg: ExperimentConfig) -> IntegratorConfig:
 
 
 def _datum(cfg: ExperimentConfig):
-    return bump_datum(cfg.dim, cfg.u0_center, cfg.u0_radius, cfg.u0_amplitude)
+    return bump_datum(cfg.dim, cfg.u0_center, cfg.u0_radius)
 
 
 def _dictionary(cfg: ExperimentConfig) -> list[TestFunction]:
@@ -348,7 +333,7 @@ def _csv(header: list[str], rows: list[tuple]) -> str:
 # ---------------------------------------------------------------------------
 
 def run_check(cfg: ExperimentConfig) -> tuple[int, str]:
-    _check_alpha_amp(cfg, "eps", (cfg.eps,))
+    _check_twist(cfg, "eps", (cfg.eps,))
     system = build_system(cfg, cfg.eps)
     lo, hi = cfg.check_box
     box = Box(np.full(cfg.dim, lo), np.full(cfg.dim, hi))
@@ -362,7 +347,7 @@ def run_check(cfg: ExperimentConfig) -> tuple[int, str]:
 
 
 def run_simulate(cfg: ExperimentConfig) -> tuple[int, str]:
-    _check_alpha_amp(cfg, "eps", (cfg.eps,))
+    _check_twist(cfg, "eps", (cfg.eps,))
     system = build_system(cfg, cfg.eps)
     u0 = _datum(cfg)
     sol = solve_transport(system.b, u0, _integrator(cfg))
@@ -407,12 +392,23 @@ def run_homogenize(cfg: ExperimentConfig) -> tuple[int, str]:
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
-    _check_alpha_amp(cfg, "sweep.eps", cfg.sweep_eps)
+    _check_twist(cfg, "sweep.eps", cfg.sweep_eps)
     # one integration pass per sampler, inside the strong box (sized for T)
     if not (all(0.0 <= t <= cfg.T for t in cfg.strong_t)
             or all(-cfg.T <= t <= 0.0 for t in cfg.strong_t)):
         raise ConfigError(f"key 'sweep.strong_t': times must all lie in [0, T]"
                           f" or all in [-T, 0] (T = {cfg.T:g})")
+    # a pairing samples time_nodes x n^2 (time, node) pairs, n nodes per axis
+    # as SpacetimeQuad sizes the 2 * radius wide boxes at the smallest eps;
+    # 2^27 is 8x the grid of an eps = 1/80 sweep at the default quadrature
+    n = max(cfg.quad_m, float(np.ceil(2.0 * cfg.dict_radius * cfg.nodes_per_eps
+                                      / min(cfg.sweep_eps))))
+    samples = cfg.time_nodes * n * n
+    if samples > 2 ** 27:
+        key = "quadrature.nodes_per_eps" if n > cfg.quad_m else "quadrature.m"
+        raise ConfigError(
+            f"key {key!r}: the pairing grid needs n = {n:.0f} nodes per axis, so"
+            f" quadrature.time_nodes * n^2 = {samples:.3g} samples, above 2^27")
     u0 = _datum(cfg)
     integ = _integrator(cfg)
     coeffs = build_coefficients(cfg)
@@ -476,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--out", default=None, help="CSV output path (default: config 'output' key or stdout)")
+        p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
 
     args = parser.parse_args(argv)
     try:
@@ -495,9 +491,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 
-    out_path = args.out or cfg.output
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv)
     else:
         sys.stdout.write(csv)

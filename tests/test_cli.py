@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -37,6 +38,7 @@ def test_defaults_parse():
     assert cfg.eps == 0.1
     assert cfg.sweep_eps == (0.4, 0.2, 0.1, 0.05)
     assert cfg.h == 1e-3
+    assert cfg.dim == 2
 
 
 def test_round_trip_is_identity():
@@ -50,8 +52,8 @@ def test_config_text_is_pinned():
     digests = [hashlib.sha256(text.encode()).hexdigest()
                for text in (serialize_config(parse_config("")), _CONFIG_HELP)]
     assert digests == [
-        "325066459a4e7e79cfc987ac42abf96705265c2a15114f6f7915f8dba16a20f0",
-        "72a42d7bfbfc339c4a85b1c0cbf475c7e536a12e3638d442ad05e87b63059683"]
+        "8a66a73c066da11d1db60c3c60f22f1c5cdffdcefa4be46a797d2f1cd2f71d3c",
+        "70448e3a213d6887a4d3c0ebdb275580008230e6967f08c8e0f142caaae18abf"]
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -62,7 +64,11 @@ def test_config_text_is_pinned():
     ("eps = zebra", "not a number"),
     ("integrator.h = 0", "positive"),
     ("sweep.eps = 0.1,0.2", "strictly decreasing"),
-    ("dim = 3", "two-dimensional"),
+    ("dim = 2", "unknown key"),
+    ("family.alpha_form = perturbed", "unknown key"),
+    ("quadrature.cell_m = 64", "unknown key"),
+    ("u0.amplitude = 1.0", "unknown key"),
+    ("output = out.csv", "unknown key"),
     ("dictionary.count = 11", "between 1 and 8"),
     ("T = inf", "'T': must be finite"),
     ("eps = nan", "'eps': must be finite"),
@@ -106,7 +112,7 @@ def test_empty_time_and_eps_lists_rejected(key, tmp_path, capsys):
     assert key in capsys.readouterr().err
 
 
-PERTURBED = "family.name = example31\nfamily.alpha_form = perturbed\nfamily.alpha_amp = "
+PERTURBED = "family.name = example31\nfamily.alpha_amp = "
 
 
 def test_perturbed_alpha_amplitude_checked_against_the_eps_it_meets(tmp_path, capsys):
@@ -124,9 +130,46 @@ def test_perturbed_alpha_amplitude_checked_against_the_eps_it_meets(tmp_path, ca
     path.write_text(PERTURBED + "2\nsweep.eps = 0.6,0.2\n")
     assert main(["sweep", "--config", str(path)]) == 2
     assert "sweep.eps = 0.6" in capsys.readouterr().err
-    # an identity alpha ignores the amplitude
-    assert run_check(parse_config(PERTURBED.replace("perturbed", "identity")
-                                  + "2\neps = 0.5\ncheck.samples = 20"))[0] == 0
+    # amplitude 0 is the identity alpha, which meets no bound
+    assert run_check(parse_config(PERTURBED + "0\neps = 0.5\ncheck.samples = 20"))[0] == 0
+
+
+def test_beta_amplitude_checked_against_the_eps_it_meets(tmp_path, capsys):
+    # exp(+-beta) overflows once |beta_amp| * eps reaches log(float max),
+    # 709.78; each command checks the eps it builds, homogenize builds none
+    path = tmp_path / "beta.cfg"
+    path.write_text("family.name = example31\nfamily.beta_amp = 1e300\nsimulate.m = 3\n")
+    for command, key in (("check", "eps = 0.1"), ("simulate", "eps = 0.1"),
+                         ("sweep", "sweep.eps = 0.4")):
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'family.beta_amp':" in err and f"({key})" in err
+    assert main(["homogenize", "--config", str(path)]) == 0
+
+
+def test_pairing_grid_checked_before_a_sweep_starts(tmp_path, capsys):
+    # 2 * 0.4 * 1e6 / 0.4 nodes per axis: a 64 x 2,000,000^2 pairing grid
+    path = tmp_path / "grid.cfg"
+    path.write_text("family.name = deltagamma\nsweep.eps = 0.4\ndictionary.count = 1\n"
+                    "quadrature.nodes_per_eps = 1e6\ncheck.samples = 20\nsimulate.m = 3\n")
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'quadrature.nodes_per_eps':" in err and "n = 2000000" in err
+    for command in ("check", "simulate"):
+        assert main([command, "--config", str(path)]) == 0
+
+
+def test_readme_names_only_config_keys():
+    # the README's example config parses, and every dotted key it names
+    # in backticks is a config key
+    from homoflow.cli import _KEYS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    parse_config(readme.split("Example config:\n\n```\n", 1)[1].split("```", 1)[0])
+    sections = {key.split(".")[0] for key in _KEYS if "." in key}
+    named = {word for word in (tok.split()[0] for tok in re.findall(r"`([^`\s][^`]*)`", readme))
+             if "." in word and word.split(".")[0] in sections}
+    assert "sweep.eps" in named
+    assert named <= set(_KEYS), named - set(_KEYS)
 
 
 def test_perturbed_alpha_sweep_eps_does_not_block_other_commands(tmp_path):
@@ -207,8 +250,8 @@ def test_build_coefficients_twist_detects_constants(monkeypatch):
         raise AssertionError("the twist limit coefficients need no eps system")
 
     monkeypatch.setattr(cli_mod, "build_system", refuse)
-    for alpha in ("identity", "perturbed"):
-        cfg = parse_config(f"family.name = example31\nfamily.alpha_form = {alpha}")
+    for amp in (0, 0.5):
+        cfg = parse_config(f"family.name = example31\nfamily.alpha_amp = {amp}")
         coeffs = build_coefficients(cfg)
         assert coeffs.is_constant
         assert np.asarray(coeffs.xi0).tobytes() == np.array([1.0, 0.0]).tobytes()
@@ -375,8 +418,7 @@ integrator.h = 0.005
     # amplitude, and beta = 0 (the zero curve, no sin or cos)
     ("family.name = example31",
      "2b40d6dd829090528bd5e66379a73e4081aced25bcf447f073c2a66df93de10f", run_sweep),
-    ("family.name = example31\nfamily.alpha_form = perturbed\n"
-     "family.alpha_amp = 0.5\nfamily.beta_amp = 0.7",
+    ("family.name = example31\nfamily.alpha_amp = 0.5\nfamily.beta_amp = 0.7",
      "d778242812e5cca8ee70be52856929a1bea87bb0ea62dc3445972c7637f4cb87", run_sweep),
     ("family.name = example31\nfamily.beta_amp = 0",
      "37c3d72bc5f1ab3f8e91470c17c4bd11965f62c20181f1a9aba415beeba0e704", run_sweep),
@@ -391,8 +433,7 @@ integrator.h = 0.005
      "c93cd905f80082dee3ce92c8822e53e2c1359049879fa2e100a284da6ce93c0d", run_check),
     ("family.name = example31",
      "c218509fcfd6f439eb870b1cee7eec621877fe3058c867d8b6160618cfb6c239", run_check),
-    ("family.name = example31\nfamily.alpha_form = perturbed\n"
-     "family.alpha_amp = 0.5\nfamily.beta_amp = 0.7",
+    ("family.name = example31\nfamily.alpha_amp = 0.5\nfamily.beta_amp = 0.7",
      "d362279f4bfc45ecf243d017bfbca9748770f1afb40a30a225da6915bf01907b", run_check),
     ("family.name = identity",
      "6407dec6133aa7e80ef1a43d802b0e2afc6427b3958da9c97776b1454347ace9", run_homogenize),
@@ -404,8 +445,7 @@ integrator.h = 0.005
      "7e839890bde264fc4680a51811c44f8b6e2d664d1be580bf6672a7f94c332028", run_homogenize),
     ("family.name = example31",
      "2d9ac2d1c8dc051bdf2f909e8bb51a8a630229528b9c0fcae31b9ed4f8337f5a", run_homogenize),
-    ("family.name = example31\nfamily.alpha_form = perturbed\n"
-     "family.alpha_amp = 0.5\nfamily.beta_amp = 0.7",
+    ("family.name = example31\nfamily.alpha_amp = 0.5\nfamily.beta_amp = 0.7",
      "2d9ac2d1c8dc051bdf2f909e8bb51a8a630229528b9c0fcae31b9ed4f8337f5a", run_homogenize),
 ])
 def test_sweep_csv_bytes_are_pinned(family, digest, command):
@@ -486,8 +526,9 @@ def _cli(command, text, tmp_path):
 
 
 def test_overflowing_drift_exits_3(tmp_path):
-    # the sampled sup of the twist drift is inf, which sized no finite box
-    run = _cli("simulate", "family.name = example31\nfamily.beta_amp = 1e300\n"
+    # |beta| <= 7000 * 0.1 keeps exp(+-beta) finite, yet the sampled sup of
+    # the twist drift is inf, which sized no finite box
+    run = _cli("simulate", "family.name = example31\nfamily.beta_amp = 7000\n"
                "simulate.m = 3\n", tmp_path)
     assert run.returncode == 3, run.stderr
     assert "Traceback" not in run.stderr
@@ -495,9 +536,8 @@ def test_overflowing_drift_exits_3(tmp_path):
 
 
 def test_unallocatable_grid_exits_3(tmp_path):
-    # a pairing grid of 2,000,000^2 nodes; only its two 16 MB axes are made
-    run = _cli("sweep", "family.name = deltagamma\nsweep.eps = 0.4\ndictionary.count = 1\n"
-               "quadrature.nodes_per_eps = 1e6\n", tmp_path)
+    # a sample grid of 2,000,000^2 nodes; only its two 16 MB axes are made
+    run = _cli("simulate", "simulate.m = 2000000\n", tmp_path)
     assert run.returncode == 3, run.stderr
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("numeric error: Unable to allocate")
