@@ -212,11 +212,15 @@ def _validate(cfg: ExperimentConfig) -> None:
 _EXP_LIMIT = math.log(sys.float_info.max)
 
 
-def _check_twist(cfg: ExperimentConfig, key: str, values) -> None:
+def _check_twist(cfg: ExperimentConfig, key: str, values, radius: float) -> None:
     """Refuse twist profiles that leave the regime at one of the eps
     ``values`` the command builds (config key ``key``): alpha(t) = t +
-    (alpha_amp * e) sin(t) must keep increasing, and the map's exp(+-beta)
-    of beta(t) = (beta_amp * e) sin(t / e) must stay finite."""
+    (alpha_amp * e) sin(t) must keep increasing, and the drift e^{-beta}
+    (alpha'(x2)(1 - p beta'(p)), alpha'(x1) alpha(x2)^2 beta'(p)) finite on
+    the square |x1|, |x2| <= ``radius`` where the command samples it.  With
+    c = alpha_amp e, it is at most exp(|beta_amp| e)(1 + c)(1 + 2 (radius +
+    c)^2 |beta_amp|) there, whose log must stay below half of log(largest
+    float), so that the squares a norm forms (and exp(+-beta)) stay finite."""
     if cfg.family != "example31":
         return
     for e in values:
@@ -224,11 +228,22 @@ def _check_twist(cfg: ExperimentConfig, key: str, values) -> None:
             raise ConfigError(
                 f"key 'family.alpha_amp': alpha_amp * eps must stay below 1,"
                 f" but {cfg.alpha_amp:g} * {e:g} is not ({key} = {e:g})")
-        if not abs(cfg.beta_amp) * e < _EXP_LIMIT:
+        c, amp = cfg.alpha_amp * e, abs(cfg.beta_amp)
+        bound = amp * e + math.log((1.0 + c) * (1.0 + 2.0 * (radius + c) ** 2 * amp))
+        if not 2.0 * bound < _EXP_LIMIT:
             raise ConfigError(
-                f"key 'family.beta_amp': |beta_amp| * eps must stay below"
-                f" {_EXP_LIMIT:.2f}, where exp(beta) overflows, but"
-                f" |{cfg.beta_amp:g}| * {e:g} is not ({key} = {e:g})")
+                f"key 'family.beta_amp': on |x1|, |x2| <= {radius:g} the twist drift"
+                f" is bounded only by exp({bound:.6g}), and its square overflows"
+                f" from exp({_EXP_LIMIT / 2.0:.2f}) ({key} = {e:g})")
+
+
+def _check_grid(key: str, what: str, n: float, n_times: int) -> None:
+    """Refuse, naming ``key``, n^2 nodes at ``n_times`` times above 2^27
+    samples, 8x the pairing grid of an eps = 1/80 sweep by default."""
+    if n_times * n * n > 2 ** 27:
+        raise ConfigError(
+            f"key {key!r}: the {what} grid needs n = {n:.0f} nodes per axis at"
+            f" {n_times} times, {n_times * n * n:.3g} samples, above 2^27")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -333,9 +348,9 @@ def _csv(header: list[str], rows: list[tuple]) -> str:
 # ---------------------------------------------------------------------------
 
 def run_check(cfg: ExperimentConfig) -> tuple[int, str]:
-    _check_twist(cfg, "eps", (cfg.eps,))
-    system = build_system(cfg, cfg.eps)
     lo, hi = cfg.check_box
+    _check_twist(cfg, "eps", (cfg.eps,), max(abs(lo), abs(hi)))
+    system = build_system(cfg, cfg.eps)
     box = Box(np.full(cfg.dim, lo), np.full(cfg.dim, hi))
     report = invariant_suite(system, box, n_samples=cfg.check_samples,
                              seed=cfg.seed)
@@ -347,13 +362,15 @@ def run_check(cfg: ExperimentConfig) -> tuple[int, str]:
 
 
 def run_simulate(cfg: ExperimentConfig) -> tuple[int, str]:
-    _check_twist(cfg, "eps", (cfg.eps,))
+    t_values = sorted(set(float(t) for t in cfg.simulate_t))
+    t_reach = max(abs(t) for t in t_values)
+    radius = cfg.u0_radius + t_reach + 1.0
+    _check_twist(cfg, "eps", (cfg.eps,), radius)
+    _check_grid("simulate.m", "sample", cfg.simulate_m, len(t_values))
     system = build_system(cfg, cfg.eps)
     u0 = _datum(cfg)
     sol = solve_transport(system.b, u0, _integrator(cfg))
-    t_values = sorted(set(float(t) for t in cfg.simulate_t))
-    t_reach = max(abs(t) for t in t_values)
-    sup = _estimated_sup(system, u0.support_radius + t_reach + 1.0)
+    sup = _estimated_sup(system, radius)
     box = dependence_box(u0, sup, t_reach)
     pts, _ = box.midpoint_grid(cfg.simulate_m)
     # one integration pass per direction of time
@@ -392,23 +409,20 @@ def run_homogenize(cfg: ExperimentConfig) -> tuple[int, str]:
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
-    _check_twist(cfg, "sweep.eps", cfg.sweep_eps)
+    radius = cfg.u0_radius + cfg.T + 1.0
+    _check_twist(cfg, "sweep.eps", cfg.sweep_eps, radius)
     # one integration pass per sampler, inside the strong box (sized for T)
     if not (all(0.0 <= t <= cfg.T for t in cfg.strong_t)
             or all(-cfg.T <= t <= 0.0 for t in cfg.strong_t)):
         raise ConfigError(f"key 'sweep.strong_t': times must all lie in [0, T]"
                           f" or all in [-T, 0] (T = {cfg.T:g})")
     # a pairing samples time_nodes x n^2 (time, node) pairs, n nodes per axis
-    # as SpacetimeQuad sizes the 2 * radius wide boxes at the smallest eps;
-    # 2^27 is 8x the grid of an eps = 1/80 sweep at the default quadrature
+    # as SpacetimeQuad sizes the 2 * radius wide boxes at the smallest eps
     n = max(cfg.quad_m, float(np.ceil(2.0 * cfg.dict_radius * cfg.nodes_per_eps
                                       / min(cfg.sweep_eps))))
-    samples = cfg.time_nodes * n * n
-    if samples > 2 ** 27:
-        key = "quadrature.nodes_per_eps" if n > cfg.quad_m else "quadrature.m"
-        raise ConfigError(
-            f"key {key!r}: the pairing grid needs n = {n:.0f} nodes per axis, so"
-            f" quadrature.time_nodes * n^2 = {samples:.3g} samples, above 2^27")
+    _check_grid("quadrature.nodes_per_eps" if n > cfg.quad_m else "quadrature.m",
+                "pairing", n, cfg.time_nodes)
+    _check_grid("quadrature.lp_m", "strong", cfg.lp_m, len(cfg.strong_t))
     u0 = _datum(cfg)
     integ = _integrator(cfg)
     coeffs = build_coefficients(cfg)
@@ -429,8 +443,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
                                dictionary, quad, integ, label=cfg.family)
 
     sol_limit = solve_homogenized(coeffs, u0, "advective", integ)
-    sup = _estimated_sup(solved[cfg.sweep_eps[0]][0],
-                         u0.support_radius + cfg.T + 1.0)
+    sup = _estimated_sup(solved[cfg.sweep_eps[0]][0], radius)
     strong_box = dependence_box(u0, sup, cfg.T, margin=0.2)
     strong = {eps: strong_l2_error(sol_eps, sol_limit, system, strong_box,
                                    cfg.strong_t, quad, resolution=cfg.lp_m)

@@ -139,30 +139,25 @@ def _pairing(sol: SolutionSampler, phi: TestFunction, quad: SpacetimeQuad,
              weight: Callable[[Array], Array] | None) -> float:
     """Midpoint spacetime sum of weight * u * phi over phi's support.
 
-    u is sampled only at the (time, node) pairs where phi can be nonzero:
-    those where the r2 = (space_sq + time_sq) / radius^2 that ``phi.eval``
-    forms, formed here by the same operations, is below 1, so each node is
-    advected up to its own last such time.  Elsewhere phi is exactly 0, and
-    rounding is monotone, so nodes or times pruned by fl(space_sq)/radius^2
-    >= 1 or fl(time_sq)/radius^2 >= 1 alone have r2 >= 1 too.  Pruned
-    samples enter as +0 where the full grid had u * 0 = +-0, which changes
-    no nonzero partial sum, and all-zero layers add nothing.  The sampler
-    must evaluate each point independently of its batch.
+    The sampler gets the whole node grid and, as ``needed``, the (time,
+    node) pairs where the r2 = (space_sq + time_sq) / radius^2 that
+    ``phi.eval`` forms, formed here by the same operations, is below 1.
+    Elsewhere phi is exactly 0, and rounding is monotone, so times pruned by
+    fl(time_sq)/radius^2 >= 1 alone have r2 >= 1 too.  Unread samples enter
+    as +0 where the full grid had u * 0 = +-0, which changes no nonzero
+    partial sum, and all-zero layers add nothing.
     """
     box = phi.space_box
     pts, vol = box.midpoint_grid(quad.space_resolution(box.widths))
     ts = midpoint_times(quad.T, quad.n_time)
     dt = quad.T / quad.n_time
     r2 = phi.radius ** 2
-    space_sq = phi.space_sq(pts)
-    inside = space_sq / r2 < 1.0
     live = [k for k, t in enumerate(ts) if phi.time_sq(t) / r2 < 1.0]
-    if not live or not inside.any():
+    if not live:
         return 0.0
     n_adv = live[-1] + 1
-    needed = (space_sq[inside][None, :] + phi.time_sq(ts[:n_adv])[:, None]) / r2 < 1.0
-    vals = np.zeros((n_adv, len(pts)))
-    vals[:, inside] = sol.eval_times(ts[:n_adv], pts[inside], needed=needed)
+    needed = (phi.space_sq(pts)[None, :] + phi.time_sq(ts[:n_adv])[:, None]) / r2 < 1.0
+    vals = sol.eval_times(ts[:n_adv], pts, needed=needed)
     w = weight(pts) if weight is not None else None
     total = 0.0
     for k in live:
@@ -177,8 +172,8 @@ def weak_pairing(system: RectifiedSystem, sol: SolutionSampler,
                  phi: TestFunction, quad: SpacetimeQuad) -> float:
     """Spacetime pairing of the weighted density: integral of sigma * u * phi.
 
-    Exact with support pruning: u is advected only where phi can be nonzero
-    (rounding is monotone, so a node pruned by either coordinate alone has
+    Exact with support pruning: u is read only where phi can be nonzero
+    (rounding is monotone, so a time pruned by its coordinate alone has
     r2 >= 1 in ``phi.eval``), and the sum equals the full-grid one bit for bit.
     """
     return _pairing(sol, phi, quad, system.sigma.eval)

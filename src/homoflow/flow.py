@@ -10,8 +10,9 @@ function.  J solves the variational equation, so its columns are the
 sensitivities of the flow map; L integrates the divergence along the
 trajectory, so exp(L) reproduces det(J) up to integrator error.  The two are
 propagated independently on purpose: their agreement is a cross-check, not
-a tautology.  :func:`advect_times` decides how far each point is integrated
-from a ``needed`` mask, in the order of its own snapshots.
+a tautology.  :func:`advect_times` alone decides how far each point is
+integrated: from a caller's ``needed`` mask, in the order of its own
+snapshots, or through every time under the Richardson guard.
 
 Each integration call is pure; trajectories for distinct starting batches may
 run concurrently.  A flow map (:func:`flow_map_diffeo`, which
@@ -36,6 +37,9 @@ from .fields import (Array, Diffeo, FieldError, RectifiedSystem, VectorField,
 # evaluation carries integrator noise that the division by the step amplifies.
 FLOW_FD_STEP = 1e-4
 
+# how far step-halving may move a position before the Richardson guard trips
+RICHARDSON_TOL = 1e-6
+
 
 class BlowupError(RuntimeError):
     """A trajectory left the finite range; carries the failure time."""
@@ -46,21 +50,20 @@ class BlowupError(RuntimeError):
 
 
 class AccuracyError(RuntimeError):
-    """Richardson re-run at h/2 disagreed beyond the configured tolerance."""
+    """Richardson re-run at h/2 disagreed beyond RICHARDSON_TOL."""
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step RK4 configuration.
 
-    ``richardson_check`` re-runs every integration with half the step and
-    raises :class:`AccuracyError` if positions move by more than
-    ``richardson_tol``.
+    ``richardson_check`` re-runs every integration over its whole batch with
+    half the step and raises :class:`AccuracyError` if a position moves by
+    more than RICHARDSON_TOL.
     """
 
     h: float = 1e-3
     richardson_check: bool = False
-    richardson_tol: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.h < np.inf:
@@ -154,8 +157,10 @@ def advect_times(field: VectorField, x0, times,
     the points each time needs.  The state at times[k] then holds, in batch
     order, just the points needed[k] marks, and each point is integrated only
     up to the last time that needs it (in the pass's |t| order); a point no
-    time needs is not integrated at all.  A point's values do not depend on
-    which other points share its batch.
+    time needs is not integrated at all.  The guard overrides that: it
+    integrates and compares every point through every time, then trims the
+    snapshots.  A point's values do not depend on which other points share
+    its batch.
     """
     times = [float(t) for t in times]
     if not times:
@@ -180,14 +185,17 @@ def advect_times(field: VectorField, x0, times,
     if carry_jacobian:
         state += (np.broadcast_to(np.eye(field.dim), x0.shape + (field.dim,)).copy(),
                   np.zeros(x0.shape[:-1]))
-    states = _snapshots(rate, state, times, cfg.h, needed)
+    states = _snapshots(rate, state, times, cfg.h, None if cfg.richardson_check else needed)
     if cfg.richardson_check:
-        fine = _snapshots(rate, state[:1], times, cfg.h / 2.0, needed)
+        fine = _snapshots(rate, state[:1], times, cfg.h / 2.0, None)
         gap = max(float(np.max(np.abs(f.pos - c.pos), initial=0.0))
                   for f, c in zip(fine, states))
-        if gap > cfg.richardson_tol:
+        if gap > RICHARDSON_TOL:
             raise AccuracyError(
-                f"step-halving moved positions by {gap:.3e} > {cfg.richardson_tol:.3e}")
+                f"step-halving moved positions by {gap:.3e} > {RICHARDSON_TOL:.3e}")
+        if needed is not None:
+            states = [FlowState(s.t, *(a if a is None else a[k] for a in (s.pos, s.jac, s.logdet)))
+                      for s, k in zip(states, needed)]
     return states
 
 

@@ -10,13 +10,13 @@ Transport has a finite speed.  When the drift carries a proven box B =
 [lo, hi] around its computed values (``VectorField.proven_box``), a point x
 moves by a vector in t B up to time t, so u(t, x) is exactly 0 unless
 dist(c - x, t B) < r0, with c and r0 the datum's center and support radius.
-The samplers of :func:`solve_transport` integrate each point only up to the
-last requested time at which it is inside that reach (slightly enlarged to
-cover rounding) and return +0.0 wherever it is not.  Initial data must
-therefore return +0.0 outside their support, as :func:`bump_datum` does.
-Sampled bounds (``sup_bound``) only size boxes.  A caller that needs only
-some samples passes ``eval_times`` a ``needed`` mask, and each point is
-integrated only up to its last needed time.
+The samplers of :func:`solve_transport` fill only the samples inside that
+reach (slightly enlarged to cover rounding), and those a caller's ``needed``
+mask marks, and return +0.0 for the others; initial data must therefore
+return +0.0 outside their support, as :func:`bump_datum` does.  How far each
+point is integrated is :func:`~homoflow.flow.advect_times`'s decision: it
+gets the whole batch with the mask of the samples to fill.  Sampled bounds
+(``sup_bound``) only size boxes.
 
 The limit equation comes in two equivalent shapes for positive density:
 the plain advective form  du/dt - (xi0/sigma0) . grad u = 0  and the density
@@ -159,9 +159,8 @@ class SolutionSampler:
     ``eval_times(ts, x, needed=None)`` evaluates on a fixed point batch at
     an increasing list of times in a single integration pass, shape
     ``(len(ts),) + x.shape[:-1]``; use it for quadrature grids.  ``needed``,
-    a boolean array of that shape, marks the samples the caller reads: the
-    others are +0.0, and points are integrated only while some later time
-    needs them.  ``eval`` is ``eval_times`` at one time.  ``drift_sup``
+    a boolean array of that shape, marks the samples the caller reads; the
+    others are +0.0.  ``eval`` is ``eval_times`` at one time.  ``drift_sup``
     (when known) bounds the drift's speed; :func:`lp_norm` sizes its
     domain-of-dependence check from it.
     """
@@ -216,9 +215,9 @@ def solve_transport(b: VectorField, u0: InitialDatum,
     requested |t| and S = |max(|lo|, |hi|)| the norm of B's farthest
     corner; every other sample is +0.0, the value u0 has outside its
     support, and the result equals the full integration bit for bit.  The
-    (time, point) mask of the samples to fill, the ones that pass this test
-    and that ``needed`` marks, goes to :func:`~homoflow.flow.advect_times`
-    as its ``needed``, so each point is integrated up to its last such time.
+    sampler hands :func:`~homoflow.flow.advect_times` its whole batch and
+    the mask of the samples to fill, those that pass this test and that
+    ``needed`` marks, if one is filled or the Richardson guard is on.
 
     The slack covers rounding.  Each RK4 step adds fl((dt/6)(k1 + 2 k2 +
     2 k3 + k4)), and every computed stage velocity k lies in B, so in exact
@@ -239,12 +238,12 @@ def solve_transport(b: VectorField, u0: InitialDatum,
     pruning (m's T S part absorbs the 10 u |t| S).  The margin also dwarfs
     the rounding of the distance here and of the datum's own distance test.
     When the check fails or the drift has no proven box, nothing is pruned
-    for reach.  With the Richardson guard on (it compares every point),
-    every point is integrated through every time, so no
+    for reach.  With the Richardson guard on, ``advect_times`` integrates
+    and compares every point through every time, so no
     :class:`~homoflow.flow.BlowupError` or
     :class:`~homoflow.flow.AccuracyError` is hidden.  Otherwise a point is
-    not integrated past the last time it is live and needed, and a blow-up
-    it would meet later is not raised.
+    not integrated past the last time it is filled, and a blow-up it would
+    meet later is not raised.
     """
     if b.dim != u0.dim:
         raise ValueError("drift and initial datum dimensions differ")
@@ -253,23 +252,17 @@ def solve_transport(b: VectorField, u0: InitialDatum,
         ts = np.asarray(ts, dtype=float)
         x = as_points(x, u0.dim)
         pts = x.reshape(-1, u0.dim)
-        every = np.ones((len(ts), len(pts)), dtype=bool)
+        shape = (len(ts), len(pts))
         # fill: the samples that may be nonzero and are read; the others keep +0.0
         fill = _reach(b, u0, cfg, ts, pts)
-        fill = every if fill is None else fill
+        fill = np.ones(shape, dtype=bool) if fill is None else fill
         if needed is not None:
-            fill = fill & np.asarray(needed, dtype=bool).reshape(every.shape)
-        # the guard compares every point at every time
-        run = every if cfg.richardson_check else fill
-        out = np.zeros(run.shape)
-        batch = np.flatnonzero(run.any(axis=0))
-        if len(batch):
-            live = pts if len(batch) == len(pts) else pts[batch]
-            states = advect_times(b, live, ts, cfg, needed=run[:, batch])
+            fill = fill & np.asarray(needed, dtype=bool).reshape(shape)
+        out = np.zeros(shape)
+        if fill.any() or cfg.richardson_check:
+            states = advect_times(b, pts, ts, cfg, needed=fill)
             for k, state in enumerate(states):
-                rows = batch[run[k, batch]]
-                take = fill[k, rows]
-                out[k, rows[take]] = u0.eval(state.pos[take])
+                out[k, fill[k]] = u0.eval(state.pos)
         return out.reshape(ts.shape + x.shape[:-1])
 
     return SolutionSampler(b.dim, ev_times, u0, drift_sup=b.sup_bound)

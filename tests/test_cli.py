@@ -1,11 +1,9 @@
 """Config grammar, runners, CSV schema, determinism, exit codes."""
 
 import hashlib
-import os
 import re
-import subprocess
-import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -136,15 +134,19 @@ def test_perturbed_alpha_amplitude_checked_against_the_eps_it_meets(tmp_path, ca
 
 def test_beta_amplitude_checked_against_the_eps_it_meets(tmp_path, capsys):
     # exp(+-beta) overflows once |beta_amp| * eps reaches log(float max),
-    # 709.78; each command checks the eps it builds, homogenize builds none
+    # 709.78; at 7000 * 0.1 it stays finite, but the drift's beta' x exp(beta)
+    # factors overflow where check and simulate sample it (simulate's sampled
+    # sup was inf, exit 3); each command checks the eps it builds, homogenize
+    # builds none
     path = tmp_path / "beta.cfg"
-    path.write_text("family.name = example31\nfamily.beta_amp = 1e300\nsimulate.m = 3\n")
-    for command, key in (("check", "eps = 0.1"), ("simulate", "eps = 0.1"),
-                         ("sweep", "sweep.eps = 0.4")):
-        assert main([command, "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "key 'family.beta_amp':" in err and f"({key})" in err
-    assert main(["homogenize", "--config", str(path)]) == 0
+    for amp in ("1e300", "7000"):
+        path.write_text(f"family.name = example31\nfamily.beta_amp = {amp}\nsimulate.m = 3\n")
+        for command, key in (("check", "eps = 0.1"), ("simulate", "eps = 0.1"),
+                             ("sweep", "sweep.eps = 0.4")):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "key 'family.beta_amp':" in err and f"({key})" in err
+        assert main(["homogenize", "--config", str(path)]) == 0
 
 
 def test_pairing_grid_checked_before_a_sweep_starts(tmp_path, capsys):
@@ -512,35 +514,37 @@ def test_numeric_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 3
 
 
-def _cli(command, text, tmp_path):
-    """Run the CLI in a child process, outside pytest's warning filters
-    (numpy's overflow warnings reach stderr as plain warnings)."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
-    src = str(Path(hf.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "homoflow.cli", command, "--config",
-                           str(cfg), "--out", str(tmp_path / "out.csv")],
-                          env=env, capture_output=True, text=True, timeout=300)
+def test_sample_grids_checked_before_work(tmp_path, capsys):
+    # a 2,000,000^2 grid used to end in "Unable to allocate 29.1 TiB";
+    # each grid key refuses only the command that reads it
+    path = tmp_path / "grid.cfg"
+    path.write_text("simulate.m = 2000000\nquadrature.lp_m = 2000000\n"
+                    "check.samples = 20\n")
+    for command, key in (("simulate", "simulate.m"), ("sweep", "quadrature.lp_m")):
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r}:" in err and "n = 2000000" in err
+    assert main(["check", "--config", str(path)]) == 0
 
 
-def test_overflowing_drift_exits_3(tmp_path):
-    # |beta| <= 7000 * 0.1 keeps exp(+-beta) finite, yet the sampled sup of
-    # the twist drift is inf, which sized no finite box
-    run = _cli("simulate", "family.name = example31\nfamily.beta_amp = 7000\n"
-               "simulate.m = 3\n", tmp_path)
-    assert run.returncode == 3, run.stderr
-    assert "Traceback" not in run.stderr
-    assert "numeric error: the drift's sampled sup is inf" in run.stderr
+def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
+    # failures no config rule foresees: a drift whose sampled sup is not
+    # finite, and an array that cannot be allocated
+    import homoflow.cli as cli_mod
+    path = tmp_path / "c.cfg"
+    path.write_text("family.name = example31\nsimulate.m = 3\n")
+    system = build_system(parse_config(path.read_text()), 0.1)
+    inf_drift = replace(system, b=replace(system.b, eval=lambda x: np.full(x.shape, np.inf)))
+    monkeypatch.setattr(cli_mod, "build_system", lambda cfg, eps: inf_drift)
+    assert main(["simulate", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("numeric error: the drift's sampled sup is inf")
 
+    def unallocatable(cfg):
+        raise MemoryError("Unable to allocate 29.1 TiB")
 
-def test_unallocatable_grid_exits_3(tmp_path):
-    # a sample grid of 2,000,000^2 nodes; only its two 16 MB axes are made
-    run = _cli("simulate", "simulate.m = 2000000\n", tmp_path)
-    assert run.returncode == 3, run.stderr
-    assert "Traceback" not in run.stderr
-    assert run.stderr.startswith("numeric error: Unable to allocate")
+    monkeypatch.setitem(cli_mod._COMMANDS, "simulate", (unallocatable, ""))
+    assert main(["simulate", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == "numeric error: Unable to allocate 29.1 TiB\n"
 
 
 def test_main_writes_to_stdout_without_out(tmp_path, capsys):

@@ -143,11 +143,13 @@ def test_pruned_pairings_equal_full_grid(amplitude):
     assert weighted == _full_grid_pairing(sol, phi, quad, system.sigma.eval)
     assert plain == _full_grid_pairing(sol, phi, quad, None)
     assert weighted != 0.0 and np.sign(weighted) == np.sign(amplitude)
-    # advected up to the last time node in the support, on the ball's nodes,
-    # and never skipping a node where phi is nonzero
+    # sampled up to the last time node in the support, on the whole node
+    # grid, with a mask that reads only the ball's nodes and never skips a
+    # node where phi is nonzero
     ts_adv, x_adv, needed = calls[0]
-    assert len(ts_adv) == 9 and len(x_adv) < 24 * 24
     pts, _ = phi.space_box.midpoint_grid(24)
+    assert len(ts_adv) == 9 and np.array_equal(x_adv, pts)
+    assert np.count_nonzero(needed.any(axis=0)) < 24 * 24
     ts = hf.midpoint_times(quad.T, quad.n_time)
     nonzero = np.array([phi.eval(t, pts) > 0.0 for t in ts])
     assert np.flatnonzero(nonzero.any(axis=1))[-1] < len(ts_adv)

@@ -111,14 +111,38 @@ def test_blowup_raises_with_time():
 
 def test_richardson_check_passes_smooth_and_flags_coarse():
     field = shear_velocity()
-    cfg = IntegratorConfig(h=1e-2, richardson_check=True, richardson_tol=1e-8)
+    # step-halving moves the shear flow by 3e-15 and the rough drift by
+    # 1e-2, either side of RICHARDSON_TOL = 1e-6
+    cfg = IntegratorConfig(h=1e-2, richardson_check=True)
     advect(field, np.array([1.0, 0.0]), 1.0, cfg)  # exact flow: no error
     rough = deltagamma_system(0.02).b
-    bad = IntegratorConfig(h=5e-2, richardson_check=True, richardson_tol=1e-10)
+    bad = IntegratorConfig(h=5e-2, richardson_check=True)
     with pytest.raises(AccuracyError):
         advect(rough, np.array([0.1, 0.2]), 1.0, bad)
     with pytest.raises(AccuracyError):
         advect_times(rough, np.array([0.1, 0.2]), [0.5, 1.0], bad)
+
+
+def test_richardson_guard_compares_points_no_time_needs():
+    # the guard integrates and compares the whole batch, then trims each
+    # snapshot to the points its time needs
+    rough = deltagamma_system(0.02).b
+    x0 = np.array([[0.1, 0.2], [-0.4, 0.3], [0.6, -0.5]])
+    times = [0.5, 1.0]
+    with pytest.raises(AccuracyError):
+        advect_times(rough, x0, times, IntegratorConfig(h=5e-2, richardson_check=True),
+                     needed=np.zeros((2, 3), dtype=bool))
+    # step-halving moves these points by 1e-2 at h = 5e-2 and by 2e-8 here
+    fine = IntegratorConfig(h=5e-4, richardson_check=True)
+    full = advect_times(rough, x0, times, fine, carry_jacobian=True)
+    needed = np.array([[True, False, True], [False, False, True]])
+    for mask in (needed, np.zeros((2, 3), dtype=bool)):
+        states = advect_times(rough, x0, times, fine, carry_jacobian=True, needed=mask)
+        for st, ref, take in zip(states, full, mask):
+            for got, want in ((st.pos, ref.pos), (st.jac, ref.jac),
+                              (st.logdet, ref.logdet)):
+                assert got.tobytes() == want[take].tobytes()
+                assert got.shape == want[take].shape
 
 
 def test_advect_times_matches_separate_runs(rng):
