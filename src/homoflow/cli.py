@@ -211,8 +211,12 @@ def _validate(cfg: ExperimentConfig) -> None:
 # exp(x) overflows for x at or above log(largest float), about 709.78
 _EXP_LIMIT = math.log(sys.float_info.max)
 
+# the largest h times the twist drift bound below that RK4 may step: simulate
+# at eps 0.1, h 1e-3 ran beta_amp 10 (0.49) and blew up from 10.2 (0.51) on
+_TWIST_STEP_LIMIT = 0.5
 
-def _check_twist(cfg: ExperimentConfig, key: str, values, radius: float) -> None:
+
+def _check_twist(cfg: ExperimentConfig, key: str, values, radius: float, h=None) -> None:
     """Refuse twist profiles that leave the regime at one of the eps
     ``values`` the command builds (config key ``key``): alpha(t) = t +
     (alpha_amp * e) sin(t) must keep increasing, and the drift e^{-beta}
@@ -220,7 +224,8 @@ def _check_twist(cfg: ExperimentConfig, key: str, values, radius: float) -> None
     the square |x1|, |x2| <= ``radius`` where the command samples it.  With
     c = alpha_amp e, it is at most exp(|beta_amp| e)(1 + c)(1 + 2 (radius +
     c)^2 |beta_amp|) there, whose log must stay below half of log(largest
-    float), so that the squares a norm forms (and exp(+-beta)) stay finite."""
+    float), so that the squares a norm forms (and exp(+-beta)) stay finite;
+    with an RK4 step ``h``, h times it must stay below _TWIST_STEP_LIMIT."""
     if cfg.family != "example31":
         return
     for e in values:
@@ -235,6 +240,11 @@ def _check_twist(cfg: ExperimentConfig, key: str, values, radius: float) -> None
                 f"key 'family.beta_amp': on |x1|, |x2| <= {radius:g} the twist drift"
                 f" is bounded only by exp({bound:.6g}), and its square overflows"
                 f" from exp({_EXP_LIMIT / 2.0:.2f}) ({key} = {e:g})")
+        if h is not None and not h * math.exp(bound) < _TWIST_STEP_LIMIT:
+            raise ConfigError(
+                f"key 'family.beta_amp': on |x1|, |x2| <= {radius:g} the twist drift"
+                f" is bounded only by exp({bound:.6g}); 'integrator.h' = {h:g} times it"
+                f" is {h * math.exp(bound):.3g}, not below {_TWIST_STEP_LIMIT:g} ({key} = {e:g})")
 
 
 def _check_grid(key: str, what: str, n: float, n_times: int) -> None:
@@ -365,7 +375,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[int, str]:
     t_values = sorted(set(float(t) for t in cfg.simulate_t))
     t_reach = max(abs(t) for t in t_values)
     radius = cfg.u0_radius + t_reach + 1.0
-    _check_twist(cfg, "eps", (cfg.eps,), radius)
+    _check_twist(cfg, "eps", (cfg.eps,), radius, cfg.h)
     _check_grid("simulate.m", "sample", cfg.simulate_m, len(t_values))
     system = build_system(cfg, cfg.eps)
     u0 = _datum(cfg)
@@ -410,26 +420,25 @@ def run_homogenize(cfg: ExperimentConfig) -> tuple[int, str]:
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
     radius = cfg.u0_radius + cfg.T + 1.0
-    _check_twist(cfg, "sweep.eps", cfg.sweep_eps, radius)
+    _check_twist(cfg, "sweep.eps", cfg.sweep_eps, radius, cfg.h)
     # one integration pass per sampler, inside the strong box (sized for T)
     if not (all(0.0 <= t <= cfg.T for t in cfg.strong_t)
             or all(-cfg.T <= t <= 0.0 for t in cfg.strong_t)):
         raise ConfigError(f"key 'sweep.strong_t': times must all lie in [0, T]"
                           f" or all in [-T, 0] (T = {cfg.T:g})")
-    # a pairing samples time_nodes x n^2 (time, node) pairs, n nodes per axis
-    # as SpacetimeQuad sizes the 2 * radius wide boxes at the smallest eps
-    n = max(cfg.quad_m, float(np.ceil(2.0 * cfg.dict_radius * cfg.nodes_per_eps
-                                      / min(cfg.sweep_eps))))
+    # the pairing grids resolve the smallest eps; a pairing samples
+    # time_nodes x n^2 (time, node) pairs, n the most nodes on an axis
+    dictionary = _dictionary(cfg)
+    quad = SpacetimeQuad(T=cfg.T, n_time=cfg.time_nodes, m_space=cfg.quad_m,
+                         nodes_per_period=cfg.nodes_per_eps,
+                         resolve_scale=min(cfg.sweep_eps))
+    n = max(int(quad.space_resolution(phi.space_box.widths).max()) for phi in dictionary)
     _check_grid("quadrature.nodes_per_eps" if n > cfg.quad_m else "quadrature.m",
                 "pairing", n, cfg.time_nodes)
     _check_grid("quadrature.lp_m", "strong", cfg.lp_m, len(cfg.strong_t))
     u0 = _datum(cfg)
     integ = _integrator(cfg)
     coeffs = build_coefficients(cfg)
-    dictionary = _dictionary(cfg)
-    # the sweep sizes the pairing grids from its smallest eps
-    quad = SpacetimeQuad(T=cfg.T, n_time=cfg.time_nodes, m_space=cfg.quad_m,
-                         nodes_per_period=cfg.nodes_per_eps)
 
     # eps -> (system, sampler), each solved once for the weak and strong passes
     solved: dict[float, tuple[RectifiedSystem, SolutionSampler]] = {}

@@ -30,7 +30,7 @@ Array = np.ndarray
 TWO_PI = 2.0 * math.pi
 
 # Finite-difference step scale for derivatives no formula supplies (fields
-# built from maps, missing Hessians); the step at x is FD_STEP * max(1, |x|).
+# built from maps); the step at x is FD_STEP * max(1, |x|).
 FD_STEP = 1e-5
 
 
@@ -70,23 +70,20 @@ def tensor_grid(axes: Sequence[Array]) -> Array:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar field with an exact analytic gradient.
-
-    ``hess`` (the symmetric second-derivative matrix, shape ``(..., N, N)``)
-    is optional; it unlocks exact drift Jacobians downstream.  ``exact`` is
-    False when derivatives come from finite differences.
-    """
+    """Scalar field with a gradient and an optional ``hess`` (the symmetric
+    second-derivative matrix, shape ``(..., N, N)``), which the streams of
+    :func:`drift_from_streamfields` and the ``w1`` of :func:`theta_of` must
+    carry."""
 
     dim: int
     eval: Callable[[Array], Array]
     grad: Callable[[Array], Array]
     hess: Callable[[Array], Array] | None = None
-    exact: bool = True
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """Vector field with exact Jacobian and divergence.
+    """Vector field with its Jacobian and divergence.
 
     ``sup_bound``/``div_bound`` are optional uniform bounds on ``|field|`` and
     ``|div field|``.  Periodic families estimate ``sup_bound`` by dense
@@ -110,7 +107,6 @@ class VectorField:
     divergence: Callable[[Array], Array]
     sup_bound: float | None = None
     div_bound: float | None = None
-    exact: bool = True
     proven_box: tuple[Array, Array] | None = None
 
 
@@ -127,7 +123,6 @@ class Diffeo:
     eval: Callable[[Array], Array]
     jacobian: Callable[[Array], Array]
     det: Callable[[Array], Array] | None = None
-    exact: bool = True
 
 
 @dataclass(frozen=True)
@@ -137,8 +132,9 @@ class RectifiedSystem:
     Contracts (checked by the diagnostics suite, not at construction):
     ``sigma_bounds[0] <= sigma <= sigma_bounds[1]``, ``theta > 0``,
     ``jac(W) @ b = theta * e1`` and ``det(jac(W)) = sigma * theta``.
-    ``analytic`` is derived: the system is analytic when W, sigma, b and
-    theta all carry exact derivatives.
+    ``analytic`` is declared: the invariant suite holds the identities to
+    1e-10 when it is set, 1e-6 otherwise, so a system built by hand from
+    finite-difference members (``fd_*`` fields, flow maps) sets it False.
     """
 
     dim: int
@@ -151,10 +147,7 @@ class RectifiedSystem:
     limit_W: Diffeo
     limit_theta: ScalarField
     label: str = ""
-
-    @property
-    def analytic(self) -> bool:
-        return all(f.exact for f in (self.W, self.sigma, self.b, self.theta))
+    analytic: bool = True
 
     @property
     def stability_constant(self) -> float:
@@ -221,7 +214,7 @@ def affine_diffeo(matrix) -> Diffeo:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference fallbacks (flagged approximate) and vanishing derivatives
+# finite-difference fields (built from maps) and vanishing derivatives
 # ---------------------------------------------------------------------------
 
 def fd_jacobian(f: Callable[[Array], Array], x: Array, scale: float = FD_STEP) -> Array:
@@ -249,7 +242,7 @@ def fd_vector_field(dim: int, ev: Callable[[Array], Array],
     def trace(x):
         return np.trace(jac(x), axis1=-2, axis2=-1)
 
-    return VectorField(dim, ev, jac, divergence or trace, exact=False, **bounds)
+    return VectorField(dim, ev, jac, divergence or trace, **bounds)
 
 
 def fd_scalar_field(dim: int, ev: Callable[[Array], Array],
@@ -258,7 +251,7 @@ def fd_scalar_field(dim: int, ev: Callable[[Array], Array],
     def grad(x):
         return fd_jacobian(lambda y: ev(y)[..., None], as_points(x, dim), scale)[..., 0, :]
 
-    return ScalarField(dim, ev, grad, exact=False)
+    return ScalarField(dim, ev, grad)
 
 
 def zeros(dim: int, *trailing: int) -> Callable[[Array], Array]:
@@ -368,10 +361,8 @@ def drift_from_streamfields(streams: Sequence[ScalarField], sigma: ScalarField) 
     dimension the N-1 streams give sigma*b = grad w2 x ... x grad wN.  The
     product sigma*b is divergence free by construction, so
     div b = -(grad sigma . b)/sigma exactly.  The drift Jacobian follows from
-    multilinearity of the cross product and the quotient rule; a stream
-    without a Hessian gets central differences of its exact gradient, and
-    the drift is flagged approximate unless every stream carries a Hessian
-    and sigma is exact.
+    multilinearity of the cross product and the quotient rule, so a stream
+    without ``hess`` is refused, before anything is evaluated.
     """
     dim = sigma.dim
     n_streams = 1 if dim == 2 else dim - 1
@@ -380,6 +371,8 @@ def drift_from_streamfields(streams: Sequence[ScalarField], sigma: ScalarField) 
     for s in streams:
         if s.dim != dim:
             raise FieldError("stream fields must match sigma's dimension")
+        if s.hess is None:
+            raise FieldError("every stream field needs its hess (the drift Jacobian)")
 
     probe = tensor_grid([np.linspace(-2.0, 2.0, 9)] * dim)
     svals = sigma.eval(probe)
@@ -396,40 +389,37 @@ def drift_from_streamfields(streams: Sequence[ScalarField], sigma: ScalarField) 
         b = ev(x)
         return -np.einsum("...i,...i->...", sigma.grad(x), b) / sigma.eval(x)
 
-    hessians = [s.hess or (lambda x, s=s: fd_jacobian(s.grad, x)) for s in streams]
-
     def jac(x):
         x = as_points(x, dim)
         grads = [s.grad(x) for s in streams]
-        du = _cross_jacobian(grads, [hess(x) for hess in hessians])
+        du = _cross_jacobian(grads, [s.hess(x) for s in streams])
         return _quotient_jacobian(cross_product(grads), du, sigma.eval(x),
                                   sigma.grad(x))
 
-    exact = all(s.hess is not None for s in streams) and sigma.exact
-    return VectorField(dim, ev, jac, div, exact=exact)
+    return VectorField(dim, ev, jac, div)
 
 
 def theta_of(b: VectorField, w1: ScalarField) -> ScalarField:
     """Pointwise speed b . grad(w1) along the straightened first coordinate;
-    its gradient is jac(b)^T grad w1 + hess(w1) b (a missing hess(w1) is
-    central differences of grad w1), exact when b is and w1 has a Hessian."""
+    its gradient is jac(b)^T grad w1 + hess(w1) b, so w1 must carry its
+    ``hess``."""
     if b.dim != w1.dim:
         raise FieldError("dimension mismatch between drift and scalar field")
+    if w1.hess is None:
+        raise FieldError("theta_of needs w1's hess (the gradient of theta)")
     dim = b.dim
 
     def ev(x):
         x = as_points(x, dim)
         return np.einsum("...i,...i->...", b.eval(x), w1.grad(x))
 
-    hess = w1.hess or (lambda x: fd_jacobian(w1.grad, x))
-
     def gr(x):
         x = as_points(x, dim)
         jb = b.jacobian(x)
         return (np.einsum("...ij,...i->...j", jb, w1.grad(x))
-                + np.einsum("...ij,...j->...i", hess(x), b.eval(x)))
+                + np.einsum("...ij,...j->...i", w1.hess(x), b.eval(x)))
 
-    return ScalarField(dim, ev, gr, exact=b.exact and w1.hess is not None)
+    return ScalarField(dim, ev, gr)
 
 
 def rectification_residual(system: RectifiedSystem, x: Array) -> Array:

@@ -243,8 +243,7 @@ def flow_map_diffeo(field: VectorField, t: float,
         return st
 
     return Diffeo(field.dim, lambda x: advect(field, x, t, cfg).pos,
-                  lambda x: state(x).jac, det=lambda x: np.exp(state(x).logdet),
-                  exact=False)
+                  lambda x: state(x).jac, det=lambda x: np.exp(state(x).logdet))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,7 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
     the rotated second-row gradient in 2D (a cross of rows above 2D) and is
     divergence free by construction.  theta is det of the flow Jacobian,
     evaluated through the Liouville exponential.  Limit data comes from the
-    flow of ``limit_a``.
+    flow of ``limit_a``.  These derivatives are differenced: ``analytic=False``.
 
     ``W = flow_map_diffeo(a_eps, t_star, cfg)``, so ``W.jacobian``, ``W.det``,
     ``b.eval`` and ``theta.eval`` read its one memoized carried integration
@@ -327,4 +326,4 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
         dim=dim, eps=float(eps), W=W, sigma=constant_scalar(dim, 1.0), b=b,
         theta=fd_scalar_field(dim, W.det, FLOW_FD_STEP), sigma_bounds=(1.0, 1.0),
         limit_W=limit_W, limit_theta=fd_scalar_field(dim, limit_W.det, FLOW_FD_STEP),
-        label=label)
+        label=label, analytic=False)

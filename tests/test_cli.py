@@ -149,6 +149,24 @@ def test_beta_amplitude_checked_against_the_eps_it_meets(tmp_path, capsys):
         assert main(["homogenize", "--config", str(path)]) == 0
 
 
+def test_beta_amplitude_checked_against_the_step(tmp_path, capsys):
+    # h times the twist drift bound on the square simulate and sweep check:
+    # 1.2 at beta_amp 15 (eps 0.1, h 1e-3, radius 3) and beyond 1e140 at
+    # 3300, where simulate stepped to a non-finite state (exit 3); check
+    # steps nothing and reports, failing its invariants at 3300
+    path = tmp_path / "beta.cfg"
+    for amp, check_code in (("15", 0), ("3300", 1)):
+        path.write_text(f"family.name = example31\nfamily.beta_amp = {amp}\n"
+                        "simulate.m = 3\ncheck.samples = 50\nsweep.eps = 0.1\n")
+        for command, key in (("simulate", "eps = 0.1"), ("sweep", "sweep.eps = 0.1")):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "key 'family.beta_amp':" in err and "'integrator.h' = 0.001" in err
+            assert f"({key})" in err
+        assert main(["check", "--config", str(path)]) == check_code
+        capsys.readouterr()
+
+
 def test_pairing_grid_checked_before_a_sweep_starts(tmp_path, capsys):
     # 2 * 0.4 * 1e6 / 0.4 nodes per axis: a 64 x 2,000,000^2 pairing grid
     path = tmp_path / "grid.cfg"

@@ -336,19 +336,22 @@ def test_invariant_suite_flags_violated_bounds():
     assert not report.all_passed
 
 
-def test_analytic_is_derived_from_exact_members():
-    # analytic systems get the 1e-10 tolerance, flow-built ones 1e-6
+def test_analytic_is_declared_on_the_system():
+    # analytic systems get the 1e-10 tolerance, the others 1e-6; the flag is
+    # a field of the system, not derived from its members
     field = shear_velocity()
+    twist = twist_system(0.2)
     for system, analytic in (
-            (twist_system(0.2), True),
+            (twist, True),
             (deltagamma_system(0.2), True),
             (hf.periodic_family(hf.identity_cell(3), 0.2), True),
-            (dynamic_flow_family(field, field, 1.0, 0.2, CFG), False)):
+            (dynamic_flow_family(field, field, 1.0, 0.2, CFG), False),
+            # the same members, declared not analytic
+            (replace(twist, analytic=False), False)):
         assert system.analytic is analytic, system.label
-        if system.dim == 2:
-            report = hf.invariant_suite(system, n_samples=20)
-            assert report.check("rectification").tolerance == \
-                (1e-10 if analytic else 1e-6)
+        report = hf.invariant_suite(system, n_samples=20)
+        for check in ("rectification", "determinant-identity"):
+            assert report.check(check).tolerance == (1e-10 if analytic else 1e-6)
 
 
 def test_coercivity_spheres_share_one_batch():

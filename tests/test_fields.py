@@ -134,14 +134,21 @@ def test_drift_rejects_nonpositive_measure():
         hf.drift_from_streamfields([hf.coordinate_scalar(2, 1)], dying)
 
 
-def test_drift_without_hessians_falls_back_to_fd(rng):
-    stream = hf.ScalarField(2, lambda x: x[..., 1],
-                            lambda x: np.stack([np.zeros(x.shape[:-1]),
-                                                np.ones(x.shape[:-1])], axis=-1))
-    b = hf.drift_from_streamfields([stream], hf.constant_scalar(2, 1.0))
-    assert not b.exact
-    x = rng.uniform(-1, 1, (10, 2))
-    assert np.abs(b.jacobian(x)).max() < 1e-9
+def _unevaluated(dim, hess=None):
+    """A scalar field whose every evaluation fails the test."""
+    def fail(x):
+        raise AssertionError("evaluated before the refusal")
+
+    return hf.ScalarField(dim, fail, fail, hess)
+
+
+def test_drift_refuses_a_stream_without_hessian():
+    # refused before sigma or any stream is evaluated, in 2D and in 3D
+    fail = _unevaluated(3).eval
+    for dim, streams in ((2, [_unevaluated(2)]),
+                         (3, [_unevaluated(3, fail), _unevaluated(3)])):
+        with pytest.raises(FieldError, match="hess"):
+            hf.drift_from_streamfields(streams, _unevaluated(dim))
 
 
 def test_theta_of_unit_drift():
@@ -156,10 +163,38 @@ def test_theta_of_twist_family_splits_as_profile_product(rng):
     alpha = hf.perturbed_identity_curve(0.5 * eps)
     system = hf.hyperbolic_twist_family(alpha, hf.sine_curve(eps, 1.0 / eps), eps)
     x = rng.uniform(-2, 2, (80, 2))
-    theta = hf.theta_of(system.b, _twist_first_component(alpha, hf.sine_curve(eps, 1.0 / eps)))
+    w1 = _twist_first_component(alpha, hf.sine_curve(eps, 1.0 / eps))
+    theta = hf.theta_of(system.b, w1)
     expected = alpha.deriv(x[..., 0]) * alpha.deriv(x[..., 1])
     assert np.abs(theta.eval(x) - expected).max() < 1e-12
     assert np.abs(system.theta.eval(x) - expected).max() < 1e-14
+    # the exact Hessian of w1 makes theta's gradient the profile product's
+    assert np.abs(w1.hess(x) - central_jac(w1.grad, x)).max() < 1e-6
+    assert np.abs(theta.grad(x) - system.theta.grad(x)).max() < 1e-12
+
+
+def test_theta_of_refuses_a_w1_without_hessian(rng):
+    b = hf.constant_vector(2, [1.0, 0.0])
+    with pytest.raises(FieldError, match="hess"):
+        hf.theta_of(b, _unevaluated(2))
+    # with Hessians, the drift Jacobian and jac(b)^T grad w1 + hess(w1) b
+    # match central differences
+    w = hf.ScalarField(
+        2, lambda x: x[..., 1] + 0.3 * np.sin(x[..., 0]),
+        lambda x: np.stack([0.3 * np.cos(x[..., 0]), np.ones(x.shape[:-1])], axis=-1),
+        lambda x: np.stack([np.stack([-0.3 * np.sin(x[..., 0]), np.zeros(x.shape[:-1])], -1),
+                            np.zeros(x.shape[:-1] + (2,))], axis=-2))
+    w1 = hf.ScalarField(
+        2, lambda x: x[..., 0] + 0.2 * np.cos(x[..., 1]),
+        lambda x: np.stack([np.ones(x.shape[:-1]), -0.2 * np.sin(x[..., 1])], axis=-1),
+        lambda x: np.stack([np.zeros(x.shape[:-1] + (2,)),
+                            np.stack([np.zeros(x.shape[:-1]), -0.2 * np.cos(x[..., 1])], -1)],
+                           axis=-2))
+    b = hf.drift_from_streamfields([w], hf.constant_scalar(2, 1.0))
+    theta = hf.theta_of(b, w1)
+    x = rng.uniform(-2, 2, (40, 2))
+    assert np.abs(b.jacobian(x) - central_jac(b.eval, x)).max() < 1e-9
+    assert np.abs(theta.grad(x) - central_grad(theta.eval, x)).max() < 1e-9
 
 
 def _twist_first_component(alpha, beta):
@@ -175,7 +210,18 @@ def _twist_first_component(alpha, beta):
         e = np.exp(beta.eval(p))
         return np.stack([d1 * (1 + p * bp), d2 * a1 ** 2 * bp], axis=-1) * e[..., None]
 
-    return hf.ScalarField(2, ev, gr)
+    def he(x):
+        x1, x2 = x[..., 0], x[..., 1]
+        a1, a2, d1, d2 = alpha.eval(x1), alpha.eval(x2), alpha.deriv(x1), alpha.deriv(x2)
+        p = a1 * a2
+        bp, bpp = beta.deriv(p), beta.deriv2(p)
+        e = np.exp(beta.eval(p))
+        mixed = e * d1 * d2 * a1 * (2 * bp + p * bpp + p * bp ** 2)
+        h11 = e * (alpha.deriv2(x1) * (1 + p * bp) + d1 ** 2 * a2 * (2 * bp + p * bpp + p * bp ** 2))
+        h22 = e * (alpha.deriv2(x2) * a1 ** 2 * bp + d2 ** 2 * a1 ** 3 * (bpp + bp ** 2))
+        return np.stack([np.stack([h11, mixed], -1), np.stack([mixed, h22], -1)], axis=-2)
+
+    return hf.ScalarField(2, ev, gr, he)
 
 
 # ---------------------------------------------------------------------------
@@ -414,33 +460,6 @@ def test_fd_jacobian_helper_on_linear_map(rng):
     assert np.abs(jac - M).max() < 1e-9
 
 
-def _hessianless(field):
-    return hf.ScalarField(field.dim, field.eval, field.grad)
-
-
-def test_exact_flags_follow_second_derivatives(rng):
-    w = hf.ScalarField(
-        2, lambda x: x[..., 1] + 0.3 * np.sin(x[..., 0]),
-        lambda x: np.stack([0.3 * np.cos(x[..., 0]), np.ones(x.shape[:-1])], axis=-1),
-        lambda x: np.stack([np.stack([-0.3 * np.sin(x[..., 0]), np.zeros(x.shape[:-1])], -1),
-                            np.zeros(x.shape[:-1] + (2,))], axis=-2))
-    w1 = hf.coordinate_scalar(2, 0)
-    one = hf.constant_scalar(2, 1.0)
-    b = hf.drift_from_streamfields([w], one)
-    assert b.exact and hf.theta_of(b, w1).exact
-    b_fd = hf.drift_from_streamfields([_hessianless(w)], one)
-    assert not b_fd.exact
-    assert not hf.theta_of(b_fd, w1).exact
-    assert not hf.theta_of(b, _hessianless(w1)).exact
-    x = rng.uniform(-2, 2, (40, 2))
-    assert np.abs(b_fd.jacobian(x) - b.jacobian(x)).max() < 1e-9
-    assert np.abs(hf.theta_of(b, _hessianless(w1)).grad(x)
-                  - hf.theta_of(b, w1).grad(x)).max() < 1e-9
-
-    exact = hf.periodic_family(hf.deltagamma_cell(0.3, 0.3), 0.1)
-    assert exact.analytic and exact.sigma.exact and exact.b.exact
-
-
 def _sine_cell_3d(amp=0.1):
     """Nontrivial 3D cell: y + (amp/2pi)(sin 2pi y2, sin 2pi y3, sin 2pi y1)."""
     a = amp
@@ -521,7 +540,6 @@ def test_three_dimensional_stream_drift_is_solenoidal(rng):
     streams = [hf.ScalarField(3, w2_ev, w2_gr, w2_he),
                hf.ScalarField(3, w3_ev, w3_gr, w3_he)]
     b = hf.drift_from_streamfields(streams, hf.constant_scalar(3, 1.0))
-    assert b.exact
     x = rng.uniform(-2, 2, (100, 3))
     jac = b.jacobian(x)
     fd = central_jac(b.eval, x[:30])
@@ -550,16 +568,19 @@ def _digest(a):
 def _fallback_outputs():
     """Every derivative a field takes from central differences, or that
     vanishes identically, at fixed points (half of them with |x| > 1, where
-    the step grows with |x|); and the exact derivatives of periodic members
-    and the twist map's values, which share their inputs between formulas."""
+    the step grows with |x|); and the exact derivatives of a stream drift and
+    its theta, of periodic members, and the twist map's values, which share
+    their inputs between formulas."""
     points = np.random.default_rng(2024)
     x2, x3 = points.uniform(-2, 2, (7, 2)), points.uniform(-2, 2, (5, 3))
     out = {}
 
-    # a Hessian-less stream over a varying density, and a theta of its drift
+    # a stream over a varying density, and a theta of its drift
     stream = hf.ScalarField(
         2, lambda x: x[..., 1] + 0.3 * np.sin(x[..., 0]),
-        lambda x: np.stack([0.3 * np.cos(x[..., 0]), np.ones(x.shape[:-1])], axis=-1))
+        lambda x: np.stack([0.3 * np.cos(x[..., 0]), np.ones(x.shape[:-1])], axis=-1),
+        lambda x: np.stack([np.stack([-0.3 * np.sin(x[..., 0]), np.zeros(x.shape[:-1])], -1),
+                            np.zeros(x.shape[:-1] + (2,))], axis=-2))
     sigma = hf.ScalarField(
         2, lambda x: 2.0 + np.sin(x[..., 0]) * np.cos(x[..., 1]),
         lambda x: np.stack([np.cos(x[..., 0]) * np.cos(x[..., 1]),
@@ -569,7 +590,10 @@ def _fallback_outputs():
     out["streams.b.divergence"] = b.divergence(x2)
     w1 = hf.ScalarField(
         2, lambda x: x[..., 0] + 0.2 * np.cos(x[..., 1]),
-        lambda x: np.stack([np.ones(x.shape[:-1]), -0.2 * np.sin(x[..., 1])], axis=-1))
+        lambda x: np.stack([np.ones(x.shape[:-1]), -0.2 * np.sin(x[..., 1])], axis=-1),
+        lambda x: np.stack([np.zeros(x.shape[:-1] + (2,)),
+                            np.stack([np.zeros(x.shape[:-1]), -0.2 * np.cos(x[..., 1])], -1)],
+                           axis=-2))
     out["theta_of.grad"] = hf.theta_of(b, w1).grad(x2)
 
     # the identity cell in 3D, whose derivatives vanish or are constant
@@ -637,11 +661,11 @@ def _fallback_outputs():
 # x86-64 Linux, glibc libm, numpy 2.4
 FALLBACK_SHA256 = {
     "streams.b.jacobian":
-        "20f7a37da456e928a5805b8af424b06f1f5b19bdf269482c56cf07635e470eef",
+        "57165cb50077d3e37eb9d1b981bf3f56a30324f9e53f34105bd52b472d876f6b",
     "streams.b.divergence":
         "59c4551f0b4772a23fb57d75fc6845db4e8a1c2f2d40149a600f3defedb198cf",
     "theta_of.grad":
-        "54052f0adf05bac3b7bf26d69430f9aa2efedb7b55a138422e4e6d1fa69e82aa",
+        "728438091982619287344c0e750ad6b1d6858058c66d10b18d2980f98b4f4e5a",
     "cell3d.sigma.grad":
         "73faeb2b14b2c237352868273d678ce0912173e61bddcf4d991ca600061e5db1",
     "cell3d.b.jacobian":
