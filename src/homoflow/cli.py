@@ -212,7 +212,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 _EXP_LIMIT = math.log(sys.float_info.max)
 
 # the largest h times the twist drift bound below that RK4 may step: simulate
-# at eps 0.1, h 1e-3 ran beta_amp 10 (0.49) and blew up from 10.2 (0.51) on
+# at eps 0.1, h 1e-3 ran beta_amp 10 (0.49); 10.2 (0.51) and up blew up
 _TWIST_STEP_LIMIT = 0.5
 
 
