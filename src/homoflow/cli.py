@@ -6,8 +6,8 @@ coefficients) and ``sweep`` (weak/strong convergence table over a list of
 eps).  Configs are flat ``key = value`` text files with dotted section keys;
 every run with the same config produces byte-identical CSV.
 
-Exit codes: 0 success, 1 invariant failure (check only), 2 config error,
-3 runtime/numeric error.
+Exit codes: 0 success, 1 invariant failure (check only), 2 config or file
+error, 3 runtime/numeric error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .fields import (FieldError, RectifiedSystem, deltagamma_cell,
 from .flow import AccuracyError, BlowupError, IntegratorConfig
 from .homogenize import (EffectiveCoefficients, InvalidCoefficientsError,
                          constant_coefficients, effective_from_cell)
-from .transport import (Box, SolutionSampler, bump_datum, dependence_box,
-                        solve_homogenized, solve_transport)
+from .transport import (Box, bump_datum, dependence_box, solve_homogenized,
+                        solve_transport)
 
 CSV_VERSION_LINE = "# homoflow-csv v1"
 
@@ -165,6 +166,11 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+# the most samples a command may ask for: 8x the pairing grid of an
+# eps = 1/80 sweep by default
+_MAX_SAMPLES = 2 ** 27
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     """Range checks of single keys, and of the family keys every command
     reads.  A check across keys that some command never reads runs in the
@@ -190,7 +196,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(cfg.lp_m >= 2, "quadrature.lp_m", "must be at least 2")
     need(1 <= cfg.dict_count <= 8, "dictionary.count", "must be between 1 and 8")
     need(cfg.dict_radius > 0.0, "dictionary.radius", "must be positive")
-    need(cfg.check_samples >= 1, "check.samples", "must be at least 1")
+    need(1 <= cfg.check_samples <= _MAX_SAMPLES, "check.samples",
+         "must be between 1 and 2^27")
     need(cfg.check_box[0] < cfg.check_box[1], "check.box", "needs lo < hi")
     need(len(cfg.simulate_t) > 0, "simulate.t", "needs at least one time")
     need(cfg.simulate_m >= 2, "simulate.m", "must be at least 2")
@@ -248,9 +255,9 @@ def _check_twist(cfg: ExperimentConfig, key: str, values, radius: float, h=None)
 
 
 def _check_grid(key: str, what: str, n: float, n_times: int) -> None:
-    """Refuse, naming ``key``, n^2 nodes at ``n_times`` times above 2^27
-    samples, 8x the pairing grid of an eps = 1/80 sweep by default."""
-    if n_times * n * n > 2 ** 27:
+    """Refuse, naming ``key``, n^2 nodes at ``n_times`` times above
+    _MAX_SAMPLES samples."""
+    if n_times * n * n > _MAX_SAMPLES:
         raise ConfigError(
             f"key {key!r}: the {what} grid needs n = {n:.0f} nodes per axis at"
             f" {n_times} times, {n_times * n * n:.3g} samples, above 2^27")
@@ -440,30 +447,25 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
     integ = _integrator(cfg)
     coeffs = build_coefficients(cfg)
 
-    # eps -> (system, sampler), each solved once for the weak and strong passes
-    solved: dict[float, tuple[RectifiedSystem, SolutionSampler]] = {}
-
-    def family_solver(eps: float):
+    # each eps is built and solved once, for the weak and strong passes
+    solved = []
+    for eps in cfg.sweep_eps:
         system = build_system(cfg, eps)
-        solved[eps] = system, solve_transport(system.b, u0, integ)
-        return solved[eps]
-
-    report = convergence_sweep(family_solver, coeffs, u0, cfg.sweep_eps,
-                               dictionary, quad, integ, label=cfg.family)
+        solved.append((eps, system, solve_transport(system.b, u0, integ)))
+    report = convergence_sweep(solved, coeffs, u0, dictionary, quad, integ,
+                               label=cfg.family)
 
     sol_limit = solve_homogenized(coeffs, u0, "advective", integ)
-    sup = _estimated_sup(solved[cfg.sweep_eps[0]][0], radius)
-    strong_box = dependence_box(u0, sup, cfg.T, margin=0.2)
-    strong = {eps: strong_l2_error(sol_eps, sol_limit, system, strong_box,
-                                   cfg.strong_t, quad, resolution=cfg.lp_m)
-              for eps, (system, sol_eps) in solved.items()}
+    # the largest eps's drift sizes the strong box of every eps
+    strong_box = dependence_box(u0, _estimated_sup(solved[0][1], radius), cfg.T,
+                                margin=0.2)
+    strong = [strong_l2_error(sol_eps, sol_limit, system, strong_box,
+                              cfg.strong_t, quad, resolution=cfg.lp_m)
+              for _, system, sol_eps in solved]
 
-    rows = []
-    for i, eps in enumerate(report.eps_values):
-        for entry in report.entries:
-            rows.append((cfg.family, eps, entry.phi_id, entry.pairings[i],
-                         entry.pairing_limit, entry.errors[i], strong[eps],
-                         entry.fitted_rate))
+    rows = [(cfg.family, eps, e.phi_id, e.pairings[i], e.pairing_limit, e.errors[i],
+             strong[i], e.fitted_rate)
+            for i, eps in enumerate(report.eps_values) for e in report.entries]
     csv = _csv(["family", "eps", "phi_id", "pairing_eps", "pairing_limit",
                 "weak_error", "strong_l2_error", "fitted_rate"], rows)
     return 0, csv
@@ -504,7 +506,17 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = parse_config(text)
+        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+            raise ConfigError(f"cannot write output file {args.out!r}: it is a"
+                              f" directory, or its directory does not exist")
         code, csv = _COMMANDS[args.command][0](cfg)
+        if args.out:
+            try:
+                Path(args.out).write_text(csv, encoding="utf-8", newline="")
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file {args.out!r}: {exc}") from exc
+        else:
+            sys.stdout.write(csv)
     except (ConfigError, FieldError, InvalidCoefficientsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -512,12 +524,6 @@ def main(argv: list[str] | None = None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
     return code
 
 

@@ -8,9 +8,11 @@ probed by the sigma-weighted L2 distance on a box.  Oscillating integrands
 need grids that resolve the eps-scale; the quadrature spec carries an
 optional ``resolve_scale`` so sweeps refine deterministically.
 
-Every (eps, test function) cell of a sweep is independent work; the runner
-executes them sequentially and assembles reports in a canonical order, so
-output never depends on scheduling.
+A sweep takes its systems already solved, as a list of (eps, system,
+sampler), so the caller builds and solves each eps once and can hand the
+same samplers to the strong pass.  Every (eps, test function) cell is
+independent work; it runs sequentially and the report keeps a canonical
+order, so output never depends on scheduling.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ FLOW_TOL = 1e-6
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth bump supported in a spacetime ball around (t_center, x_center)."""
+    """Smooth bump in a spacetime ball around (t_center, x_center), nonzero
+    exactly where ``r2`` is below 1; the pairings' support masks read r2 too."""
 
     dim: int
     t_center: float
@@ -53,16 +56,15 @@ class TestFunction:
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
 
-    def space_sq(self, x) -> Array:
-        """Squared spatial distance to the center, as ``eval`` rounds it."""
-        return np.sum((as_points(x, self.dim) - self.x_center) ** 2, axis=-1)
-
-    def time_sq(self, t) -> Array:
-        """Squared time distance to the center, as ``eval`` rounds it."""
-        return (np.asarray(t, dtype=float) - self.t_center) ** 2
+    def r2(self, t, x) -> Array:
+        """(|x - x_center|^2 + (t - t_center)^2) / radius^2, broadcast over
+        t and the points x, as ``eval`` and the pairings round it."""
+        space_sq = np.sum((as_points(x, self.dim) - self.x_center) ** 2, axis=-1)
+        time_sq = (np.asarray(t, dtype=float) - self.t_center) ** 2
+        return (space_sq + time_sq) / self.radius ** 2
 
     def eval(self, t, x) -> Array:
-        r2 = (self.space_sq(x) + self.time_sq(t)) / self.radius ** 2
+        r2 = self.r2(t, x)
         z = np.clip(1.0 - r2, 1e-300, None)
         return np.where(r2 < 1.0, np.exp(1.0 - 1.0 / z), 0.0)
 
@@ -140,23 +142,22 @@ def _pairing(sol: SolutionSampler, phi: TestFunction, quad: SpacetimeQuad,
     """Midpoint spacetime sum of weight * u * phi over phi's support.
 
     The sampler gets the whole node grid and, as ``needed``, the (time,
-    node) pairs where the r2 = (space_sq + time_sq) / radius^2 that
-    ``phi.eval`` forms, formed here by the same operations, is below 1.
-    Elsewhere phi is exactly 0, and rounding is monotone, so times pruned by
-    fl(time_sq)/radius^2 >= 1 alone have r2 >= 1 too.  Unread samples enter
-    as +0 where the full grid had u * 0 = +-0, which changes no nonzero
-    partial sum, and all-zero layers add nothing.
+    node) pairs where ``phi.r2`` is below 1, the same values ``phi.eval``
+    reads.  Elsewhere phi is exactly 0.  A time whose r2 at phi's center
+    (where the spatial term is +0) is not below 1 is not sampled at all:
+    rounding is monotone, so r2 is not below 1 at any node then either.
+    Unread samples enter as +0 where the full grid had u * 0 = +-0, which
+    changes no nonzero partial sum, and all-zero layers add nothing.
     """
     box = phi.space_box
     pts, vol = box.midpoint_grid(quad.space_resolution(box.widths))
     ts = midpoint_times(quad.T, quad.n_time)
     dt = quad.T / quad.n_time
-    r2 = phi.radius ** 2
-    live = [k for k, t in enumerate(ts) if phi.time_sq(t) / r2 < 1.0]
-    if not live:
+    live = np.flatnonzero(phi.r2(ts, phi.x_center) < 1.0)
+    if not live.size:
         return 0.0
     n_adv = live[-1] + 1
-    needed = (phi.space_sq(pts)[None, :] + phi.time_sq(ts[:n_adv])[:, None]) / r2 < 1.0
+    needed = phi.r2(ts[:n_adv, None], pts) < 1.0
     vals = sol.eval_times(ts[:n_adv], pts, needed=needed)
     w = weight(pts) if weight is not None else None
     total = 0.0
@@ -172,9 +173,8 @@ def weak_pairing(system: RectifiedSystem, sol: SolutionSampler,
                  phi: TestFunction, quad: SpacetimeQuad) -> float:
     """Spacetime pairing of the weighted density: integral of sigma * u * phi.
 
-    Exact with support pruning: u is read only where phi can be nonzero
-    (rounding is monotone, so a time pruned by its coordinate alone has
-    r2 >= 1 in ``phi.eval``), and the sum equals the full-grid one bit for bit.
+    Exact with support pruning: u is read only where ``phi.r2`` is below 1,
+    and the sum equals the full-grid one bit for bit.
     """
     return _pairing(sol, phi, quad, system.sigma.eval)
 
@@ -236,14 +236,6 @@ class ConvergenceReport:
     eps_values: tuple[float, ...]
     entries: tuple[PhiConvergence, ...]
 
-    def __post_init__(self):
-        eps = self.eps_values
-        if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
-            raise ValueError("eps values must be strictly decreasing")
-        for e in self.entries:
-            if not all(np.isfinite(e.errors)):
-                raise ValueError(f"non-finite errors for phi {e.phi_id}")
-
 
 def _fit_rate(eps: Sequence[float], errors: Sequence[float]) -> float:
     # a slope needs two points: one eps has no rate
@@ -253,41 +245,39 @@ def _fit_rate(eps: Sequence[float], errors: Sequence[float]) -> float:
     return float(np.polyfit(np.log(np.asarray(eps)), np.log(errs), 1)[0])
 
 
-def convergence_sweep(family_solver: Callable[[float], tuple[RectifiedSystem, SolutionSampler]],
+def convergence_sweep(solved: Sequence[tuple[float, RectifiedSystem, SolutionSampler]],
                       coeffs: EffectiveCoefficients, u0: InitialDatum,
-                      eps_list: Sequence[float],
                       dictionary: Sequence[TestFunction],
                       quad: SpacetimeQuad,
                       cfg: IntegratorConfig = IntegratorConfig(),
                       label: str = "") -> ConvergenceReport:
     """Weak-pairing errors against the homogenized solution across an eps sweep.
 
-    The homogenized density is solved from v0 = sigma0 * u0 (the weak limit of
-    sigma_eps * u0 for fixed data and cell-periodic or vanishing oscillation of
-    sigma).  Pairing grids resolve the smallest eps in the sweep, so the whole
-    table shares one quadrature.  Convergence failure is data in the report,
-    never an exception.
+    ``solved`` holds one (eps, system, sampler) per eps, in strictly
+    decreasing eps, the sampler solving the transport equation of that
+    system's drift from ``u0``.  The homogenized density is solved from
+    v0 = sigma0 * u0 (the weak limit of sigma_eps * u0 for fixed data and
+    cell-periodic or vanishing oscillation of sigma).  Pairing grids resolve
+    the smallest eps in the sweep, so the whole table shares one quadrature.
+    Convergence failure is data in the report, never an exception.
     """
-    eps_list = [float(e) for e in eps_list]
+    eps_list = [float(eps) for eps, _, _ in solved]
     if any(eps_list[i + 1] >= eps_list[i] for i in range(len(eps_list) - 1)):
-        raise ValueError("eps_list must be strictly decreasing")
+        raise ValueError("eps values must be strictly decreasing")
     if quad.resolve_scale is None:
         quad = replace(quad, resolve_scale=min(eps_list))
 
     v = solve_homogenized(coeffs, u0.scaled(coeffs.sigma0_at), "density", cfg)
     limits = [density_pairing(v, phi, quad) for phi in dictionary]
-
-    all_pairings: list[list[float]] = [[] for _ in dictionary]
-    for eps in eps_list:
-        system, sol = family_solver(eps)
-        for j, phi in enumerate(dictionary):
-            all_pairings[j].append(weak_pairing(system, sol, phi, quad))
+    by_eps = [[weak_pairing(system, sol, phi, quad) for phi in dictionary]
+              for _, system, sol in solved]
 
     entries = []
-    for j, phi in enumerate(dictionary):
-        errors = [abs(p - limits[j]) for p in all_pairings[j]]
-        entries.append(PhiConvergence(j, tuple(all_pairings[j]), limits[j],
-                                      tuple(errors), _fit_rate(eps_list, errors)))
+    for j, limit in enumerate(limits):
+        pairings = tuple(row[j] for row in by_eps)
+        errors = tuple(abs(p - limit) for p in pairings)
+        entries.append(PhiConvergence(j, pairings, limit, errors,
+                                      _fit_rate(eps_list, errors)))
     return ConvergenceReport(label, tuple(eps_list), tuple(entries))
 
 

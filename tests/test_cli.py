@@ -416,6 +416,52 @@ def test_one_eps_sweep_writes_no_rate(tmp_path):
     assert all(r[7] == "nan" for r in rows)
 
 
+def test_run_sweep_builds_and_solves_each_eps_once(monkeypatch):
+    import homoflow.cli as cli_mod
+    built, solved = [], []
+
+    def build(cfg, eps):
+        built.append(eps)
+        return build_system(cfg, eps)
+
+    def solve(b, u0, integ):
+        solved.append(b)
+        return hf.solve_transport(b, u0, integ)
+
+    monkeypatch.setattr(cli_mod, "build_system", build)
+    monkeypatch.setattr(cli_mod, "solve_transport", solve)
+    cfg = parse_config(FAST_SWEEP.replace("sweep.eps = 0.4,0.2", "sweep.eps = 0.4,0.2,0.1"))
+    assert run_sweep(cfg)[0] == 0
+    assert built == [0.4, 0.2, 0.1]
+    assert len(solved) == 3 and len({id(b) for b in solved}) == 3
+
+
+def test_strong_box_is_sized_from_the_first_eps(monkeypatch):
+    import homoflow.cli as cli_mod
+    sized, boxes = [], []
+    real_sup, real_strong = cli_mod._estimated_sup, cli_mod.strong_l2_error
+
+    def sup(system, radius):
+        sized.append(system.eps)
+        return real_sup(system, radius)
+
+    def strong(sol_eps, sol_limit, system, box, *args, **kwargs):
+        boxes.append((system.eps, box))
+        return real_strong(sol_eps, sol_limit, system, box, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "_estimated_sup", sup)
+    monkeypatch.setattr(cli_mod, "strong_l2_error", strong)
+    cfg = parse_config(FAST_SWEEP)
+    assert run_sweep(cfg)[0] == 0
+    assert sized == [0.4]
+    expect = hf.dependence_box(cli_mod._datum(cfg),
+                               real_sup(build_system(cfg, 0.4), cfg.u0_radius + cfg.T + 1.0),
+                               cfg.T, margin=0.2)
+    assert [eps for eps, _ in boxes] == [0.4, 0.2]
+    for _, box in boxes:
+        assert np.array_equal(box.lo, expect.lo) and np.array_equal(box.hi, expect.hi)
+
+
 # the acceptance criterion-11 sweep size
 SMOKE_SWEEP = """
 sweep.eps = 0.4,0.2
@@ -563,6 +609,42 @@ def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli_mod._COMMANDS, "simulate", (unallocatable, ""))
     assert main(["simulate", "--config", str(path)]) == 3
     assert capsys.readouterr().err == "numeric error: Unable to allocate 29.1 TiB\n"
+
+
+def test_check_samples_are_capped_before_work(tmp_path, capsys):
+    # 10^12 samples used to end in "numeric error: Unable to allocate 14.6 TiB"
+    assert parse_config(f"check.samples = {2 ** 27}").check_samples == 2 ** 27
+    with pytest.raises(ConfigError, match="'check.samples'"):
+        parse_config(f"check.samples = {2 ** 27 + 1}")
+    path = tmp_path / "huge.cfg"
+    path.write_text("family.name = deltagamma\ncheck.samples = 1000000000000\n")
+    assert main(["check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: key 'check.samples':")
+
+
+def test_unwritable_out_exits_2_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    import homoflow.cli as cli_mod
+
+    def never(cfg):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "check", (never, ""))
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("family.name = identity\ncheck.samples = 20\n")
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["check", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write output file")
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_failed_out_write_exits_2(tmp_path, capsys):
+    # a write that fails after the run (no space left) is reported, not raised
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("family.name = identity\ncheck.samples = 20\n")
+    assert main(["check", "--config", str(cfgfile), "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot write output file '/dev/full': [Errno")
 
 
 def test_main_writes_to_stdout_without_out(tmp_path, capsys):

@@ -165,6 +165,32 @@ def test_pruned_pairings_equal_full_grid(amplitude):
     assert np.array_equal(calls[1][2], needed)
 
 
+@pytest.mark.parametrize("t_center,x_center,radius", [
+    (0.3, (-0.3, 0.1), 0.25),
+    (0.0, (0.0, 0.0), 0.4),        # half the time support lies before t = 0
+    (0.97, (0.11, -0.37), 0.3),    # and after T
+    (0.5, (1.0 / 3.0, 0.1), 0.1 + 1e-12),
+])
+def test_pairing_needs_every_node_where_phi_is_nonzero(unit_bump, t_center,
+                                                       x_center, radius):
+    # the mask and phi.eval read one r2, so no nonzero phi value is skipped
+    # and no node where phi is 0 is sampled
+    sol = hf.solve_transport(identity_system(0.2).b, unit_bump, IntegratorConfig(h=0.05))
+    quad = SpacetimeQuad(T=1.0, n_time=20, m_space=28)
+    phi = TestFunction(2, t_center, np.array(x_center), radius)
+    calls = []
+    density_pairing(_recording(sol, calls), phi, quad)
+    ts_adv, pts, needed = calls[0]
+    ts = hf.midpoint_times(quad.T, quad.n_time)
+    assert needed.any() and not needed.all()
+    for k, t in enumerate(ts):
+        nonzero = phi.eval(t, pts) != 0.0
+        if k < len(ts_adv):
+            assert np.array_equal(needed[k], nonzero)
+        else:
+            assert not nonzero.any()
+
+
 def test_pairing_outside_time_window_never_advects(unit_bump):
     system = deltagamma_system(0.2)
     sol = hf.solve_transport(system.b, unit_bump, IntegratorConfig(h=0.01))
@@ -191,18 +217,6 @@ def test_space_resolution_honors_resolve_scale():
 # convergence reports
 # ---------------------------------------------------------------------------
 
-def test_report_requires_decreasing_eps():
-    entry = PhiConvergence(0, (1.0, 2.0), 0.0, (1.0, 0.5), 1.0)
-    with pytest.raises(ValueError):
-        ConvergenceReport("x", (0.1, 0.2), (entry,))
-
-
-def test_report_rejects_non_finite_errors():
-    entry = PhiConvergence(0, (1.0, 2.0), 0.0, (1.0, float("nan")), 1.0)
-    with pytest.raises(ValueError):
-        ConvergenceReport("x", (0.2, 0.1), (entry,))
-
-
 def test_convergence_failure_is_data_not_exception():
     growing = PhiConvergence(0, (1.0, 2.0), 0.0, (1.0, 2.0), -1.0)
     report = ConvergenceReport("x", (0.2, 0.1), (growing,))
@@ -210,18 +224,24 @@ def test_convergence_failure_is_data_not_exception():
     assert report.entries[0].fitted_rate < 0.0
 
 
+def _solved(make_system, eps_list, u0, cfg):
+    """(eps, system, sampler) per eps, as ``cli.run_sweep`` hands them over."""
+    out = []
+    for eps in eps_list:
+        system = make_system(eps)
+        out.append((eps, system, hf.solve_transport(system.b, u0, cfg)))
+    return out
+
+
 def test_sweep_identity_family_sits_at_quadrature_floor(unit_bump):
     cfg = IntegratorConfig(h=0.02)
     quad = SpacetimeQuad(T=1.0, n_time=16, m_space=24)
     dico = hf.default_dictionary(2, count=2)
     coeffs = hf.effective_from_cell(hf.identity_cell(2))
-
-    def solver(eps):
-        system = identity_system(eps)
-        return system, hf.solve_transport(system.b, unit_bump, cfg)
-
-    report = hf.convergence_sweep(solver, coeffs, unit_bump, [0.4, 0.2], dico,
-                                  quad, cfg, label="identity")
+    solved = _solved(identity_system, [0.4, 0.2], unit_bump, cfg)
+    report = hf.convergence_sweep(solved, coeffs, unit_bump, dico, quad, cfg,
+                                  label="identity")
+    assert report.eps_values == (0.4, 0.2)
     for entry in report.entries:
         assert max(entry.errors) < 1e-10  # same grid, same arithmetic path
 
@@ -230,22 +250,19 @@ def test_sweep_shear_family_decreases(unit_bump):
     quad = SpacetimeQuad(T=1.0, n_time=32, m_space=32, nodes_per_period=6.0)
     dico = hf.default_dictionary(2, count=2)
     coeffs = hf.effective_from_cell(hf.shear_cell(0.3))
-
-    def solver(eps):
-        system = shear_system(eps)
-        return system, hf.solve_transport(system.b, unit_bump, CFG)
-
-    report = hf.convergence_sweep(solver, coeffs, unit_bump, [0.2, 0.1], dico,
-                                  quad, cfg=CFG, label="shear")
+    solved = _solved(shear_system, [0.2, 0.1], unit_bump, CFG)
+    report = hf.convergence_sweep(solved, coeffs, unit_bump, dico, quad, cfg=CFG,
+                                  label="shear")
     for entry in report.entries:
         assert entry.errors[1] < entry.errors[0]
         assert entry.fitted_rate > 0.0
 
 
 def test_sweep_rejects_unsorted_eps(unit_bump):
-    with pytest.raises(ValueError):
-        hf.convergence_sweep(lambda e: None, hf.constant_coefficients(2, 1.0, [1.0, 0.0]),
-                             unit_bump, [0.1, 0.2], [], SpacetimeQuad())
+    solved = _solved(identity_system, [0.1, 0.2], unit_bump, CFG)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        hf.convergence_sweep(solved, hf.constant_coefficients(2, 1.0, [1.0, 0.0]),
+                             unit_bump, [], SpacetimeQuad())
 
 
 # ---------------------------------------------------------------------------
