@@ -417,23 +417,30 @@ def test_one_eps_sweep_writes_no_rate(tmp_path):
 
 
 def test_run_sweep_builds_and_solves_each_eps_once(monkeypatch):
+    # and hands the solved systems to convergence_sweep as data
     import homoflow.cli as cli_mod
-    built, solved = [], []
+    built, solved, handed = [], [], []
 
     def build(cfg, eps):
-        built.append(eps)
-        return build_system(cfg, eps)
+        built.append((eps, build_system(cfg, eps)))
+        return built[-1][1]
 
     def solve(b, u0, integ):
-        solved.append(b)
-        return hf.solve_transport(b, u0, integ)
+        solved.append(hf.solve_transport(b, u0, integ))
+        return solved[-1]
+
+    def sweep(systems, *args, **kwargs):
+        handed.extend(systems)
+        return hf.convergence_sweep(systems, *args, **kwargs)
 
     monkeypatch.setattr(cli_mod, "build_system", build)
     monkeypatch.setattr(cli_mod, "solve_transport", solve)
+    monkeypatch.setattr(cli_mod, "convergence_sweep", sweep)
     cfg = parse_config(FAST_SWEEP.replace("sweep.eps = 0.4,0.2", "sweep.eps = 0.4,0.2,0.1"))
     assert run_sweep(cfg)[0] == 0
-    assert built == [0.4, 0.2, 0.1]
-    assert len(solved) == 3 and len({id(b) for b in solved}) == 3
+    assert [eps for eps, _ in built] == [0.4, 0.2, 0.1] and len(solved) == 3
+    assert [(eps, id(system), id(sol)) for eps, system, sol in handed] == [
+        (eps, id(system), id(sol)) for (eps, system), sol in zip(built, solved)]
 
 
 def test_strong_box_is_sized_from_the_first_eps(monkeypatch):
