@@ -12,7 +12,7 @@ from .fields import (Curve, Diffeo, FieldError, InvalidCellError,
                      sine_curve, theta_of, zero_curve)
 from .flow import (AccuracyError, BlowupError, FlowState, IntegratorConfig,
                    advect, advect_times, dynamic_flow_family, flow_map_diffeo,
-                   semigroup_defect, validate_flow_family)
+                   semigroup_defect)
 from .homogenize import (EffectiveCoefficients, InvalidCoefficientsError,
                          cell_average, constant_coefficients,
                          effective_from_cell, effective_from_limit_map)
@@ -23,6 +23,6 @@ from .diagnostics import (ConvergenceReport, InvariantCheck, InvariantReport,
                           PhiConvergence, SpacetimeQuad, TestFunction,
                           convergence_sweep, default_dictionary,
                           density_pairing, invariant_suite, strong_l2_error,
-                          test_function_l2, weak_pairing)
+                          weak_pairing)
 
 __version__ = "0.1.0"

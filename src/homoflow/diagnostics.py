@@ -185,16 +185,6 @@ def density_pairing(sol: SolutionSampler, phi: TestFunction,
     return _pairing(sol, phi, quad, None)
 
 
-def test_function_l2(phi: TestFunction, quad: SpacetimeQuad) -> float:
-    """Spacetime L2 norm of a dictionary bump, by the same quadrature."""
-    box = phi.space_box
-    pts, vol = box.midpoint_grid(quad.space_resolution(box.widths))
-    ts = midpoint_times(quad.T, quad.n_time)
-    dt = quad.T / quad.n_time
-    total = sum(float(np.sum(phi.eval(t, pts) ** 2)) for t in ts)
-    return math.sqrt(total * vol * dt)
-
-
 def strong_l2_error(sol_eps: SolutionSampler, sol_limit: SolutionSampler,
                     system: RectifiedSystem, box: Box, t_list: Sequence[float],
                     quad: SpacetimeQuad, resolution=None) -> float:

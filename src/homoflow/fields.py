@@ -149,18 +149,6 @@ class RectifiedSystem:
     label: str = ""
     analytic: bool = True
 
-    @property
-    def stability_constant(self) -> float:
-        """Smallest c >= 1 with 1/c <= sigma <= c, from the stored bounds."""
-        lo, hi = self.sigma_bounds
-        return max(hi, 1.0 / lo, 1.0)
-
-    @property
-    def sigma_ratio(self) -> float:
-        """Upper bound on max(sigma)/min(sigma); controls Lp stability."""
-        lo, hi = self.sigma_bounds
-        return hi / lo
-
 
 # ---------------------------------------------------------------------------
 # simple constructors

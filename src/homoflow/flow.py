@@ -250,47 +250,6 @@ def flow_map_diffeo(field: VectorField, t: float,
 # dynamic-flow construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyValidation:
-    """Sampled evidence for the dynamic-flow hypotheses.
-
-    ``sup_speed_gap`` is the sampled sup of |a_eps - a| (closeness of the
-    oscillating field to its limit, reported only: amplitude-one oscillations
-    keep it O(1) at every fixed eps even for convergent constructions);
-    ``max_amplitude`` samples |a_eps| + |div a_eps|; ``div_gap_lq`` is the
-    sampled L2 distance between the divergences, the one hypothesis the
-    construction genuinely leans on.  Weak-* convergence of the derivatives
-    is not sampleable and is recorded as unverified.
-    """
-
-    sup_speed_gap: float
-    worst_speed_point: Array
-    max_amplitude: float
-    worst_amplitude_point: Array
-    div_gap_lq: float
-    worst_div_point: Array
-    n_samples: int
-    unverified: tuple[str, ...] = ("derivative weak-* convergence",)
-
-
-def validate_flow_family(a_eps: VectorField, limit_a: VectorField,
-                         sample_points: Array) -> FamilyValidation:
-    pts = as_points(sample_points, a_eps.dim)
-    v_eps = a_eps.eval(pts)
-    v_lim = limit_a.eval(pts)
-    gap = np.linalg.norm(v_eps - v_lim, axis=-1)
-    d_eps = a_eps.divergence(pts)
-    d_lim = limit_a.divergence(pts)
-    amp = np.linalg.norm(v_eps, axis=-1) + np.abs(d_eps)
-    dgap = np.abs(d_eps - d_lim)
-    lq = float(np.mean(dgap ** 2.0) ** 0.5)
-    return FamilyValidation(
-        sup_speed_gap=float(gap.max()), worst_speed_point=pts[np.argmax(gap)],
-        max_amplitude=float(amp.max()), worst_amplitude_point=pts[np.argmax(amp)],
-        div_gap_lq=lq, worst_div_point=pts[np.argmax(dgap)],
-        n_samples=int(pts.shape[0]))
-
-
 def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
                         eps: float, cfg: IntegratorConfig = IntegratorConfig(),
                         label: str = "dynamic") -> RectifiedSystem:
@@ -307,8 +266,7 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
     ``b.eval`` and ``theta.eval`` read its one memoized carried integration
     (``limit_W`` and ``limit_theta`` that of ``limit_a``), which keeps only
     the last point batch: calling them on the same points integrates once.
-    ``W.jacobian`` returns a read-only array.  The sampled hypotheses are not
-    checked here; :func:`validate_flow_family` reports them.
+    ``W.jacobian`` returns a read-only array.
     """
     dim = a_eps.dim
     if limit_a.dim != dim:

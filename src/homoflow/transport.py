@@ -6,17 +6,11 @@ u(t, x) = u0(X(t, x)).  With a compactly supported datum every norm and
 pairing lives on a finite box (support radius plus travel distance), so the
 truncation to a box is exact rather than an approximation.
 
-Transport has a finite speed.  When the drift carries a proven box B =
-[lo, hi] around its computed values (``VectorField.proven_box``), a point x
-moves by a vector in t B up to time t, so u(t, x) is exactly 0 unless
-dist(c - x, t B) < r0, with c and r0 the datum's center and support radius.
-The samplers of :func:`solve_transport` fill only the samples inside that
-reach (slightly enlarged to cover rounding), and those a caller's ``needed``
-mask marks, and return +0.0 for the others; initial data must therefore
-return +0.0 outside their support, as :func:`bump_datum` does.  How far each
-point is integrated is :func:`~homoflow.flow.advect_times`'s decision: it
-gets the whole batch with the mask of the samples to fill.  Sampled bounds
-(``sup_bound``) only size boxes.
+Every solver builds its sampler on the one core :func:`_sampler`, which owns
+the ``eval_times`` contract and is given only the positions X(t, x) of the
+samples to fill: :func:`solve_transport` fills the read samples inside the
+drift's finite reach (see there), and :func:`~homoflow.flow.advect_times`
+decides how far each point is integrated.  Sampled bounds only size boxes.
 
 The limit equation comes in two equivalent shapes for positive density:
 the plain advective form  du/dt - (xi0/sigma0) . grad u = 0  and the density
@@ -24,9 +18,8 @@ form  dv/dt - xi0 . grad(v/sigma0) = 0  for the weighted unknown v = sigma0 u.
 The density solver substitutes r = v/sigma0, runs the advective solver and
 scales back, keeping every solution exact along characteristics.
 
-Samplers evaluate purely and through one path: ``eval`` is ``eval_times`` at
-a single time.  Quadrature sums reduce in fixed row-major order so norms and
-pairings are bit-reproducible.
+Samplers evaluate purely, and quadrature sums reduce in fixed row-major
+order, so norms and pairings are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -154,7 +147,7 @@ def bump_datum(dim: int, center, radius: float, amplitude: float = 1.0) -> Initi
 
 @dataclass(frozen=True)
 class SolutionSampler:
-    """Lazy (t, x) evaluator of a transport solution.
+    """Lazy (t, x) evaluator of a transport solution; :func:`_sampler` builds it.
 
     ``eval_times(ts, x, needed=None)`` evaluates on a fixed point batch at
     an increasing list of times in a single integration pass, shape
@@ -172,6 +165,32 @@ class SolutionSampler:
 
     def eval(self, t: float, x: Array) -> Array:
         return self.eval_times(np.array([float(t)]), x)[0]
+
+
+def _sampler(u0: InitialDatum, positions: Callable[..., tuple[Array, list]],
+             drift_sup: float | None) -> SolutionSampler:
+    """The sampler of u(t, x) = u0(X(t, x)), the one place samples are written.
+
+    ``positions(ts, pts, needed)`` gets the (n, N) point batch and the
+    (len(ts), n) mask of the samples read, and returns ``(fill, X)``: the
+    mask, inside needed, of the samples to fill, and per time k the
+    positions X(ts[k], x) of the points fill[k] marks, in batch order (an
+    empty X fills nothing).  u0 is evaluated there only; the rest is +0.0.
+    """
+    def ev_times(ts, x, needed=None):
+        ts = np.asarray(ts, dtype=float)
+        x = as_points(x, u0.dim)
+        pts = x.reshape(-1, u0.dim)
+        shape = (len(ts), len(pts))
+        needed = (np.ones(shape, dtype=bool) if needed is None
+                  else np.asarray(needed, dtype=bool).reshape(shape))
+        fill, X = positions(ts, pts, needed)
+        out = np.zeros(shape)
+        for k, pos in enumerate(X):
+            out[k, fill[k]] = u0.eval(pos)
+        return out.reshape(ts.shape + x.shape[:-1])
+
+    return SolutionSampler(u0.dim, ev_times, u0, drift_sup)
 
 
 def _reach(b: VectorField, u0: InitialDatum, cfg: IntegratorConfig,
@@ -214,10 +233,7 @@ def solve_transport(b: VectorField, u0: InitialDatum,
     dist(c - x, t B) < r0 + m, with m = REACH_SLACK (1 + T S), T the largest
     requested |t| and S = |max(|lo|, |hi|)| the norm of B's farthest
     corner; every other sample is +0.0, the value u0 has outside its
-    support, and the result equals the full integration bit for bit.  The
-    sampler hands :func:`~homoflow.flow.advect_times` its whole batch and
-    the mask of the samples to fill, those that pass this test and that
-    ``needed`` marks, if one is filled or the Richardson guard is on.
+    support, and the result equals the full integration bit for bit.
 
     The slack covers rounding.  Each RK4 step adds fl((dt/6)(k1 + 2 k2 +
     2 k3 + k4)), and every computed stage velocity k lies in B, so in exact
@@ -248,24 +264,14 @@ def solve_transport(b: VectorField, u0: InitialDatum,
     if b.dim != u0.dim:
         raise ValueError("drift and initial datum dimensions differ")
 
-    def ev_times(ts, x, needed=None):
-        ts = np.asarray(ts, dtype=float)
-        x = as_points(x, u0.dim)
-        pts = x.reshape(-1, u0.dim)
-        shape = (len(ts), len(pts))
-        # fill: the samples that may be nonzero and are read; the others keep +0.0
-        fill = _reach(b, u0, cfg, ts, pts)
-        fill = np.ones(shape, dtype=bool) if fill is None else fill
-        if needed is not None:
-            fill = fill & np.asarray(needed, dtype=bool).reshape(shape)
-        out = np.zeros(shape)
-        if fill.any() or cfg.richardson_check:
-            states = advect_times(b, pts, ts, cfg, needed=fill)
-            for k, state in enumerate(states):
-                out[k, fill[k]] = u0.eval(state.pos)
-        return out.reshape(ts.shape + x.shape[:-1])
+    def positions(ts, pts, needed):
+        reach = _reach(b, u0, cfg, ts, pts)
+        fill = needed if reach is None else reach & needed
+        if not (fill.any() or cfg.richardson_check):
+            return fill, []
+        return fill, [state.pos for state in advect_times(b, pts, ts, cfg, needed=fill)]
 
-    return SolutionSampler(b.dim, ev_times, u0, drift_sup=b.sup_bound)
+    return _sampler(u0, positions, b.sup_bound)
 
 
 def lp_norm(sampler: SolutionSampler, t: float, p: float, box: Box,
@@ -291,18 +297,11 @@ def lp_norm(sampler: SolutionSampler, t: float, p: float, box: Box,
     return float((np.sum(np.abs(vals) ** p) * vol) ** (1.0 / p))
 
 
-def _constant_drift_sampler(drift: Array, datum: InitialDatum) -> SolutionSampler:
-    v = np.asarray(drift, dtype=float)
+def _constant_drift_sampler(v: Array, datum: InitialDatum) -> SolutionSampler:
+    def positions(ts, pts, needed):
+        return needed, [pts[row] + t * v for t, row in zip(ts, needed)]
 
-    def ev_times(ts, x, needed=None):
-        x = as_points(x, datum.dim)
-        ts = np.asarray(ts, dtype=float)
-        out = np.array([datum.eval(x + float(t) * v)
-                        for t in ts]).reshape(ts.shape + x.shape[:-1])
-        return out if needed is None else np.where(needed, out, 0.0)
-
-    return SolutionSampler(datum.dim, ev_times, datum,
-                           drift_sup=float(np.linalg.norm(v)))
+    return _sampler(datum, positions, float(np.linalg.norm(v)))
 
 
 def solve_homogenized(coeffs: EffectiveCoefficients, datum: InitialDatum,

@@ -619,14 +619,16 @@ def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_check_samples_are_capped_before_work(tmp_path, capsys):
-    # 10^12 samples used to end in "numeric error: Unable to allocate 14.6 TiB"
-    assert parse_config(f"check.samples = {2 ** 27}").check_samples == 2 ** 27
+    # 10^12 samples used to end in "numeric error: Unable to allocate 14.6 TiB";
+    # the cap is what a check holds in under 1 GB
+    assert parse_config(f"check.samples = {2 ** 21}").check_samples == 2 ** 21
     with pytest.raises(ConfigError, match="'check.samples'"):
-        parse_config(f"check.samples = {2 ** 27 + 1}")
-    path = tmp_path / "huge.cfg"
-    path.write_text("family.name = deltagamma\ncheck.samples = 1000000000000\n")
-    assert main(["check", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: key 'check.samples':")
+        parse_config(f"check.samples = {2 ** 21 + 1}")
+    for n in (2 ** 21 + 1, 10 ** 12):
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"family.name = deltagamma\ncheck.samples = {n}\n")
+        assert main(["check", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: key 'check.samples':")
 
 
 def test_unwritable_out_exits_2_before_the_command_runs(tmp_path, capsys, monkeypatch):

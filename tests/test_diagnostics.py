@@ -10,7 +10,6 @@ import homoflow as hf
 from homoflow.diagnostics import (ConvergenceReport, PhiConvergence,
                                   SpacetimeQuad, TestFunction, density_pairing,
                                   weak_pairing)
-from homoflow.diagnostics import test_function_l2 as bump_l2_norm
 from homoflow.flow import IntegratorConfig, dynamic_flow_family
 
 from conftest import (deltagamma_system, identity_system, shear_system,
@@ -306,8 +305,12 @@ def test_weak_error_bounded_by_strong_error(unit_bump):
     strong = hf.strong_l2_error(sol_eps, sol_lim, system, phi.space_box, nodes,
                                 quad, resolution=quad.space_resolution(
                                     phi.space_box.widths))
-    c = system.stability_constant
-    bound = strong * bump_l2_norm(phi, quad) * math.sqrt(c * quad.T)
+    lo, hi = system.sigma_bounds
+    c = max(hi, 1.0 / lo, 1.0)
+    # |phi|_2 by the same spacetime midpoint rule
+    pts, vol = phi.space_box.midpoint_grid(quad.space_resolution(phi.space_box.widths))
+    phi_sq = sum(float(np.sum(phi.eval(t, pts) ** 2)) for t in nodes)
+    bound = strong * math.sqrt(phi_sq * vol * quad.T / quad.n_time) * math.sqrt(c * quad.T)
     assert lhs <= bound * (1.0 + 1e-9)
 
 

@@ -104,7 +104,8 @@ def test_lp_stability_bound(unit_bump):
     system = deltagamma_system(0.2)
     sol = hf.solve_transport(system.b, unit_bump, IntegratorConfig(h=5e-3))
     box = hf.dependence_box(unit_bump, system.b.sup_bound, 2.0)
-    c = system.sigma_ratio
+    lo, hi = system.sigma_bounds
+    c = hi / lo
     for p in (2.0, 4.0):
         n0 = hf.lp_norm(sol, 0.0, p, box, 128)
         for t in (0.5, 1.0, 2.0):
@@ -313,18 +314,30 @@ def test_reach_pruning_is_bit_exact(system, times, monkeypatch):
 _TIME_LISTS = [[0.2, 0.5, 0.93], [-0.9, -0.3, -0.05], [0.6, 0.0, 0.25, 0.9, 0.4]]
 
 
+def _proven_and_unproven(system):
+    return lambda u0, cfg: (hf.solve_transport(system.b, u0, cfg),
+                            hf.solve_transport(_unproven(system.b), u0, cfg))
+
+
+def _constant_limit(form):
+    # the limit sampler prunes by needed only: it is its own reference
+    coeffs = hf.constant_coefficients(2, 1.3, [1.0, 0.4])
+    return lambda u0, cfg: (hf.solve_homogenized(coeffs, u0, form, cfg),) * 2
+
+
 @pytest.mark.parametrize("times", _TIME_LISTS,
                          ids=["increasing", "negative", "unsorted"])
-@pytest.mark.parametrize("system", [identity_system(0.2), deltagamma_system(0.1),
-                                    twist_system(0.1)],
-                         ids=["identity", "deltagamma", "twist"])
-def test_box_reach_and_horizons_equal_unpruned(system, times):
+@pytest.mark.parametrize("samplers", [
+    _proven_and_unproven(identity_system(0.2)),
+    _proven_and_unproven(deltagamma_system(0.1)),
+    _proven_and_unproven(twist_system(0.1)),
+    _constant_limit("advective"), _constant_limit("density")],
+    ids=["identity", "deltagamma", "twist", "limit-advective", "limit-density"])
+def test_box_reach_and_horizons_equal_unpruned(samplers, times):
     # the sampler with a proven box and a random needed mask against the one
     # with neither: equal bits where needed, +0.0 elsewhere
     u0 = hf.bump_datum(2, [0.3, -0.2], 1.0)
-    cfg = IntegratorConfig(h=0.01)
-    pruned = hf.solve_transport(system.b, u0, cfg)
-    full = hf.solve_transport(_unproven(system.b), u0, cfg)
+    pruned, full = samplers(u0, IntegratorConfig(h=0.01))
     rng = np.random.default_rng(11)
     pts = rng.uniform(-2.5, 2.5, (600, 2))
     ref = full.eval_times(times, pts)
@@ -389,15 +402,20 @@ def test_needed_mask_drops_points_after_their_last_snapshot():
 
 
 def test_needed_mask_of_the_limit_samplers():
-    u0 = hf.bump_datum(2, [0.3, -0.2], 1.0)
+    # the datum is evaluated on the samples needed marks, and only there
+    bump = hf.bump_datum(2, [0.3, -0.2], 1.0)
+    evaluated = []
+    u0 = dataclasses.replace(bump, eval=lambda x: evaluated.append(len(x)) or bump.eval(x))
     pts = np.random.default_rng(4).uniform(-2.0, 2.0, (200, 2))
     times = [0.1, 0.45, 0.8]
     needed = np.random.default_rng(5).random((3, 200)) < 0.5
     for kind in ("constant-limit", "density-float-sigma0", "density-field-sigma0"):
         sol = _SAMPLER_KINDS[kind](u0)
         ref = sol.eval_times(times, pts)
+        evaluated.clear()
         assert sol.eval_times(times, pts, needed=needed).tobytes() == \
             np.where(needed, ref, 0.0).tobytes()
+        assert sum(evaluated) == np.count_nonzero(needed)
 
 
 def test_scaled_datum_keeps_positive_zero_outside_support():
