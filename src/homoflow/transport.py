@@ -226,7 +226,7 @@ def solve_transport(b: VectorField, u0: InitialDatum,
 
     The minus sign in the equation is what makes the forward flow (not its
     inverse) the right composition: for constant b the profile translates to
-    x + t b.
+    x + t b.  :func:`_sampler` builds the sampler from the positions X(t, x).
 
     Reach pruning.  When ``b.proven_box`` = B = [lo, hi] is set and the
     Richardson guard is off, a sample at time t integrates a point x only if
