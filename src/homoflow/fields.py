@@ -99,6 +99,15 @@ class VectorField:
     compactly supported datum can reach by each requested time.  Leave it
     absent unless it is proven: a wrong value silently zeroes parts of
     solutions.
+
+    ``exact_flow(t, x)``, like ``proven_box``, is set only where derived: it
+    returns the field's flow X(t, x) in closed form, shape of x.  The twist
+    drift with a unit-slope alpha carries one (see
+    :func:`hyperbolic_twist_family`); with it,
+    :func:`~homoflow.transport.solve_transport` integrates only the samples
+    whose exact position lies within twice the datum's support radius of its
+    center.  That margin is measured, not proven, to cover RK4's position
+    error there.
     """
 
     dim: int
@@ -108,6 +117,7 @@ class VectorField:
     sup_bound: float | None = None
     div_bound: float | None = None
     proven_box: tuple[Array, Array] | None = None
+    exact_flow: Callable[[float, Array], Array] | None = None
 
 
 @dataclass(frozen=True)
@@ -430,9 +440,12 @@ class Curve:
 
     ``deriv2`` has no default: the twist family's drift Jacobian and theta
     gradient read it.  ``unit_slope`` says that ``deriv`` is exactly 1.0
-    everywhere, so a product with it may be left out, which is exact.  The
-    twist family's drift reads it (and never writes into the arrays a curve
-    returns); :func:`hyperbolic_twist_family` checks it on its probe.
+    everywhere, so a product with it may be left out, which is exact.  For
+    the twist family's alpha it also declares theta = alpha'(x1) alpha'(x2)
+    = 1, which gives the drift its closed-form flow
+    (``VectorField.exact_flow``).  The twist drift reads it (and never writes
+    into the arrays a curve returns); :func:`hyperbolic_twist_family` checks
+    it on its probe.
     """
 
     eval: Callable[[Array], Array]
@@ -495,6 +508,11 @@ def hyperbolic_twist_family(alpha: Curve, beta: Curve, eps: float,
     p = a(x1) a(x2), gives term by term: every floating-point operation stays
     the same and in the same order.  A profile whose ``unit_slope`` claim
     disagrees with its ``deriv`` on the probe t in [-10, 10] is refused.
+
+    When ``alpha.unit_slope``, theta = 1 and jac(W) b = e1, so the drift's
+    flow is X(t, x) = W^{-1}(W(x) + t e1) with the closed-form inverse
+    W^{-1}(z) = (z1 e^{-beta(q)}, z2 e^{beta(q)}), q = z1 z2 (W keeps the
+    product: W1 W2 = x1 x2); ``b.exact_flow`` holds it.
     """
     probe = np.linspace(-10.0, 10.0, 2001)
     ap = alpha.deriv(probe)
@@ -571,8 +589,19 @@ def _twist_drift(alpha: Curve, beta: Curve) -> VectorField:
         return np.stack([np.stack([j11, j12], axis=-1),
                          np.stack([j21, j22], axis=-1)], axis=-2)
 
+    def flow(t, x):
+        # X(t, x) = W^{-1}(W(x) + t e1) for the identity alpha; points whose
+        # product overflows come out non-finite, without a warning
+        x = as_points(x, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(beta.eval(x[..., 0] * x[..., 1]))
+            z1, z2 = x[..., 0] * e + t, x[..., 1] / e
+            f = np.exp(beta.eval(z1 * z2))
+            return np.stack([z1 / f, z2 * f], axis=-1)
+
     # sigma = 1 and sigma*b is a rotated gradient, hence divergence free
-    return VectorField(2, ev, jac, zeros(2), div_bound=0.0)
+    return VectorField(2, ev, jac, zeros(2), div_bound=0.0,
+                       exact_flow=flow if alpha.unit_slope else None)
 
 
 def _product_of_derivatives(alpha: Curve) -> ScalarField:

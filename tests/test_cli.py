@@ -167,6 +167,38 @@ def test_beta_amplitude_checked_against_the_step(tmp_path, capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("amp,digest", [
+    ("4", None), ("9", None),
+    ("5", "c00f12d135a1df925b074a8c8c0915d4af7def07a9150cebf74ee186da9ce160"),
+    (None, "f615aee314bea56128641a7f6edc4e865f24930334d3e5c8568a70564012085e")])
+def test_twist_simulate_integrates_only_what_reaches_the_datum(amp, digest, tmp_path):
+    # simulate at eps 0.1, h 1e-3 passes the step rule on |x1|, |x2| <= 3 but
+    # samples dependence_box, whose corners reach 37 (beta_amp 4) and 103
+    # (beta_amp 9); RK4 stepped them to a non-finite state (exit 3).  Their
+    # exact positions stay far from the support, so they are no longer
+    # integrated: u_eps is 0 there.  Where RK4 ran (beta_amp 5, and the
+    # default simulate, m = 9), the digests are those of the full integration
+    # (x86-64 Linux, glibc libm, numpy 2.4).
+    text = "family.name = example31\n"
+    if amp is not None:
+        text += f"family.beta_amp = {amp}\nsimulate.m = 3\n"
+    path = tmp_path / "twist.cfg"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    csv = out.read_text()
+    if digest is not None:
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest
+        return
+    rows = [[float(v) for v in line.split(",")] for line in csv.splitlines()[2:]]
+    assert len(rows) == 27
+    for t, x1, x2, u, _, _ in rows:
+        if x1 != 0.0 or x2 != 0.0:
+            assert u == 0.0 and abs(x1) + abs(x2) > 30.0
+        elif t == 0.0:
+            assert u == 1.0
+
+
 def test_pairing_grid_checked_before_a_sweep_starts(tmp_path, capsys):
     # 2 * 0.4 * 1e6 / 0.4 nodes per axis: a 64 x 2,000,000^2 pairing grid
     path = tmp_path / "grid.cfg"

@@ -223,11 +223,12 @@ def test_exact_realignment_of_cell_drift_at_cell_multiples(rng, unit_bump):
 
 # ---------------------------------------------------------------------------
 # reach pruning: drifts with a proven box integrate each point only while u0
-# can reach it
+# can reach it; drifts with a closed-form flow only the samples it carries
+# near the support
 # ---------------------------------------------------------------------------
 
 def _unproven(b):
-    return dataclasses.replace(b, proven_box=None)
+    return dataclasses.replace(b, proven_box=None, exact_flow=None)
 
 
 def _counting_advect(monkeypatch):
@@ -460,21 +461,29 @@ def test_reach_pruning_skips_a_batch_out_of_reach(monkeypatch):
     assert seen == []
 
 
-def test_richardson_guard_still_compares_points_out_of_reach():
-    # the guard trips on a coarse step; every point is far outside the reach,
-    # so a pruned sampler would have nothing left to compare
-    system = deltagamma_system(0.05)
+def test_richardson_guard_still_compares_points_out_of_reach(monkeypatch):
+    # the guard trips on a coarse step; every point is far outside the reach
+    # (the box reach of deltagamma; for the twist, exact positions at least
+    # 2.5 from the center, beyond the flow reach 2 r0 = 1), so a pruned
+    # sampler would have nothing left to compare
     u0 = hf.bump_datum(2, [0.0, 0.0], 0.5)
-    far = np.array([[6.0, 0.0], [0.0, 7.0]])
     cfg = IntegratorConfig(h=0.5, richardson_check=True)
-    sol = hf.solve_transport(system.b, u0, cfg)
-    with pytest.raises(AccuracyError):
-        sol.eval(1.0, far)
-    with pytest.raises(AccuracyError):
-        sol.eval_times([0.5, 1.0], far)
-    # a needed mask that marks none of them does not exempt them either
-    with pytest.raises(AccuracyError):
-        sol.eval_times([0.5, 1.0], far, needed=np.zeros((2, 2), dtype=bool))
+    seen = _counting_advect(monkeypatch)
+    for system, far in ((deltagamma_system(0.05), np.array([[6.0, 0.0], [0.0, 7.0]])),
+                        (twist_system(0.05), np.array([[2.0, 0.0], [0.0, 2.5]]))):
+        sol = hf.solve_transport(system.b, u0, cfg)
+        with pytest.raises(AccuracyError):
+            sol.eval(1.0, far)
+        with pytest.raises(AccuracyError):
+            sol.eval_times([0.5, 1.0], far)
+        # a needed mask that marks none of them does not exempt them either
+        with pytest.raises(AccuracyError):
+            sol.eval_times([0.5, 1.0], far, needed=np.zeros((2, 2), dtype=bool))
+        # without the guard neither point is integrated
+        seen.clear()
+        unguarded = hf.solve_transport(system.b, u0, IntegratorConfig(h=0.5))
+        assert unguarded.eval_times([0.5, 1.0], far).tobytes() == np.zeros((2, 2)).tobytes()
+        assert seen == []
 
 
 def test_needed_mask_with_the_richardson_guard():
@@ -496,6 +505,24 @@ def test_needed_mask_with_the_richardson_guard():
         needed = rng.random((len(times), len(pts))) < density
         assert sol.eval_times(times, pts, needed=needed).tobytes() == \
             np.where(needed, ref, 0.0).tobytes()
+    # the guard prunes nothing by a closed-form flow: the twist drift's
+    # sampler evaluates the datum at every needed sample, near the support
+    # or not, and gives the unguarded unpruned bits
+    twist = twist_system(0.1).b
+    evaluated = []
+    counted = dataclasses.replace(u0, eval=lambda x: evaluated.append(len(x)) or u0.eval(x))
+    ref = hf.solve_transport(_unproven(twist), u0, IntegratorConfig(h=0.002)).eval_times(
+        times, pts)
+    unguarded = hf.solve_transport(twist, counted, IntegratorConfig(h=0.002))
+    assert unguarded.eval_times(times, pts).tobytes() == ref.tobytes()
+    assert 0 < sum(evaluated) < 0.5 * ref.size
+    sol = hf.solve_transport(twist, counted, cfg)
+    for needed in (None, rng.random((len(times), len(pts))) < 0.5):
+        evaluated.clear()
+        got = sol.eval_times(times, pts, needed=needed)
+        mask = np.ones(ref.shape, dtype=bool) if needed is None else needed
+        assert got.tobytes() == np.where(mask, ref, 0.0).tobytes()
+        assert sum(evaluated) == np.count_nonzero(mask)
 
 
 def test_sampled_bound_never_prunes():
@@ -513,10 +540,28 @@ def test_sampled_bound_never_prunes():
 
 
 def test_non_finite_points_are_integrated():
-    sol = hf.solve_transport(deltagamma_system(0.1).b,
-                             hf.bump_datum(2, [0.0, 0.0], 0.5), CFG)
-    with pytest.raises(BlowupError), np.errstate(invalid="ignore"):
-        sol.eval(0.1, np.array([[0.0, 0.0], [np.inf, 0.0]]))
+    # neither the box reach (deltagamma) nor the flow reach (twist) prunes a
+    # point whose distance is not finite
+    for system in (deltagamma_system(0.1), twist_system(0.1)):
+        sol = hf.solve_transport(system.b, hf.bump_datum(2, [0.0, 0.0], 0.5), CFG)
+        with pytest.raises(BlowupError), np.errstate(invalid="ignore", over="ignore"):
+            sol.eval(0.1, np.array([[0.0, 0.0], [np.inf, 0.0]]))
+
+
+def test_flow_pruning_integrates_the_samples_near_the_support():
+    # the first drift batch holds just the points whose exact position at the
+    # snapshot time lies within 2 r0 of the center, and the rest are +0.0
+    b = twist_system(0.1).b
+    u0 = hf.bump_datum(2, [0.3, -0.2], 0.5)
+    pts, _ = hf.Box.from_radius(u0.center, 3.0).midpoint_grid(48)
+    batches = []
+    counted = dataclasses.replace(b, eval=lambda x: batches.append(len(x)) or b.eval(x))
+    got = hf.solve_transport(counted, u0, IntegratorConfig(h=0.01)).eval(0.7, pts)
+    near = np.linalg.norm(b.exact_flow(0.7, pts) - u0.center, axis=-1) < 1.0
+    assert 0 < batches[0] == np.count_nonzero(near) < 0.5 * len(pts)
+    assert got.tobytes() == hf.solve_transport(_unproven(b), u0, IntegratorConfig(
+        h=0.01)).eval(0.7, pts).tobytes()
+    assert np.all(got[~near] == 0.0) and np.count_nonzero(got[near]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +586,8 @@ _SAMPLER_KINDS = {
     "pruned-deltagamma": lambda u0: hf.solve_transport(
         deltagamma_system(0.1).b, u0, IntegratorConfig(h=0.01)),
     "unpruned-twist": lambda u0: hf.solve_transport(
+        _unproven(twist_system(0.1).b), u0, IntegratorConfig(h=0.01)),
+    "flow-pruned-twist": lambda u0: hf.solve_transport(
         twist_system(0.1).b, u0, IntegratorConfig(h=0.01)),
     "constant-limit": lambda u0: hf.solve_homogenized(
         hf.constant_coefficients(2, 1.3, [1.0, 0.4]), u0),
