@@ -565,6 +565,19 @@ def test_sweep_csv_bytes_are_pinned(family, digest, command):
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
+def test_twist_sweep_leaves_far_strong_nodes_unintegrated():
+    # the smoke sweep at beta_amp 1.5 passes the step rule on |x1|, |x2| <= 3,
+    # but its strong box has half-width 20, whose corners RK4 stepped to a
+    # non-finite state (exit 3); with the identity alpha they are not
+    # integrated, and the run gives finite errors
+    code, csv = run_sweep(parse_config("family.name = example31\nfamily.beta_amp = 1.5"
+                                       + SMOKE_SWEEP))
+    assert code == 0
+    rows = [line.split(",") for line in csv.splitlines()[2:]]
+    assert len(rows) == 6
+    assert all(np.isfinite(float(v)) for row in rows for v in row[1:])
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.cfg"
     good.write_text("family.name = identity\ncheck.samples = 50\n")
