@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import (SpacetimeQuad, TestFunction, convergence_sweep,
                           default_dictionary, invariant_suite, strong_l2_error)
-from .fields import (FieldError, RectifiedSystem, deltagamma_cell,
+from .fields import (FieldError, InvalidCellError, RectifiedSystem, deltagamma_cell,
                      hyperbolic_twist_family, identity_cell, identity_curve,
                      jacobian_det, periodic_family, perturbed_identity_curve,
                      shear_cell, sine_cell, sine_curve, zero_curve)
@@ -207,15 +207,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     need(len(cfg.simulate_t) > 0, "simulate.t", "needs at least one time")
     need(cfg.simulate_m >= 2, "simulate.m", "must be at least 2")
     need(len(cfg.strong_t) > 0, "sweep.strong_t", "needs at least one time")
-    if cfg.family in ("deltagamma", "periodic"):
-        # the cell determinant m00 m11 - (m01 + delta c2)(m10 + gamma c1) is
-        # bilinear in the cosines c1, c2, so its least value sits at a corner
-        m00, m01, m10, m11 = (cfg.cell_matrix if cfg.family == "periodic"
-                              else (1.0, 0.0, 0.0, 1.0))
-        low = min(m00 * m11 - (m01 + d) * (m10 + g)
-                  for d in (cfg.delta, -cfg.delta) for g in (cfg.gamma, -cfg.gamma))
-        need(low > 0.0, "family.delta", "the cell determinant (M = family.m, the"
-             f" identity for deltagamma) must stay positive, but reaches {low:g}")
+    need(cfg.seed >= 0, "seed", "must be nonnegative")
+    try:
+        _build_cell(cfg)
+    except InvalidCellError as exc:
+        raise ConfigError(f"key 'family.delta': {exc}") from exc
     if cfg.family == "example31":
         need(cfg.alpha_amp >= 0.0, "family.alpha_amp", "must be nonnegative")
 
@@ -395,10 +391,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[int, str]:
     sup = _estimated_sup(system, radius)
     box = dependence_box(u0, sup, t_reach)
     pts, _ = box.midpoint_grid(cfg.simulate_m)
-    # one integration pass per direction of time
-    vals = np.concatenate([sol.eval_times(np.asarray(ts), pts) for ts in
-                           ([t for t in t_values if t < 0.0],
-                            [t for t in t_values if t >= 0.0]) if ts])
+    vals = sol.eval_times(t_values, pts)
     sig = system.sigma.eval(pts)
     rows = []
     for k, t in enumerate(t_values):
@@ -433,11 +426,8 @@ def run_homogenize(cfg: ExperimentConfig) -> tuple[int, str]:
 def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
     radius = cfg.u0_radius + cfg.T + 1.0
     _check_twist(cfg, "sweep.eps", cfg.sweep_eps, radius, cfg.h)
-    # one integration pass per sampler, inside the strong box (sized for T)
-    if not (all(0.0 <= t <= cfg.T for t in cfg.strong_t)
-            or all(-cfg.T <= t <= 0.0 for t in cfg.strong_t)):
-        raise ConfigError(f"key 'sweep.strong_t': times must all lie in [0, T]"
-                          f" or all in [-T, 0] (T = {cfg.T:g})")
+    if not all(abs(t) <= cfg.T for t in cfg.strong_t):  # the strong box is sized for T
+        raise ConfigError(f"key 'sweep.strong_t': times must all lie in [-T, T] (T = {cfg.T:g})")
     # the pairing grids resolve the smallest eps; a pairing samples
     # time_nodes x n^2 (time, node) pairs, n the most nodes on an axis
     dictionary = _dictionary(cfg)

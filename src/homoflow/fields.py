@@ -672,13 +672,15 @@ def identity_cell(dim: int = 2) -> PeriodicCellMap:
                            proven_drift_box=(e1, e1.copy()))
 
 
-def _sine_drift_box(m00: float, m01: float, m10: float, m11: float,
-                    d: float, g: float) -> tuple[Array, Array] | None:
-    """Proven componentwise box around the computed sine-cell drift over R^2.
+def _sine_drift_box(m11: float, j10: Array, det: Array,
+                    scale: float) -> tuple[Array, Array] | None:
+    """Proven componentwise box around the computed sine-cell drift over R^2,
+    from j10 = m10 + g c1 and det at the four cosine corners, which
+    :func:`sine_cell` has checked to be positive.
 
     With c1 = cos(2pi y1), c2 = cos(2pi y2) the drift is
     (m11, -(m10 + g c1)) / det and det = m00 m11 - (m01 + d c2)(m10 + g c1)
-    is bilinear in (c1, c2), so det > 0 on the square [-1, 1]^2 as soon as
+    is bilinear in (c1, c2), so det > 0 on the square [-1, 1]^2 because
     it is positive at the four corners.  Each component is then monotone in
     each cosine: m11 / det because det is affine in either cosine, and
     -(m10 + g c1) / det because it is monotone in c2 for fixed c1 and, as a
@@ -689,21 +691,13 @@ def _sine_drift_box(m00: float, m01: float, m10: float, m11: float,
     is quasiconvex in c1.
 
     The corner extremes are padded outward by 32 u kappa times the largest
-    corner norm, u = 2^-53 and kappa = (|m00 m11| + A B) / (smallest corner
-    det) with A = |d| + |m01|, B = |g| + |m10|: the products, the
-    determinant's difference and the two divisions perturb each computed
+    corner norm, u = 2^-53 and kappa = scale / (smallest corner det) with
+    scale = |m00 m11| + A B, A = |d| + |m01|, B = |g| + |m10|: the products,
+    the determinant's difference and the two divisions perturb each computed
     drift component (at any computed cosine in [-1, 1]) and each computed
     corner value by less than 12 u kappa times that norm.  None (no box)
-    when a corner det is not positive, or when kappa > 1e12 makes that
-    first-order rounding estimate unsafe.
+    when kappa > 1e12 makes that first-order rounding estimate unsafe.
     """
-    c = np.array([-1.0, 1.0])
-    j01 = d * c[None, :] + m01
-    j10 = g * c[:, None] + m10
-    det = m00 * m11 - j01 * j10
-    if not np.all(det > 0.0):
-        return None
-    scale = abs(m00 * m11) + (abs(d) + abs(m01)) * (abs(g) + abs(m10))
     kappa = scale / float(det.min())
     if kappa > 1e12:
         return None
@@ -715,12 +709,21 @@ def _sine_drift_box(m00: float, m01: float, m10: float, m11: float,
 def sine_cell(M, delta: float, gamma: float) -> PeriodicCellMap:
     """2D cell M y + ((delta/2pi) sin(2pi y2), (gamma/2pi) sin(2pi y1)).
 
-    Its drift is evaluated straight from the two cosines, and it carries the
-    proven drift box of :func:`_sine_drift_box`.
+    Its determinant is bilinear in the two cosines (see :func:`_sine_drift_box`),
+    so a cell is refused, with an :class:`InvalidCellError` naming the least
+    one, unless its four corner determinants are positive.  Its drift is
+    evaluated straight from the two cosines, and it carries the proven drift
+    box of :func:`_sine_drift_box`, built from the same corners.
     """
     M = np.asarray(M, dtype=float)
     d, g = float(delta), float(gamma)
     m00, m01, m10, m11 = (float(v) for v in M.ravel())
+    c = np.array([-1.0, 1.0])
+    corner_j10 = g * c[:, None] + m10
+    corner_det = m00 * m11 - (d * c[None, :] + m01) * corner_j10
+    if not np.all(corner_det > 0.0):
+        raise InvalidCellError("the cell determinant must stay positive, but its least"
+                               f" corner value is {float(corner_det.min()):g}")
 
     def ev(y):
         y = as_points(y, 2)
@@ -760,14 +763,14 @@ def sine_cell(M, delta: float, gamma: float) -> PeriodicCellMap:
         np.divide(-j10, det, out=out[..., 1])
         return out
 
+    scale = abs(m00 * m11) + (abs(d) + abs(m01)) * (abs(g) + abs(m10))
     return PeriodicCellMap(2, M, part, hess, drift=drift,
-                           proven_drift_box=_sine_drift_box(m00, m01, m10, m11, d, g))
+                           proven_drift_box=_sine_drift_box(m11, corner_j10, corner_det, scale))
 
 
 def deltagamma_cell(delta: float, gamma: float) -> PeriodicCellMap:
-    """Cell with streams x1 + (delta/2pi) sin(2pi x2) and x2 + (gamma/2pi) sin(2pi x1)."""
-    if abs(delta * gamma) >= 1.0:
-        raise InvalidCellError("need |delta*gamma| < 1 so the cell determinant stays positive")
+    """Sine cell at M = I, streams x1 + (delta/2pi) sin(2pi x2) and
+    x2 + (gamma/2pi) sin(2pi x1); its corner rule reads |delta gamma| < 1."""
     return sine_cell(np.eye(2), delta, gamma)
 
 

@@ -112,33 +112,37 @@ def advect(field: VectorField, x0, t_final: float,
 
 def _snapshots(rate, state: tuple, times: list[float], h: float,
                needed: Array | None) -> list[FlowState]:
-    """One RK4 pass from t = 0 through ``times`` in order of |t| (ties in
-    input order), with a snapshot at each; every span between snapshots
-    takes uniform steps of at most h that land exactly on its end.  Each
-    point leaves the state after its last ``needed`` snapshot."""
-    order = sorted(range(len(times)), key=lambda i: abs(times[i]))
-    if needed is not None:
-        rows = np.arange(needed.shape[1])
-        # per point, the rank in ``order`` of its last needed snapshot (-1: none)
-        last = np.where(needed[order], np.arange(len(times))[:, None], -1).max(axis=0)
+    """Two RK4 passes from t = 0, one through the negative ``times`` and one
+    through the rest, each in order of |t| (ties in input order), with a
+    snapshot at each time; every span between snapshots takes uniform steps
+    of at most h that land exactly on its end.  Each point leaves a pass
+    after its last ``needed`` snapshot in it."""
     states: list[FlowState | None] = [None] * len(times)
-    t_cur = 0.0
-    for rank, idx in enumerate(order):
-        take = ...
+    for back in (True, False):
+        order = sorted((i for i, t in enumerate(times) if (t < 0.0) == back),
+                       key=lambda i: abs(times[i]))
+        cur, t_cur = state, 0.0
         if needed is not None:
-            keep = last >= rank
-            if not keep.all():
-                state, last, rows = tuple(s[keep] for s in state), last[keep], rows[keep]
-            take = needed[idx, rows]
-        t_next = times[idx]
-        span = t_next - t_cur
-        if span != 0.0:
-            n = max(1, int(np.ceil(abs(span) / h - 1e-12)))
-            state = _rk4_segment(rate, state, t_cur, span / n, n)
-        # np.array copies, and keeps a single point's logdet a 0-d array: the
-        # RK4 update turns it into a numpy scalar
-        states[idx] = FlowState(t_next, *(np.array(s[take]) for s in state))
-        t_cur = t_next
+            rows = np.arange(needed.shape[1])
+            # per point, the rank in ``order`` of its last needed snapshot (-1: none)
+            last = np.where(needed[order], np.arange(len(order))[:, None], -1).max(
+                axis=0, initial=-1)
+        for rank, idx in enumerate(order):
+            take = ...
+            if needed is not None:
+                keep = last >= rank
+                if not keep.all():
+                    cur, last, rows = tuple(s[keep] for s in cur), last[keep], rows[keep]
+                take = needed[idx, rows]
+            t_next = times[idx]
+            span = t_next - t_cur
+            if span != 0.0:
+                n = max(1, int(np.ceil(abs(span) / h - 1e-12)))
+                cur = _rk4_segment(rate, cur, t_cur, span / n, n)
+            # np.array copies, and keeps a single point's logdet a 0-d array:
+            # the RK4 update turns it into a numpy scalar
+            states[idx] = FlowState(t_next, *(np.array(s[take]) for s in cur))
+            t_cur = t_next
     return states  # type: ignore[return-value]
 
 
@@ -146,17 +150,19 @@ def advect_times(field: VectorField, x0, times,
                  cfg: IntegratorConfig = IntegratorConfig(),
                  carry_jacobian: bool = False,
                  needed: Array | None = None) -> list[FlowState]:
-    """States at an increasing (or decreasing) sequence of times from t = 0.
+    """States at a list of times of either sign from t = 0.
 
-    One continuous integration with snapshots, so the cost is a single pass;
-    the Richardson guard (when enabled) re-runs the positions at h/2 and
-    compares every snapshot.  With ``carry_jacobian`` the state carries
-    J and L as further entries of one RK4 system (see the module docstring).
+    One continuous integration with snapshots for the negative times and one
+    for the rest (see :func:`_snapshots`), so a list of one sign costs a
+    single pass; the Richardson guard (when enabled) re-runs the positions
+    at h/2 and compares every snapshot.  With ``carry_jacobian`` the state
+    carries J and L as further entries of one RK4 system (see the module
+    docstring).
 
     ``needed`` (for an (n, N) batch, a (len(times), n) boolean mask) marks
     the points each time needs.  The state at times[k] then holds, in batch
     order, just the points needed[k] marks, and each point is integrated only
-    up to the last time that needs it (in the pass's |t| order); a point no
+    up to the last time that needs it (in its pass's |t| order); a point no
     time needs is not integrated at all.  The guard overrides that: it
     integrates and compares every point through every time, then trims the
     snapshots.  A point's values do not depend on which other points share
@@ -165,9 +171,6 @@ def advect_times(field: VectorField, x0, times,
     times = [float(t) for t in times]
     if not times:
         return []
-    signs = {np.sign(t) for t in times if t != 0.0}
-    if len(signs) > 1:
-        raise ValueError("snapshot times must not straddle t = 0")
     x0 = as_points(x0, field.dim)
     if needed is not None:
         needed = np.asarray(needed, dtype=bool)

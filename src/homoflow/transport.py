@@ -151,7 +151,7 @@ class SolutionSampler:
     """Lazy (t, x) evaluator of a transport solution; :func:`_sampler` builds it.
 
     ``eval_times(ts, x, needed=None)`` evaluates on a fixed point batch at
-    an increasing list of times in a single integration pass, shape
+    a list of times of either sign, in one integration pass per sign, shape
     ``(len(ts),) + x.shape[:-1]``; use it for quadrature grids.  ``needed``,
     a boolean array of that shape, marks the samples the caller reads; the
     others are +0.0.  ``eval`` is ``eval_times`` at one time.  ``drift_sup``
@@ -252,7 +252,7 @@ def solve_transport(b: VectorField, u0: InitialDatum,
     The slack covers rounding.  Each RK4 step adds fl((dt/6)(k1 + 2 k2 +
     2 k3 + k4)), and every computed stage velocity k lies in B, so in exact
     arithmetic the increment is dt times a convex combination of points of
-    B; the steps' dt share one sign, so the displacement after the steps
+    B; a pass's steps share one sign, so the displacement after the steps
     that sum to t' is in t' B, and by convexity again that holds for every
     intermediate position.  With unit roundoff u = 2^-53: the computed steps
     sum to t' with |t' - t| <= 2 u |t| (one rounding of each span and of

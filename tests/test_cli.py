@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import homoflow as hf
-from homoflow.cli import (CSV_VERSION_LINE, FAMILY_NAMES, ConfigError,
+from homoflow.cli import (_KEYS, CSV_VERSION_LINE, FAMILY_NAMES, ConfigError,
                           build_coefficients, build_system, main, parse_config, run_check,
                           run_homogenize, run_simulate, run_sweep,
                           serialize_config)
@@ -83,8 +83,7 @@ def test_config_errors_carry_context(line, fragment):
     assert fragment in str(err.value)
 
 
-@pytest.mark.parametrize("line", ["sweep.strong_t = -0.5,0.5", "sweep.strong_t = 3",
-                                  "T = 0.5"])
+@pytest.mark.parametrize("line", ["sweep.strong_t = 3", "T = 0.5"])
 def test_strong_times_checked_when_a_sweep_starts(line, tmp_path, capsys):
     # only the sweep reads sweep.strong_t; the default times 0.52 and 0.93
     # lie beyond T = 0.5
@@ -93,7 +92,7 @@ def test_strong_times_checked_when_a_sweep_starts(line, tmp_path, capsys):
     path.write_text(line + "\ncheck.samples = 20\nsimulate.m = 3\n")
     assert main(["sweep", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "'sweep.strong_t': times must all lie in" in err
+    assert "'sweep.strong_t': times must all lie in [-T, T]" in err
     assert f"T = {cfg.T:g}" in err
     for command in ("check", "simulate"):
         assert main([command, "--config", str(path)]) == 0
@@ -565,6 +564,25 @@ def test_sweep_csv_bytes_are_pinned(family, digest, command):
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family", ["deltagamma", "example31"])
+def test_sweep_takes_strong_times_of_either_sign(family):
+    # each sampler integrates both signs in one call; the strong column is
+    # the max over the strong times of the one-sign sweeps' errors (an
+    # off-center datum, so that the twist's odd symmetry does not make the
+    # two signs' errors equal)
+    def sweep(times):
+        code, csv = run_sweep(parse_config(f"family.name = {family}\nu0.center = 0.2,0.1\n"
+                                           f"sweep.strong_t = {times}" + SMOKE_SWEEP))
+        assert code == 0
+        return [line.split(",") for line in csv.splitlines()]
+
+    mixed, ahead, back = sweep("-0.52,0.52"), sweep("0.52"), sweep("-0.52")
+    assert any(a[6] != b[6] for a, b in zip(ahead[2:], back[2:]))
+    for a, b in zip(ahead[2:], back[2:]):
+        a[6] = max(a[6], b[6], key=float)
+    assert mixed == ahead
+
+
 def test_twist_sweep_leaves_far_strong_nodes_unintegrated():
     # the smoke sweep at beta_amp 1.5 passes the step rule on |x1|, |x2| <= 3,
     # but its strong box has half-width 20, whose corners RK4 stepped to a
@@ -576,6 +594,23 @@ def test_twist_sweep_leaves_far_strong_nodes_unintegrated():
     rows = [line.split(",") for line in csv.splitlines()[2:]]
     assert len(rows) == 6
     assert all(np.isfinite(float(v)) for row in rows for v in row[1:])
+
+
+_NUMBER_KEYS = [key for key, (_, _, kind) in _KEYS.items() if kind in ("int", "float")]
+
+
+@pytest.mark.parametrize("key", _NUMBER_KEYS)
+def test_every_number_key_at_minus_one_ends_in_an_exit_code(key, tmp_path, capsys):
+    # a negative seed ended in a numpy ValueError traceback; an out-of-range
+    # value exits 2 naming its key, any other run exits 0 or 1
+    path = tmp_path / "minus.cfg"
+    for family in FAMILY_NAMES:
+        path.write_text(f"family.name = {family}\n{key} = -1\n"
+                        + ("" if key == "check.samples" else "check.samples = 20\n"))
+        code = main(["check", "--config", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert f"key {key!r}:" in capsys.readouterr().err
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -336,9 +336,8 @@ def test_sine_cell_bounds_of_shipped_cells():
     lo, hi = hf.shear_cell(0.4).proven_drift_box
     assert np.abs(lo - [1.0, -0.4]).max() < 1e-12
     assert np.abs(hi - [1.0, 0.4]).max() < 1e-12
-    # a corner with det <= 0, or one so close to 0 that rounding could
-    # dominate: no box is claimed
-    assert hf.sine_cell(np.eye(2), 1.5, 1.5).proven_drift_box is None
+    # a corner det so close to 0 that rounding could dominate: no box is
+    # claimed (a corner det <= 0 refuses the cell)
     assert hf.sine_cell(np.eye(2), 1.0, 1.0 - 1e-13).proven_drift_box is None
     assert hf.sine_cell(np.eye(2), 1.0, 1.0 - 1e-9).proven_drift_box is not None
 
@@ -418,10 +417,21 @@ def test_periodic_bounds_cover_sigma_range():
 
 
 def test_degenerate_cell_rejected():
+    # sine_cell refuses a corner det <= 0, naming the least one; deltagamma
+    # is the sine cell at M = I, where that rule reads |delta gamma| < 1
+    for args, least in (((np.eye(2), 1.5, 1.5), "-1.25"),
+                        ((np.eye(2), 1.1, 1.0), "-0.1"),
+                        ((0.05 * np.eye(2), 0.3, 0.3), "-0.0875"),
+                        ((np.eye(2), 1.0, 1.0), "0")):
+        with pytest.raises(hf.InvalidCellError, match=f"least corner value is {least}$"):
+            hf.sine_cell(*args)
     with pytest.raises(hf.InvalidCellError):
         hf.deltagamma_cell(1.1, 1.0)
-    shrinking = hf.sine_cell(0.05 * np.eye(2), 0.3, 0.3)
-    with pytest.raises(hf.InvalidCellError):
+    assert hf.deltagamma_cell(0.99, -1.0).proven_drift_box is not None
+    # periodic_family's cell scan still refuses a hand-built cell
+    shrinking = dataclasses.replace(_generic(hf.deltagamma_cell(0.3, 0.3)),
+                                    M=0.05 * np.eye(2))
+    with pytest.raises(hf.InvalidCellError, match="not positive"):
         hf.periodic_family(shrinking, 0.1)
 
 

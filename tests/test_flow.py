@@ -1,5 +1,7 @@
 """Flow maps: closed forms, Liouville consistency, variational Jacobians."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,9 +157,42 @@ def test_advect_times_matches_separate_runs(rng):
         assert np.abs(st.pos - direct).max() < 1e-9
 
 
-def test_advect_times_rejects_mixed_signs():
-    with pytest.raises(ValueError):
-        advect_times(shear_velocity(), np.zeros(2), [-0.5, 0.5], CFG)
+@pytest.mark.parametrize("guard", [False, True], ids=["plain", "guarded"])
+def test_advect_times_takes_times_of_either_sign(guard, rng):
+    # a shuffled list with negative times, 0 and positive times: every state
+    # equals the per-sign calls' bit for bit, carried Jacobian included, with
+    # and without a needed mask, and under the Richardson guard
+    field = deltagamma_system(0.4).b
+    cfg = IntegratorConfig(h=0.005, richardson_check=guard)
+    x0 = rng.uniform(-1, 1, (30, 2))
+    times = np.array([0.3, -0.25, 0.0, 0.6, -0.5, 0.1])
+    back = times < 0.0
+    for needed in (None, rng.random((len(times), len(x0))) < 0.5):
+        got = advect_times(field, x0, times, cfg, carry_jacobian=True, needed=needed)
+        want = [None] * len(times)
+        for part in (back, ~back):
+            sub = advect_times(field, x0, times[part], cfg, carry_jacobian=True,
+                               needed=None if needed is None else needed[part])
+            for k, state in zip(np.flatnonzero(part), sub):
+                want[k] = state
+        for g, w in zip(got, want):
+            assert g.t == w.t
+            for a, b in ((g.pos, w.pos), (g.jac, w.jac), (g.logdet, w.logdet)):
+                assert a.tobytes() == b.tobytes() and a.shape == b.shape
+
+
+def test_advect_times_runs_one_pass_per_sign():
+    calls = []
+    field = shear_velocity()
+    counted = dataclasses.replace(field, eval=lambda x: calls.append(1) or field.eval(x))
+    for times, steps in (([0.5, 0.2], 5), ([-0.2, -0.5], 5), ([0.5, -0.2, 0.0], 7)):
+        calls.clear()
+        advect_times(counted, np.zeros((3, 2)), times, IntegratorConfig(h=0.1))
+        assert len(calls) == 4 * steps
+    # the guard compares the backward pass too
+    with pytest.raises(AccuracyError):
+        advect_times(deltagamma_system(0.02).b, np.array([0.1, 0.2]), [0.5, -1.0],
+                     IntegratorConfig(h=5e-2, richardson_check=True))
 
 
 def test_integrator_config_validation():

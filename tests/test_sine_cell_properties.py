@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import homoflow as hf
-from homoflow.fields import _sine_drift_box
 
 _SMALL = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.2, 0.2))
 _LARGE = st.floats(0.5, 1.5)
@@ -89,17 +88,20 @@ def test_sine_drift_box_contains_every_computed_drift(params, seed):
     m00, m01, m10, m11, d, g = params
     c = np.array([-1.0, 1.0])
     det = m00 * m11 - (d * c[None, :] + m01) * (g * c[:, None] + m10)
-    # the box is claimed exactly where a norm bound was claimed before:
-    # every corner det positive and the rounding estimate's kappa <= 1e12
-    claimed = bool(np.all(det > 0.0)) and (
-        abs(m00 * m11) + (abs(d) + abs(m01)) * (abs(g) + abs(m10))) / det.min() <= 1e12
-    box = _sine_drift_box(m00, m01, m10, m11, d, g)
-    assert (box is not None) == claimed
-    if box is None:
+    M = np.array([[m00, m01], [m10, m11]])
+    if not np.all(det > 0.0):
+        # a corner det <= 0 refuses the cell
+        with pytest.raises(hf.InvalidCellError, match="least corner value"):
+            hf.sine_cell(M, d, g)
         return
-    lo, hi = box
-    cell = hf.sine_cell(np.array([[m00, m01], [m10, m11]]), d, g)
-    assert np.array_equal(cell.proven_drift_box[0], lo)
+    # the box is claimed exactly where a norm bound was claimed before:
+    # where the rounding estimate's kappa <= 1e12
+    claimed = (abs(m00 * m11) + (abs(d) + abs(m01)) * (abs(g) + abs(m10))) / det.min() <= 1e12
+    cell = hf.sine_cell(M, d, g)
+    assert (cell.proven_drift_box is not None) == claimed
+    if not claimed:
+        return
+    lo, hi = cell.proven_drift_box
     # the exact cosine corners, where the extremes sit, and random points
     corners = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])
     y = np.concatenate([corners, np.random.default_rng(seed).normal(scale=3.0,

@@ -312,7 +312,8 @@ def test_reach_pruning_is_bit_exact(system, times, monkeypatch):
         assert np.any((got[k] != 0.0) & (edge > 0.97))
 
 
-_TIME_LISTS = [[0.2, 0.5, 0.93], [-0.9, -0.3, -0.05], [0.6, 0.0, 0.25, 0.9, 0.4]]
+_TIME_LISTS = [[0.2, 0.5, 0.93], [-0.9, -0.3, -0.05], [0.6, 0.0, 0.25, 0.9, 0.4],
+               [0.4, -0.3, 0.0, 0.9, -0.75]]
 
 
 def _proven_and_unproven(system):
@@ -327,7 +328,7 @@ def _constant_limit(form):
 
 
 @pytest.mark.parametrize("times", _TIME_LISTS,
-                         ids=["increasing", "negative", "unsorted"])
+                         ids=["increasing", "negative", "unsorted", "mixed"])
 @pytest.mark.parametrize("samplers", [
     _proven_and_unproven(identity_system(0.2)),
     _proven_and_unproven(deltagamma_system(0.1)),
@@ -589,6 +590,8 @@ _SAMPLER_KINDS = {
         _unproven(twist_system(0.1).b), u0, IntegratorConfig(h=0.01)),
     "flow-pruned-twist": lambda u0: hf.solve_transport(
         twist_system(0.1).b, u0, IntegratorConfig(h=0.01)),
+    "richardson-deltagamma": lambda u0: hf.solve_transport(
+        deltagamma_system(0.4).b, u0, IntegratorConfig(h=0.005, richardson_check=True)),
     "constant-limit": lambda u0: hf.solve_homogenized(
         hf.constant_coefficients(2, 1.3, [1.0, 0.4]), u0),
     "density-float-sigma0": lambda u0: hf.solve_homogenized(
@@ -608,6 +611,26 @@ def test_eval_is_eval_times_at_one_time(kind):
             got = sol.eval(t, x)
             assert np.shape(got) == x.shape[:-1]
             assert got.tobytes() == sol.eval_times([t], x)[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_SAMPLER_KINDS))
+def test_eval_times_takes_times_of_either_sign(kind):
+    # one call on a shuffled list with negative times, 0 and positive times
+    # equals the per-sign calls bit for bit, with and without a needed mask
+    u0 = hf.bump_datum(2, [0.3, -0.2], 1.0)
+    sol = _SAMPLER_KINDS[kind](u0)
+    times = np.array([0.4, -0.3, 0.0, 0.9, -0.75, 0.15])
+    back = times < 0.0
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-2.5, 2.5, (300, 2))
+    for needed in (None, rng.random((len(times), len(pts))) < 0.5):
+        want = np.empty((len(times), len(pts)))
+        for part in (back, ~back):
+            want[part] = sol.eval_times(times[part], pts,
+                                        None if needed is None else needed[part])
+        got = sol.eval_times(times, pts, needed)
+        assert np.count_nonzero(got[back]) > 20 and np.count_nonzero(got[~back]) > 20
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(_SAMPLER_KINDS))
