@@ -211,7 +211,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     try:
         _build_cell(cfg)
     except InvalidCellError as exc:
-        raise ConfigError(f"key 'family.delta': {exc}") from exc
+        # the four corner determinants average to det M, so a cell with
+        # det M <= 0 fails whatever delta and gamma are
+        M = np.asarray(cfg.cell_matrix, dtype=float).reshape(2, 2)
+        singular = cfg.family == "periodic" and not jacobian_det(M) > 0.0
+        key = "family.m" if singular else "family.delta"
+        raise ConfigError(f"key {key!r}: {exc}") from exc
     if cfg.family == "example31":
         need(cfg.alpha_amp >= 0.0, "family.alpha_amp", "must be nonnegative")
 
@@ -447,8 +452,8 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
     for eps in cfg.sweep_eps:
         system = build_system(cfg, eps)
         solved.append((eps, system, solve_transport(system.b, u0, integ)))
-    report = convergence_sweep(solved, coeffs, u0, dictionary, quad, integ,
-                               label=cfg.family)
+    report = convergence_sweep(solved, coeffs, u0.scaled(coeffs.sigma0_at), dictionary,
+                               quad, integ, label=cfg.family)
 
     sol_limit = solve_homogenized(coeffs, u0, "advective", integ)
     # the largest eps's drift sizes the strong box of every eps

@@ -26,8 +26,8 @@ import numpy as np
 from .fields import Array, RectifiedSystem, as_points, rectification_residual
 from .flow import IntegratorConfig
 from .homogenize import EffectiveCoefficients
-from .transport import (Box, InitialDatum, SolutionSampler, midpoint_times,
-                        solve_homogenized)
+from .transport import (Box, InitialDatum, SolutionSampler, bump_profile,
+                        midpoint_times, solve_homogenized)
 
 ANALYTIC_TOL = 1e-10
 FLOW_TOL = 1e-6
@@ -64,9 +64,9 @@ class TestFunction:
         return (space_sq + time_sq) / self.radius ** 2
 
     def eval(self, t, x) -> Array:
-        r2 = self.r2(t, x)
-        z = np.clip(1.0 - r2, 1e-300, None)
-        return np.where(r2 < 1.0, np.exp(1.0 - 1.0 / z), 0.0)
+        """:func:`~homoflow.transport.bump_profile` of ``r2``: peak 1 at
+        the center, +0.0 where r2 is not below 1."""
+        return bump_profile(self.r2(t, x))
 
     @property
     def space_box(self) -> Box:
@@ -141,28 +141,22 @@ def _pairing(sol: SolutionSampler, phi: TestFunction, quad: SpacetimeQuad,
              weight: Callable[[Array], Array] | None) -> float:
     """Midpoint spacetime sum of weight * u * phi over phi's support.
 
-    The sampler gets the whole node grid and, as ``needed``, the (time,
-    node) pairs where ``phi.r2`` is below 1, the same values ``phi.eval``
-    reads.  Elsewhere phi is exactly 0.  A time whose r2 at phi's center
-    (where the spatial term is +0) is not below 1 is not sampled at all:
-    rounding is monotone, so r2 is not below 1 at any node then either.
-    Unread samples enter as +0 where the full grid had u * 0 = +-0, which
-    changes no nonzero partial sum, and all-zero layers add nothing.
+    The sampler gets the whole time and node grid and, as ``needed``, the
+    (time, node) pairs where ``phi.r2`` is below 1, the same values
+    ``phi.eval`` reads.  Elsewhere phi is exactly 0, and unread samples
+    enter as +0 where the full grid had u * 0 = +-0, which changes no
+    nonzero partial sum; all-zero layers add nothing.  How far each point
+    is integrated is the sampler's business.
     """
     box = phi.space_box
     pts, vol = box.midpoint_grid(quad.space_resolution(box.widths))
     ts = midpoint_times(quad.T, quad.n_time)
     dt = quad.T / quad.n_time
-    live = np.flatnonzero(phi.r2(ts, phi.x_center) < 1.0)
-    if not live.size:
-        return 0.0
-    n_adv = live[-1] + 1
-    needed = phi.r2(ts[:n_adv, None], pts) < 1.0
-    vals = sol.eval_times(ts[:n_adv], pts, needed=needed)
+    vals = sol.eval_times(ts, pts, needed=phi.r2(ts[:, None], pts) < 1.0)
     w = weight(pts) if weight is not None else None
     total = 0.0
-    for k in live:
-        layer = vals[k] * phi.eval(ts[k], pts)
+    for t, u in zip(ts, vals):
+        layer = u * phi.eval(t, pts)
         if w is not None:
             layer = layer * w
         total += float(np.sum(layer))
@@ -236,7 +230,7 @@ def _fit_rate(eps: Sequence[float], errors: Sequence[float]) -> float:
 
 
 def convergence_sweep(solved: Sequence[tuple[float, RectifiedSystem, SolutionSampler]],
-                      coeffs: EffectiveCoefficients, u0: InitialDatum,
+                      coeffs: EffectiveCoefficients, v0: InitialDatum,
                       dictionary: Sequence[TestFunction],
                       quad: SpacetimeQuad,
                       cfg: IntegratorConfig = IntegratorConfig(),
@@ -244,12 +238,12 @@ def convergence_sweep(solved: Sequence[tuple[float, RectifiedSystem, SolutionSam
     """Weak-pairing errors against the homogenized solution across an eps sweep.
 
     ``solved`` holds one (eps, system, sampler) per eps, in strictly
-    decreasing eps, the sampler solving the transport equation of that
-    system's drift from ``u0``.  The homogenized density is solved from
-    v0 = sigma0 * u0 (the weak limit of sigma_eps * u0 for fixed data and
-    cell-periodic or vanishing oscillation of sigma).  Pairing grids resolve
-    the smallest eps in the sweep, so the whole table shares one quadrature.
-    Convergence failure is data in the report, never an exception.
+    decreasing eps, each sampler solving the transport equation of that
+    system's drift.  The homogenized density is solved from ``v0``, the
+    caller's weak limit of the initial densities sigma_eps * u_eps(0).
+    Pairing grids resolve the smallest eps in the sweep, so the whole table
+    shares one quadrature.  Convergence failure is data in the report,
+    never an exception.
     """
     eps_list = [float(eps) for eps, _, _ in solved]
     if any(eps_list[i + 1] >= eps_list[i] for i in range(len(eps_list) - 1)):
@@ -257,7 +251,7 @@ def convergence_sweep(solved: Sequence[tuple[float, RectifiedSystem, SolutionSam
     if quad.resolve_scale is None:
         quad = replace(quad, resolve_scale=min(eps_list))
 
-    v = solve_homogenized(coeffs, u0.scaled(coeffs.sigma0_at), "density", cfg)
+    v = solve_homogenized(coeffs, v0, "density", cfg)
     limits = [density_pairing(v, phi, quad) for phi in dictionary]
     by_eps = [[weak_pairing(system, sol, phi, quad) for phi in dictionary]
               for _, system, sol in solved]

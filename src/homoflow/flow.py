@@ -116,7 +116,8 @@ def _snapshots(rate, state: tuple, times: list[float], h: float,
     through the rest, each in order of |t| (ties in input order), with a
     snapshot at each time; every span between snapshots takes uniform steps
     of at most h that land exactly on its end.  Each point leaves a pass
-    after its last ``needed`` snapshot in it."""
+    after its last ``needed`` snapshot in it, and a pass with no point
+    left takes no step: its later snapshots are empty."""
     states: list[FlowState | None] = [None] * len(times)
     for back in (True, False):
         order = sorted((i for i, t in enumerate(times) if (t < 0.0) == back),
@@ -136,7 +137,7 @@ def _snapshots(rate, state: tuple, times: list[float], h: float,
                 take = needed[idx, rows]
             t_next = times[idx]
             span = t_next - t_cur
-            if span != 0.0:
+            if span != 0.0 and cur[0].size:
                 n = max(1, int(np.ceil(abs(span) / h - 1e-12)))
                 cur = _rk4_segment(rate, cur, t_cur, span / n, n)
             # np.array copies, and keeps a single point's logdet a 0-d array:
@@ -163,10 +164,11 @@ def advect_times(field: VectorField, x0, times,
     the points each time needs.  The state at times[k] then holds, in batch
     order, just the points needed[k] marks, and each point is integrated only
     up to the last time that needs it (in its pass's |t| order); a point no
-    time needs is not integrated at all.  The guard overrides that: it
-    integrates and compares every point through every time, then trims the
-    snapshots.  A point's values do not depend on which other points share
-    its batch.
+    time needs is not integrated at all, and times after a pass's last
+    needed one cost no step, so a caller may pass its whole time grid.  The
+    guard overrides that: it integrates and compares every point through
+    every time, then trims the snapshots.  A point's values do not depend on
+    which other points share its batch.
     """
     times = [float(t) for t in times]
     if not times:

@@ -120,8 +120,15 @@ class InitialDatum:
         return InitialDatum(self.dim, ev, self.support_radius, self.center)
 
 
+def bump_profile(r2: Array, amplitude: float = 1.0) -> Array:
+    """The mollifier amplitude * exp(1 - 1/(1 - r2)) where r2 is below 1,
+    and +0.0 elsewhere, whatever the amplitude's sign."""
+    z = np.clip(1.0 - r2, 1e-300, None)
+    return np.where(r2 < 1.0, amplitude * np.exp(1.0 - 1.0 / z), 0.0)
+
+
 def bump_datum(dim: int, center, radius: float, amplitude: float = 1.0) -> InitialDatum:
-    """Mollifier bump: amplitude * exp(1 - 1/(1 - r^2)) inside its ball.
+    """Mollifier bump: :func:`bump_profile` of r^2 = |x - center|^2 / radius^2.
 
     Smooth, compactly supported, peak value ``amplitude`` at the center.
     """
@@ -134,14 +141,7 @@ def bump_datum(dim: int, center, radius: float, amplitude: float = 1.0) -> Initi
     a = float(amplitude)
 
     def ev(x):
-        x = as_points(x, dim)
-        r2 = np.sum(((x - c) / r0) ** 2, axis=-1)
-        out = np.zeros(r2.shape)
-        inside = r2 < 1.0
-        z = np.clip(1.0 - r2, 1e-300, None)
-        vals = a * np.exp(1.0 - 1.0 / z)
-        out[inside] = vals[inside]
-        return out
+        return bump_profile(np.sum(((as_points(x, dim) - c) / r0) ** 2, axis=-1), a)
 
     return InitialDatum(dim, ev, r0, c)
 

@@ -20,7 +20,8 @@ def _fake_run(calls, cwds=None):
     """A subprocess.run that passes git through and answers perfbench/run.py
     without running anything, noting each command (and its working
     directory in ``cwds``); check-dynamic's run fails and sweep-example31's
-    crashes."""
+    crashes.  A traced run adds two work counters, of which flow.point_steps
+    reads 390 in a directory named ``base`` and 400 elsewhere."""
     def run(cmd, **kwargs):
         if cmd[0] == "git":
             return _REAL_RUN(cmd, **kwargs)
@@ -34,6 +35,11 @@ def _fake_run(calls, cwds=None):
         result = {"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
                   "metrics": {"wall_s": {"value": 4.5, "unit": "s"},
                               "peak_rss_mb": {"value": 41.0, "unit": "MB"}}}
+        if cmd[cmd.index("--trace") + 1] == "1":
+            steps = 390.0 if Path(kwargs["cwd"]).name == "base" else 400.0
+            result["metrics"] = {"fields.b_eval.calls": {"value": 7.0, "unit": "count"},
+                                 "fields.b_eval.busy_s": {"value": 0.5, "unit": "s"},
+                                 "flow.point_steps": {"value": steps, "unit": "count"}}
         out = "\n".join([f"# workload {workload} seed 0 trace 0",
                          "# provenance " + json.dumps(PROV),
                          "wall_s 4.5 s", json.dumps(result)]) + "\n"
@@ -128,3 +134,22 @@ def test_ab_pairs_runs_perfbench_through_the_same_helper(monkeypatch, tmp_path):
     prov, result = bench_record.run_perfbench(tmp_path, "sweep-example31", 7, 1.5)
     assert prov == {} and result == {"correct": False, "attempted": 0, "failed": 0,
                                      "metrics": {}, "error": "KeyError: 'x'"}
+
+
+def test_ab_pairs_reads_the_work_counters_in_one_line_each(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_record.subprocess, "run", _fake_run([]))
+    dirs = {"base": tmp_path / "base", "change": tmp_path / "change"}
+
+    def pairs(trace):
+        return [{side: bench_record.run_perfbench(d, "sweep-deltagamma", 0, 1.0, trace)[1]
+                 for side, d in dirs.items()} for _ in range(3)]
+
+    lines = ab_pairs.summarize(pairs(1), ab_pairs.metric_specs(1))
+    counters = [line for line in lines if line.startswith("counter ")]
+    # only metrics whose unit in BENCHMARK.json is a count, in metric order
+    assert counters == ["counter fields.b_eval.calls: equal",
+                        "counter flow.point_steps: base median 390, change median 400"]
+    # after the table, before the runs' correctness
+    assert lines[lines.index(counters[-1]) + 1].startswith("base: 3/3 runs correct")
+    untraced = ab_pairs.summarize(pairs(0), ab_pairs.metric_specs(0))
+    assert not [line for line in untraced if line.startswith("counter ")]

@@ -76,6 +76,7 @@ def test_config_text_is_pinned():
     ("dictionary.centers = 0.5:nan:0", "'dictionary.centers': must be finite"),
     ("family.name = periodic\nfamily.m = 0.5,0,0,0.5\nfamily.delta = 0.9\n"
      "family.gamma = 0.9", "'family.delta': the cell determinant"),
+    ("family.name = periodic\nfamily.m = 1,0,0,0", "'family.m': the cell determinant"),
 ])
 def test_config_errors_carry_context(line, fragment):
     with pytest.raises(ConfigError) as err:
@@ -448,9 +449,10 @@ def test_one_eps_sweep_writes_no_rate(tmp_path):
 
 
 def test_run_sweep_builds_and_solves_each_eps_once(monkeypatch):
-    # and hands the solved systems to convergence_sweep as data
+    # and hands the solved systems to convergence_sweep as data, with the
+    # limit datum v0 = sigma0 * u0
     import homoflow.cli as cli_mod
-    built, solved, handed = [], [], []
+    built, solved, handed, limit_data = [], [], [], []
 
     def build(cfg, eps):
         built.append((eps, build_system(cfg, eps)))
@@ -460,9 +462,10 @@ def test_run_sweep_builds_and_solves_each_eps_once(monkeypatch):
         solved.append(hf.solve_transport(b, u0, integ))
         return solved[-1]
 
-    def sweep(systems, *args, **kwargs):
+    def sweep(systems, coeffs, v0, *args, **kwargs):
         handed.extend(systems)
-        return hf.convergence_sweep(systems, *args, **kwargs)
+        limit_data.append((coeffs, v0))
+        return hf.convergence_sweep(systems, coeffs, v0, *args, **kwargs)
 
     monkeypatch.setattr(cli_mod, "build_system", build)
     monkeypatch.setattr(cli_mod, "solve_transport", solve)
@@ -472,6 +475,10 @@ def test_run_sweep_builds_and_solves_each_eps_once(monkeypatch):
     assert [eps for eps, _ in built] == [0.4, 0.2, 0.1] and len(solved) == 3
     assert [(eps, id(system), id(sol)) for eps, system, sol in handed] == [
         (eps, id(system), id(sol)) for (eps, system), sol in zip(built, solved)]
+    [(coeffs, v0)] = limit_data
+    u0 = cli_mod._datum(cfg)
+    pts = np.random.default_rng(0).uniform(-1.5, 1.5, (200, 2))
+    assert np.array_equal(v0.eval(pts), u0.eval(pts) * coeffs.sigma0_at(pts))
 
 
 def test_strong_box_is_sized_from_the_first_eps(monkeypatch):
@@ -636,11 +643,15 @@ def test_main_exit_codes(tmp_path, capsys):
     ("dictionary.radius = inf", "dictionary.radius"),
     ("family.name = periodic\nfamily.m = 0.5,0,0,0.5\nfamily.delta = 0.9\n"
      "family.gamma = 0.9", "family.delta"),
+    ("family.name = periodic\nfamily.m = 1,0,0,0", "family.m"),
+    ("family.name = periodic\nfamily.m = 0,1,1,0\nfamily.delta = 0\nfamily.gamma = 0",
+     "family.m"),
 ])
 def test_out_of_range_numbers_exit_2_naming_the_key(text, key, tmp_path, capsys):
     # non-finite numbers crashed (T), broke the SVD (sweep.eps) or zeroed every
     # weak error (dictionary.radius); the 0.5 I cell's determinant reaches
-    # 0.25 - 0.81 < 0, which only the cell scan refused, naming no key
+    # 0.25 - 0.81 < 0, which only the cell scan refused, naming no key; a
+    # singular or orientation-reversing M fails at every delta and gamma
     path = tmp_path / "bad.cfg"
     path.write_text(text + "\n")
     assert main(["sweep", "--config", str(path)]) == 2

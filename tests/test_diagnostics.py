@@ -142,18 +142,18 @@ def test_pruned_pairings_equal_full_grid(amplitude):
     assert weighted == _full_grid_pairing(sol, phi, quad, system.sigma.eval)
     assert plain == _full_grid_pairing(sol, phi, quad, None)
     assert weighted != 0.0 and np.sign(weighted) == np.sign(amplitude)
-    # sampled up to the last time node in the support, on the whole node
-    # grid, with a mask that reads only the ball's nodes and never skips a
-    # node where phi is nonzero
+    # sampled at every time node, on the whole node grid, with a mask that
+    # reads only the ball's nodes, never skips a node where phi is nonzero
+    # and needs nothing after the support's last time node (the 9th)
     ts_adv, x_adv, needed = calls[0]
     pts, _ = phi.space_box.midpoint_grid(24)
-    assert len(ts_adv) == 9 and np.array_equal(x_adv, pts)
-    assert np.count_nonzero(needed.any(axis=0)) < 24 * 24
     ts = hf.midpoint_times(quad.T, quad.n_time)
+    assert np.array_equal(ts_adv, ts) and np.array_equal(x_adv, pts)
+    assert np.count_nonzero(needed.any(axis=0)) < 24 * 24
+    assert np.flatnonzero(needed.any(axis=1))[-1] == 8 and not needed[9:].any()
     nonzero = np.array([phi.eval(t, pts) > 0.0 for t in ts])
-    assert np.flatnonzero(nonzero.any(axis=1))[-1] < len(ts_adv)
     assert {tuple(p) for p in pts[nonzero.any(axis=0)]} <= {tuple(p) for p in x_adv}
-    assert np.array_equal(calls[1][1], x_adv)
+    assert np.array_equal(calls[1][0], ts) and np.array_equal(calls[1][1], x_adv)
     # needed is phi's own support test, node by node: it covers every
     # nonzero phi value, and each node's last needed time varies
     assert needed.shape == (len(ts_adv), len(x_adv))
@@ -181,28 +181,30 @@ def test_pairing_needs_every_node_where_phi_is_nonzero(unit_bump, t_center,
     density_pairing(_recording(sol, calls), phi, quad)
     ts_adv, pts, needed = calls[0]
     ts = hf.midpoint_times(quad.T, quad.n_time)
+    assert np.array_equal(ts_adv, ts)
     assert needed.any() and not needed.all()
     for k, t in enumerate(ts):
-        nonzero = phi.eval(t, pts) != 0.0
-        if k < len(ts_adv):
-            assert np.array_equal(needed[k], nonzero)
-        else:
-            assert not nonzero.any()
+        assert np.array_equal(needed[k], phi.eval(t, pts) != 0.0)
 
 
-def test_pairing_outside_time_window_never_advects(unit_bump):
+def test_pairing_outside_time_window_never_advects(unit_bump, monkeypatch):
+    # the sampler is asked with a mask that needs nothing, so it integrates
+    # nothing, and the pairing is +0.0
     system = deltagamma_system(0.2)
     sol = hf.solve_transport(system.b, unit_bump, IntegratorConfig(h=0.01))
     quad = SpacetimeQuad(T=1.0, n_time=16, m_space=24)
     phi = TestFunction(2, 1.5, np.array([-1.0, 0.0]), 0.4)
+    assert _full_grid_pairing(sol, phi, quad, system.sigma.eval) == 0.0
 
-    def refuse(ts, x, needed=None):
+    def refuse(*args, **kwargs):
         raise AssertionError("pairing advected outside phi's time support")
 
-    silent = replace(sol, eval_times=refuse)
-    assert weak_pairing(system, silent, phi, quad) == 0.0
-    assert density_pairing(silent, phi, quad) == 0.0
-    assert _full_grid_pairing(sol, phi, quad, system.sigma.eval) == 0.0
+    monkeypatch.setattr(hf.transport, "advect_times", refuse)
+    calls = []
+    for pairing in (weak_pairing(system, _recording(sol, calls), phi, quad),
+                    density_pairing(_recording(sol, calls), phi, quad)):
+        assert pairing == 0.0 and math.copysign(1.0, pairing) == 1.0
+    assert len(calls) == 2 and not any(needed.any() for _, _, needed in calls)
 
 
 def test_space_resolution_honors_resolve_scale():
@@ -238,8 +240,8 @@ def test_sweep_identity_family_sits_at_quadrature_floor(unit_bump):
     dico = hf.default_dictionary(2, count=2)
     coeffs = hf.effective_from_cell(hf.identity_cell(2))
     solved = _solved(identity_system, [0.4, 0.2], unit_bump, cfg)
-    report = hf.convergence_sweep(solved, coeffs, unit_bump, dico, quad, cfg,
-                                  label="identity")
+    report = hf.convergence_sweep(solved, coeffs, unit_bump.scaled(coeffs.sigma0_at),
+                                  dico, quad, cfg, label="identity")
     assert report.eps_values == (0.4, 0.2)
     for entry in report.entries:
         assert max(entry.errors) < 1e-10  # same grid, same arithmetic path
@@ -250,8 +252,8 @@ def test_sweep_shear_family_decreases(unit_bump):
     dico = hf.default_dictionary(2, count=2)
     coeffs = hf.effective_from_cell(hf.shear_cell(0.3))
     solved = _solved(shear_system, [0.2, 0.1], unit_bump, CFG)
-    report = hf.convergence_sweep(solved, coeffs, unit_bump, dico, quad, cfg=CFG,
-                                  label="shear")
+    report = hf.convergence_sweep(solved, coeffs, unit_bump.scaled(coeffs.sigma0_at),
+                                  dico, quad, cfg=CFG, label="shear")
     for entry in report.entries:
         assert entry.errors[1] < entry.errors[0]
         assert entry.fitted_rate > 0.0
@@ -259,9 +261,10 @@ def test_sweep_shear_family_decreases(unit_bump):
 
 def test_sweep_rejects_unsorted_eps(unit_bump):
     solved = _solved(identity_system, [0.1, 0.2], unit_bump, CFG)
+    coeffs = hf.constant_coefficients(2, 1.0, [1.0, 0.0])
     with pytest.raises(ValueError, match="strictly decreasing"):
-        hf.convergence_sweep(solved, hf.constant_coefficients(2, 1.0, [1.0, 0.0]),
-                             unit_bump, [], SpacetimeQuad())
+        hf.convergence_sweep(solved, coeffs, unit_bump.scaled(coeffs.sigma0_at), [],
+                             SpacetimeQuad())
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,24 @@ def test_advect_times_runs_one_pass_per_sign():
                      IntegratorConfig(h=5e-2, richardson_check=True))
 
 
+def test_pass_with_no_point_left_takes_no_step():
+    # needed marks points at 0.2 and 0.4 only: the steps to 0.6 and 1.0 find
+    # no point left in the pass, so the drift is called for 4 steps of 0.1
+    calls = []
+    field = shear_velocity()
+    counted = dataclasses.replace(field, eval=lambda x: calls.append(1) or field.eval(x))
+    x0 = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, 0.0]])
+    times = [0.2, 0.4, 0.6, 1.0]
+    needed = np.array([[True, False, True], [False, True, False],
+                       [False, False, False], [False, False, False]])
+    states = advect_times(counted, x0, times, IntegratorConfig(h=0.1), needed=needed)
+    assert len(calls) == 4 * 4
+    full = advect_times(field, x0, times, IntegratorConfig(h=0.1))
+    for st, ref, take in zip(states, full, needed):
+        assert st.t == ref.t and st.pos.tobytes() == ref.pos[take].tobytes()
+        assert st.pos.shape == (np.count_nonzero(take), 2)
+
+
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.0)

@@ -121,6 +121,23 @@ def test_bump_datum_refuses_non_finite_radius_or_center():
         hf.bump_datum(2, [np.nan, 0.0], 0.5)
 
 
+@pytest.mark.parametrize("amplitude", [1.0, -2.5, 0.0])
+def test_bump_profile_is_positive_zero_outside_and_shared(amplitude, rng):
+    # one profile serves the datum and the test functions; outside the
+    # support it is +0.0 whatever the amplitude's sign
+    r2 = np.array([0.0, 0.5, 1.0, 1.5, np.inf, np.nan])
+    vals = transport.bump_profile(r2, amplitude)
+    assert vals[0] == amplitude and vals[1] == amplitude * np.exp(-1.0)
+    assert np.all(vals[2:] == 0.0) and not np.signbit(vals[2:]).any()
+    x = rng.uniform(-1.5, 1.5, (300, 2))
+    center = np.array([0.3, -0.2])
+    datum = hf.bump_datum(2, center, 0.8, amplitude)
+    want = transport.bump_profile(np.sum(((x - center) / 0.8) ** 2, axis=-1), amplitude)
+    assert datum.eval(x).tobytes() == want.tobytes()
+    phi = hf.TestFunction(2, 0.4, center, 0.8)
+    assert phi.eval(0.1, x).tobytes() == transport.bump_profile(phi.r2(0.1, x)).tobytes()
+
+
 def test_box_refuses_non_finite_bounds():
     with pytest.raises(ValueError, match="lo"):
         hf.Box([np.nan, 0.0], [1.0, 1.0])

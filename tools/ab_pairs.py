@@ -28,6 +28,10 @@ and two verdicts:
 * the gain rule: the change wins at least 9 of 10 pairs (90% of them) and
   beats the base median by more than the base's interquartile range.
 
+With ``--trace 1`` a line per work counter (a metric whose BENCHMARK.json
+unit is ``count``) follows the table: ``equal`` when base and change read
+the same in every pair, else both medians.
+
 Only the runner's JSON result line is read; nothing under ``perfbench/`` is
 touched.
 """
@@ -84,13 +88,15 @@ def no_regression(base: list[float], change: list[float], sign: float,
 
 
 def summarize(pairs: list[dict], specs: dict[str, dict]) -> list[str]:
-    """Report lines: one per metric, then the per-run correctness."""
+    """Report lines: one per metric, one per work counter, then the per-run
+    correctness."""
     names = sorted({n for p in pairs for side in ("base", "change")
                     for n in p[side]["metrics"]})
     n_pairs = len(pairs)
     need = math.ceil(0.9 * n_pairs)
     out = [f"{'metric':<42} {'base median (q1-q3)':>30} {'change median (q1-q3)':>30}"
            f" {'ratio':>7} {'wins':>6}  {'no regression':<37} gain rule"]
+    counters = []
     for name in names:
         both = [(p["base"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
                 for p in pairs
@@ -113,6 +119,11 @@ def summarize(pairs: list[dict], specs: dict[str, dict]) -> list[str]:
         out.append(f"{name:<42} {base_col:>30} {change_col:>30} {ratio:>7.3f}"
                    f" {wins:>3}/{len(both):<2}  {verdict:<37} {'holds' if holds else 'no'}"
                    f" (gap {gap:.4g} vs base IQR {bq3 - bq1:.4g})")
+        if spec.get("unit") == "count":
+            equal = len(both) == n_pairs and all(b == c for b, c in both)
+            counters.append(f"counter {name}: " + ("equal" if equal else
+                            f"base median {bmed:.10g}, change median {cmed:.10g}"))
+    out += counters
     for side in ("base", "change"):
         bad = [i for i, p in enumerate(pairs) if not p[side].get("correct")]
         failed = sum(p[side].get("failed", 0) for p in pairs)
