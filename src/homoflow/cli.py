@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (SpacetimeQuad, TestFunction, convergence_sweep,
+from .diagnostics import (SpacetimeQuad, TestFunction, _fork_map, convergence_sweep,
                           default_dictionary, invariant_suite, strong_l2_error)
 from .fields import (FieldError, InvalidCellError, RectifiedSystem, deltagamma_cell,
                      hyperbolic_twist_family, identity_cell, identity_curve,
@@ -29,8 +29,8 @@ from .fields import (FieldError, InvalidCellError, RectifiedSystem, deltagamma_c
 from .flow import AccuracyError, BlowupError, IntegratorConfig
 from .homogenize import (EffectiveCoefficients, InvalidCoefficientsError,
                          constant_coefficients, effective_from_cell)
-from .transport import (Box, bump_datum, dependence_box, solve_homogenized,
-                        solve_transport)
+from .transport import (Box, bump_datum, dependence_box, midpoint_times,
+                        solve_homogenized, solve_transport)
 
 CSV_VERSION_LINE = "# homoflow-csv v1"
 
@@ -429,6 +429,10 @@ def run_homogenize(cfg: ExperimentConfig) -> tuple[int, str]:
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
+    """Weak and strong convergence table over ``sweep.eps``.  Each eps is
+    built and solved once; its pairings (in :func:`convergence_sweep`) and
+    its strong distance then run as independent cells on every usable CPU,
+    to the bytes, exceptions and warnings of a one-process run."""
     radius = cfg.u0_radius + cfg.T + 1.0
     _check_twist(cfg, "sweep.eps", cfg.sweep_eps, radius, cfg.h)
     if not all(abs(t) <= cfg.T for t in cfg.strong_t):  # the strong box is sized for T
@@ -439,6 +443,14 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
     quad = SpacetimeQuad(T=cfg.T, n_time=cfg.time_nodes, m_space=cfg.quad_m,
                          nodes_per_period=cfg.nodes_per_eps,
                          resolve_scale=min(cfg.sweep_eps))
+    ts = midpoint_times(cfg.T, cfg.time_nodes)
+    for k, phi in enumerate(dictionary):
+        # r2 at phi's spatial center is its time window's share alone
+        if not np.any(phi.r2(ts, phi.x_center) < 1.0):
+            raise ConfigError(
+                f"key 'quadrature.time_nodes': none of the {cfg.time_nodes} midpoint times"
+                f" of [0, {cfg.T:g}] lies in the time window {phi.t_center:g} +- {phi.radius:g}"
+                f" of dictionary bump {k}, whose pairings would all read 0")
     n = max(int(quad.space_resolution(phi.space_box.widths).max()) for phi in dictionary)
     _check_grid("quadrature.nodes_per_eps" if n > cfg.quad_m else "quadrature.m",
                 "pairing", n, cfg.time_nodes)
@@ -459,9 +471,10 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[int, str]:
     # the largest eps's drift sizes the strong box of every eps
     strong_box = dependence_box(u0, _estimated_sup(solved[0][1], radius), cfg.T,
                                 margin=0.2)
-    strong = [strong_l2_error(sol_eps, sol_limit, system, strong_box,
-                              cfg.strong_t, quad, resolution=cfg.lp_m)
-              for _, system, sol_eps in solved]
+    # one strong distance per eps, on every usable CPU
+    strong = _fork_map(lambda cell: strong_l2_error(cell[2], sol_limit, cell[1], strong_box,
+                                                    cfg.strong_t, quad, resolution=cfg.lp_m),
+                       solved)
 
     rows = [(cfg.family, eps, e.phi_id, e.pairings[i], e.pairing_limit, e.errors[i],
              strong[i], e.fitted_rate)

@@ -10,16 +10,25 @@ optional ``resolve_scale`` so sweeps refine deterministically.
 
 A sweep takes its systems already solved, as a list of (eps, system,
 sampler), so the caller builds and solves each eps once and can hand the
-same samplers to the strong pass.  Every (eps, test function) cell is
-independent work; it runs sequentially and the report keeps a canonical
-order, so output never depends on scheduling.
+same samplers to the strong pass.  Every limit pairing and every (eps, test
+function) pairing is independent work.  :func:`_fork_map` runs such cells on
+every usable CPU, each cell with its own single-process arithmetic, and
+returns them in canonical order, so output never depends on scheduling.
+Samplers and fields handed to a sweep must therefore be pure: what a cell
+changes outside its result is lost when it ran in a forked worker.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -202,6 +211,110 @@ def strong_l2_error(sol_eps: SolutionSampler, sol_limit: SolutionSampler,
 
 
 # ---------------------------------------------------------------------------
+# independent cells on every usable CPU
+# ---------------------------------------------------------------------------
+
+# true in a forked worker, whose cells then map sequentially
+_in_worker = False
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; ``taskset -c 0`` makes it one."""
+    return len(os.sched_getaffinity(0))
+
+
+def _worker(fn: Callable, share: list, write: int) -> None:
+    """A forked worker's life: map ``fn`` over ``share``, send the pickled
+    results through the pipe end ``write``, and leave by ``os._exit`` (exit
+    status 0 only when no cell raised or warned), never returning into the
+    caller's stack."""
+    global _in_worker
+    _in_worker = True
+    code = 1
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            values = [fn(x) for x in share]
+        if not caught:
+            data = memoryview(pickle.dumps(values))
+            while data:
+                data = data[os.write(write, data):]
+            code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(fn: Callable, items: Iterable) -> list:
+    """``[fn(x) for x in items]``, in item order, with the items dealt
+    round-robin to min(len(items), usable CPUs) workers: this process and
+    one forked child per further worker.
+
+    Each cell runs the same single-process arithmetic wherever it runs, and
+    results cross the pipe pickled, so they equal the sequential ones bit
+    for bit.  If any cell raises or warns, in a child or here, or the system
+    refuses a fork or a pipe, the whole list runs again in this process, so
+    the caller sees the sequential exception or warning.  Children leave by
+    ``os._exit`` and are reaped before this returns or raises; an interrupt
+    kills them first.  What a cell changes besides its result is lost in a
+    child: ``fn`` must be pure.
+
+    It maps sequentially on one usable CPU, without ``os.fork``, inside a
+    worker, or while another thread lives: a fork copies only the calling
+    thread, and a lock another thread holds would stay locked in the child.
+    """
+    items = list(items)
+    workers = min(len(items), _usable_cpus())
+    if (workers < 2 or _in_worker or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return [fn(x) for x in items]
+    shares = [range(w, len(items), workers) for w in range(workers)]
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # a child must not write what was buffered
+            stream.flush()
+    results: list = [None] * len(items)
+    pids: list[int] = []
+    reads: list[int] = []
+    clean = False
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(fn, [items[i] for i in share], write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                for i in shares[0]:
+                    results[i] = fn(items[i])
+                clean = True
+            except Exception:  # raised again by the sequential run below
+                pass
+        clean = clean and not caught
+        for share, read in zip(shares[1:], reads):
+            if not clean:
+                break
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            # only a child that exits 0 has written its whole share
+            clean = os.waitpid(pids.pop(0), 0)[1] == 0
+            if clean:
+                for i, value in zip(share, pickle.loads(data), strict=True):
+                    results[i] = value
+    except OSError:  # no process or pipe to be had: map here
+        clean = False
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results if clean else [fn(x) for x in items]
+
+
+# ---------------------------------------------------------------------------
 # convergence sweep
 # ---------------------------------------------------------------------------
 
@@ -242,8 +355,9 @@ def convergence_sweep(solved: Sequence[tuple[float, RectifiedSystem, SolutionSam
     system's drift.  The homogenized density is solved from ``v0``, the
     caller's weak limit of the initial densities sigma_eps * u_eps(0).
     Pairing grids resolve the smallest eps in the sweep, so the whole table
-    shares one quadrature.  Convergence failure is data in the report,
-    never an exception.
+    shares one quadrature.  The limit and (eps, test function) pairings run
+    through :func:`_fork_map`, on every usable CPU, so the samplers must be
+    pure.  Convergence failure is data in the report, never an exception.
     """
     eps_list = [float(eps) for eps, _, _ in solved]
     if any(eps_list[i + 1] >= eps_list[i] for i in range(len(eps_list) - 1)):
@@ -252,9 +366,17 @@ def convergence_sweep(solved: Sequence[tuple[float, RectifiedSystem, SolutionSam
         quad = replace(quad, resolve_scale=min(eps_list))
 
     v = solve_homogenized(coeffs, v0, "density", cfg)
-    limits = [density_pairing(v, phi, quad) for phi in dictionary]
-    by_eps = [[weak_pairing(system, sol, phi, quad) for phi in dictionary]
-              for _, system, sol in solved]
+    n = len(dictionary)
+
+    def cell(k: int) -> float:  # the n limit pairings, then eps-major rows
+        if k < n:
+            return density_pairing(v, dictionary[k], quad)
+        _, system, sol = solved[k // n - 1]
+        return weak_pairing(system, sol, dictionary[k % n], quad)
+
+    values = _fork_map(cell, range(n * (1 + len(solved))))
+    limits = values[:n]
+    by_eps = [values[n * i:n * (i + 1)] for i in range(1, 1 + len(solved))]
 
     entries = []
     for j, limit in enumerate(limits):

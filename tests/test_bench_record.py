@@ -2,10 +2,13 @@
 through the perfbench runner it shares with tools/ab_pairs.py."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -153,3 +156,30 @@ def test_ab_pairs_reads_the_work_counters_in_one_line_each(monkeypatch, tmp_path
     assert lines[lines.index(counters[-1]) + 1].startswith("base: 3/3 runs correct")
     untraced = ab_pairs.summarize(pairs(0), ab_pairs.metric_specs(0))
     assert not [line for line in untraced if line.startswith("counter ")]
+
+
+def test_traced_runs_are_pinned_to_one_cpu(monkeypatch, tmp_path):
+    # homoflow forks a sweep's cells onto every usable CPU, and a worker's
+    # spans are lost: traced runs of both sides see one CPU, so their work
+    # counters cover the whole work
+    usable = os.sched_getaffinity(0)
+    seen = []
+    fake = _fake_run([])
+
+    def run(cmd, **kwargs):
+        seen.append(os.sched_getaffinity(0))
+        if kwargs["cwd"] == tmp_path / "crash":
+            raise KeyboardInterrupt
+        return fake(cmd, **kwargs)
+
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    for trace in (1, 0):
+        bench_record.run_perfbench(tmp_path, "sweep-deltagamma", 0, 1.0, trace)
+    assert seen == [{min(usable)}, usable]
+    with pytest.raises(KeyboardInterrupt):
+        bench_record.run_perfbench(tmp_path / "crash", "sweep-deltagamma", 0, 1.0, 1)
+    assert os.sched_getaffinity(0) == usable
+    # and the tool says that perfbench's cpu_s leaves the workers out
+    doc = " ".join(ab_pairs.__doc__.split())
+    assert "pinned to one CPU" in doc
+    assert "``cpu_s`` is ``time.process_time`` of the benchmark process alone" in doc

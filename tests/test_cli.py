@@ -1,6 +1,7 @@
 """Config grammar, runners, CSV schema, determinism, exit codes."""
 
 import hashlib
+import os
 import re
 import warnings
 from dataclasses import replace
@@ -482,7 +483,9 @@ def test_run_sweep_builds_and_solves_each_eps_once(monkeypatch):
 
 
 def test_strong_box_is_sized_from_the_first_eps(monkeypatch):
+    # the strong wrapper records inside the cells: one CPU keeps them here
     import homoflow.cli as cli_mod
+    monkeypatch.setattr(hf.diagnostics, "_usable_cpus", lambda: 1)
     sized, boxes = [], []
     real_sup, real_strong = cli_mod._estimated_sup, cli_mod.strong_l2_error
 
@@ -519,7 +522,7 @@ integrator.h = 0.005
 """
 
 
-@pytest.mark.parametrize("family,digest,command", [
+_PINNED_OUTPUTS = [
     ("family.name = deltagamma",
      "80ee55b73ee9506d1a4efd6ff4d4e091fde74a15696c80c6fb8e5bc1988a5324", run_sweep),
     # a non-identity affine part exercises the M + periodic-part Jacobian
@@ -558,7 +561,10 @@ integrator.h = 0.005
      "2d9ac2d1c8dc051bdf2f909e8bb51a8a630229528b9c0fcae31b9ed4f8337f5a", run_homogenize),
     ("family.name = example31\nfamily.alpha_amp = 0.5\nfamily.beta_amp = 0.7",
      "2d9ac2d1c8dc051bdf2f909e8bb51a8a630229528b9c0fcae31b9ed4f8337f5a", run_homogenize),
-])
+]
+
+
+@pytest.mark.parametrize("family,digest,command", _PINNED_OUTPUTS)
 def test_sweep_csv_bytes_are_pinned(family, digest, command):
     # Digests of the CSV of each command (x86-64 Linux, glibc libm, numpy
     # 2.4): fast paths and refactors must keep every bit.
@@ -569,6 +575,64 @@ def test_sweep_csv_bytes_are_pinned(family, digest, command):
         # xi0_2 is +0.0 (a determinant of the 1x1 minor gave -0.0)
         assert csv.splitlines()[-1] == "example31,cell-average,1,1,0,nan,nan,0"
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,digest", [
+    (family, digest) for family, digest, command in _PINNED_OUTPUTS
+    if command is run_sweep and family in (
+        "family.name = deltagamma", "family.name = example31",
+        "family.name = example31\nfamily.alpha_amp = 0.5\nfamily.beta_amp = 0.7")])
+def test_sweep_bytes_hold_on_one_cpu_and_on_every_cpu(family, digest, monkeypatch):
+    # the weak and strong cells run on every usable CPU (three workers here,
+    # whatever the machine has) or in this process alone, to the same bytes
+    cfg = parse_config(family + SMOKE_SWEEP)
+    for cpus in (None, 3, 1):
+        if cpus is not None:
+            monkeypatch.setattr(hf.diagnostics, "_usable_cpus", lambda: cpus)
+        csv = run_sweep(cfg)[1]
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest, cpus
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failing_cells_end_as_in_one_process(tmp_path, capfd, monkeypatch):
+    # the perturbed-alpha sweep at beta_amp 1.5 steps RK4 to a non-finite
+    # state (ROADMAP: FOUND 41 and 46); its cells fail in a forked worker,
+    # run again here, and exit 3 with the one-process message and warnings
+    path = tmp_path / "blowup.cfg"
+    path.write_text("family.name = example31\nfamily.alpha_amp = 0.5\n"
+                    "family.beta_amp = 1.5" + SMOKE_SWEEP)
+    outputs = []
+    for cpus in (3, 1):
+        monkeypatch.setattr(hf.diagnostics, "_usable_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            assert main(["sweep", "--config", str(path)]) == 3
+        seen = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        outputs.append((capfd.readouterr(), seen))
+    assert outputs[0] == outputs[1]
+    (out, err), seen = outputs[0]
+    assert out == "" and err == "numeric error: non-finite state at t = 0.28\n"
+    assert seen and {category for category, *_ in seen} == {RuntimeWarning}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_refuses_a_bump_whose_time_window_holds_no_node(tmp_path, capsys):
+    # radius 0.01 at 16 time nodes: no midpoint time lies within 0.01 of
+    # bump 0's t = 0.45, and every pairing of it read exactly 0 (exit 0)
+    path = tmp_path / "narrow.cfg"
+    path.write_text("family.name = deltagamma\ndictionary.radius = 0.01\n"
+                    "quadrature.time_nodes = 16\nT = 1\n")
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'quadrature.time_nodes'" in err
+    assert "time window 0.45 +- 0.01 of dictionary bump 0" in err
+    # a node inside every window passes: t = 0.46875 lies within 0.02 of 0.45
+    path.write_text("family.name = deltagamma\ndictionary.radius = 0.02\n"
+                    "quadrature.time_nodes = 16\nsweep.eps = 0.4\n"
+                    "dictionary.count = 1\nquadrature.lp_m = 8\n")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
 
 
 @pytest.mark.parametrize("family", ["deltagamma", "example31"])

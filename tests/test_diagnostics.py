@@ -1,12 +1,20 @@
 """Diagnostics: pairings, convergence reports, and the invariant suite."""
 
+import io
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import homoflow as hf
+from homoflow import diagnostics
 from homoflow.diagnostics import (ConvergenceReport, PhiConvergence,
                                   SpacetimeQuad, TestFunction, density_pairing,
                                   weak_pairing)
@@ -315,6 +323,145 @@ def test_weak_error_bounded_by_strong_error(unit_bump):
     phi_sq = sum(float(np.sum(phi.eval(t, pts) ** 2)) for t in nodes)
     bound = strong * math.sqrt(phi_sq * vol * quad.T / quad.n_time) * math.sqrt(c * quad.T)
     assert lhs <= bound * (1.0 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# independent cells on every usable CPU
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def three_workers(monkeypatch):
+    """Three workers whatever the machine has; no child may outlive a test."""
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 3)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _tagged(x):
+    return x * x, os.getpid()
+
+
+def test_fork_map_keeps_item_order_with_more_items_than_cpus(three_workers):
+    out = diagnostics._fork_map(_tagged, range(10))
+    assert [v for v, _ in out] == [x * x for x in range(10)]
+    # dealt round-robin: item i ran in worker i % 3, this process first
+    pids = [pid for _, pid in out]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    assert all(pids[i] == pids[i % 3] for i in range(10))
+
+
+def test_fork_map_is_sequential_where_forking_is_unsafe_or_idle(three_workers,
+                                                                 monkeypatch):
+    me = os.getpid()
+    assert diagnostics._fork_map(_tagged, [4]) == [(16, me)]
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert diagnostics._fork_map(_tagged, range(4)) == [(x * x, me) for x in range(4)]
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    # a child maps its own cells in itself; this process still forks
+    nested = diagnostics._fork_map(lambda x: diagnostics._fork_map(_tagged, range(3)),
+                                   range(3))
+    assert [len({pid for _, pid in row}) for row in nested] == [3, 1, 1]
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
+    assert diagnostics._fork_map(_tagged, range(4)) == [(x * x, me) for x in range(4)]
+
+
+def test_fork_map_maps_here_when_the_system_refuses_a_fork(three_workers, monkeypatch):
+    # the first fork succeeds, the second is refused: the first child is
+    # reaped and every cell runs in this process
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        if len(forks) > 1:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert diagnostics._fork_map(_tagged, range(6)) == [(x * x, os.getpid()) for x in range(6)]
+    assert len(forks) == 2
+
+
+def test_fork_map_raises_the_sequential_exception(three_workers):
+    def cell(x):
+        if x in (4, 5):  # both in children
+            raise ValueError(f"cell {x}")
+        return x
+
+    with pytest.raises(ValueError, match="cell 4"):
+        diagnostics._fork_map(cell, range(9))
+    # a cell that fails only in a child is run again here, and its value holds
+    parent = os.getpid()
+
+    def child_only(x):
+        if os.getpid() != parent:
+            raise RuntimeError("lost in a child")
+        return x
+
+    assert diagnostics._fork_map(child_only, range(9)) == list(range(9))
+
+    def child_dies(x):
+        if os.getpid() != parent and x == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    assert diagnostics._fork_map(child_dies, range(9)) == list(range(9))
+
+
+@pytest.mark.parametrize("warner", [1, 3])  # in a child, in this process
+def test_fork_map_surfaces_a_warning_once(three_workers, warner):
+    def cell(x):
+        if x == warner:
+            warnings.warn(f"cell {x} warns", UserWarning)
+        return x
+
+    with pytest.warns(UserWarning, match=f"cell {warner} warns") as caught:
+        assert diagnostics._fork_map(cell, range(6)) == list(range(6))
+    assert len(caught) == 1
+
+
+def test_fork_map_lets_an_interrupt_through(three_workers):
+    parent = os.getpid()
+
+    def cell(x):
+        if os.getpid() == parent and x == 3:
+            raise KeyboardInterrupt
+        if os.getpid() != parent:
+            time.sleep(30)  # killed, not waited for
+        return x
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        diagnostics._fork_map(cell, range(6))
+    assert time.perf_counter() - start < 20
+
+
+def test_fork_map_writes_nothing_twice(three_workers, capfd, monkeypatch):
+    # a buffered stdout whose buffer holds text at the fork
+    stdout = io.TextIOWrapper(io.FileIO(os.dup(1), "w"), write_through=False)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    print("before", end="")
+
+    def cell(x):
+        sys.stdout.flush()
+        if x == 2:
+            raise ValueError("no traceback from a child")
+        return x
+
+    assert diagnostics._fork_map(lambda x: (sys.stdout.flush(), x)[1], range(6)) == \
+        list(range(6))
+    with pytest.raises(ValueError):
+        diagnostics._fork_map(cell, range(6))
+    print("after")
+    stdout.close()
+    out, err = capfd.readouterr()
+    assert out == "beforeafter\n" and err == ""
 
 
 # ---------------------------------------------------------------------------

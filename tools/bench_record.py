@@ -32,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,14 +57,28 @@ def source_ids() -> dict:
     return {p: git("rev-parse", f"{tree}:{p}") for p in SOURCES}
 
 
+@contextmanager
+def _one_cpu():
+    """This process, and what it starts, pinned to its lowest usable CPU."""
+    usable = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(usable)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, usable)
+
+
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
                   trace: int = 0) -> tuple[dict, dict]:
     """(provenance, JSON result) of one ``perfbench/run.py`` run in
     ``checkout``.  A run that prints no result line reads as an incorrect
-    one whose ``error`` is the last line of its stderr."""
+    one whose ``error`` is the last line of its stderr.  A traced run is
+    pinned to one CPU: homoflow then maps its sweep cells in one process,
+    whose spans the tracer sees, where forked workers' spans would be lost."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, text=True, capture_output=True)
+    with _one_cpu() if trace else nullcontext():
+        proc = subprocess.run(cmd, cwd=checkout, text=True, capture_output=True)
     lines = proc.stdout.strip().splitlines()
     prov = next((json.loads(line[len(PROVENANCE):]) for line in lines
                  if line.startswith(PROVENANCE)), {})
