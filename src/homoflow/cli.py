@@ -170,9 +170,11 @@ def parse_config(text: str) -> ExperimentConfig:
 # eps = 1/80 sweep by default
 _MAX_SAMPLES = 2 ** 27
 
-# invariant_suite holds about 430 bytes per sample at its peak (check on
-# deltagamma: 63.8 MB RSS at 2^16 samples, 144.9 MB at 2^18), so 2^21
-# samples keep a check under 1 GB (837 MB measured)
+# invariant_suite holds about 430 bytes per sample at its peak in one process
+# (check on deltagamma under taskset -c 0: 63.9 MiB RSS at 2^16 samples,
+# 144.9 MiB at 2^18); on 2 CPUs the parent's and its worker's peaks sum to
+# 91.1 and 175.1 MiB, about 450 bytes per sample, so 2^21 samples keep a
+# check under 1 GiB (959 MiB extrapolated from those two sums)
 _MAX_CHECK_SAMPLES = 2 ** 21
 
 

@@ -14,8 +14,10 @@ same samplers to the strong pass.  Every limit pairing and every (eps, test
 function) pairing is independent work.  :func:`_fork_map` runs such cells on
 every usable CPU, each cell with its own single-process arithmetic, and
 returns them in canonical order, so output never depends on scheduling.
-Samplers and fields handed to a sweep must therefore be pure: what a cell
-changes outside its result is lost when it ran in a forked worker.
+The invariant suite maps its samples the same way, one contiguous chunk
+per usable CPU.  Samplers and fields handed to a sweep or to the invariant
+suite must therefore be pure: what a cell changes outside its result is
+lost when it ran in a forked worker.
 """
 
 from __future__ import annotations
@@ -425,6 +427,37 @@ def _sphere_points(dim: int, radius: float, n: int, seed: int) -> Array:
     return radius * v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def _sample_reductions(system: RectifiedSystem, pts: Array,
+                       xis: Sequence[Array]) -> Array:
+    """The invariant suite's maxima over one batch of samples, of:
+    rectification and determinant-identity residuals, lo - sigma,
+    sigma - hi, -sigma, -theta, then the weighted-drift divergence in 2D or
+    one flux pairing per ``xis`` vector.  A point's values do not depend on
+    which points share its batch, so the maxima over any split of a batch
+    are its own maxima."""
+    res = rectification_residual(system, pts)
+    jw = system.W.jacobian(pts)
+    det = np.linalg.det(jw)
+    sig = system.sigma.eval(pts)
+    th = system.theta.eval(pts)
+    lo, hi = system.sigma_bounds
+    bv = system.b.eval(pts)
+    if system.dim == 2:
+        div_flux = (np.einsum("...i,...i->...", system.sigma.grad(pts), bv)
+                    + sig * np.trace(system.b.jacobian(pts), axis1=-2, axis2=-1))
+        pairing = [np.abs(div_flux)]
+    else:
+        flux = sig[..., None] * bv
+        rows = [jw[..., k, :] for k in range(1, system.dim)]
+        pairing = []
+        for xi in xis:
+            mat = np.stack([np.broadcast_to(xi, bv.shape)] + rows, axis=-1)
+            lhs = np.einsum("...i,...i->...", flux, np.broadcast_to(xi, bv.shape))
+            pairing.append(np.abs(lhs - np.linalg.det(mat)))
+    maxima = [np.abs(res), np.abs(det - sig * th), lo - sig, sig - hi, -sig, -th]
+    return np.array([np.max(m) for m in maxima + pairing])
+
+
 def invariant_suite(system: RectifiedSystem, sample_box: Box | None = None,
                     n_samples: int = 1000, seed: int = 0) -> InvariantReport:
     """Evaluate every structural identity of a rectified system on samples.
@@ -437,6 +470,12 @@ def invariant_suite(system: RectifiedSystem, sample_box: Box | None = None,
     (the min of |W| over growing spheres must increase roughly linearly).
     The identities are held to ANALYTIC_TOL when ``system.analytic``, to
     FLOW_TOL otherwise.
+
+    The samples split into one contiguous chunk per usable CPU, mapped with
+    the sphere batch through :func:`_fork_map`; only each chunk's maxima
+    come back, and their max is the whole batch's (NaN included), so the
+    report is the same on any number of CPUs.  The system's fields must
+    therefore be pure.
     """
     dim = system.dim
     if sample_box is None:
@@ -444,49 +483,40 @@ def invariant_suite(system: RectifiedSystem, sample_box: Box | None = None,
     tol = ANALYTIC_TOL if system.analytic else FLOW_TOL
     rng = np.random.default_rng(seed)
     pts = sample_box.lo + rng.random((n_samples, dim)) * sample_box.widths
-
-    checks = []
-
-    res = rectification_residual(system, pts)
-    checks.append(_mk("rectification", float(np.abs(res).max()), tol))
-
-    jw = system.W.jacobian(pts)
-    det = np.linalg.det(jw)
-    sig = system.sigma.eval(pts)
-    th = system.theta.eval(pts)
-    checks.append(_mk("determinant-identity", float(np.abs(det - sig * th).max()), tol))
-
-    lo, hi = system.sigma_bounds
-    bound_res = max(float(np.max(lo - sig)), float(np.max(sig - hi)), 0.0)
-    checks.append(InvariantCheck("sigma-bounds", bound_res, 1e-12,
-                                 bound_res <= 1e-12 and bool(np.all(sig > 0.0))))
-
-    th_res = max(0.0, float(np.max(-th)))
-    checks.append(InvariantCheck("theta-positive", th_res, 0.0,
-                                 bool(np.all(th > 0.0))))
-
-    bv = system.b.eval(pts)
-    if dim == 2:
-        div_flux = (np.einsum("...i,...i->...", system.sigma.grad(pts), bv)
-                    + sig * np.trace(system.b.jacobian(pts), axis1=-2, axis2=-1))
-        checks.append(_mk("weighted-drift-divergence", float(np.abs(div_flux).max()), tol))
-    else:
-        flux = sig[..., None] * bv
-        rows = [jw[..., k, :] for k in range(1, dim)]
-        worst = 0.0
-        for _ in range(8):
-            xi = rng.standard_normal(dim)
-            mat = np.stack([np.broadcast_to(xi, bv.shape)] + rows, axis=-1)
-            lhs = np.einsum("...i,...i->...", flux, np.broadcast_to(xi, bv.shape))
-            worst = max(worst, float(np.abs(lhs - np.linalg.det(mat)).max()))
-        checks.append(_mk("flux-determinant-pairing", worst, tol * 10.0))
-
+    xis = [rng.standard_normal(dim) for _ in range(8)] if dim != 2 else []
+    chunks = np.array_split(pts, min(n_samples, _usable_cpus()))
     radii = [1.0, 2.0, 4.0, 8.0]
     n_sphere = 64 if dim == 2 else 256
-    # one batch for all spheres: W evaluates each point independently
-    spheres = np.concatenate([_sphere_points(dim, r, n_sphere, seed) for r in radii])
-    norms = np.linalg.norm(system.W.eval(spheres), axis=-1)
-    mins = [float(m) for m in norms.reshape(len(radii), n_sphere).min(axis=1)]
+
+    def cell(k: int):  # the sample chunks, then the spheres
+        if k < len(chunks):
+            return _sample_reductions(system, chunks[k], xis)
+        # one batch for all spheres: W evaluates each point independently
+        spheres = np.concatenate([_sphere_points(dim, r, n_sphere, seed) for r in radii])
+        norms = np.linalg.norm(system.W.eval(spheres), axis=-1)
+        return [float(m) for m in norms.reshape(len(radii), n_sphere).min(axis=1)]
+
+    *parts, mins = _fork_map(cell, range(len(chunks) + 1))
+    # a field is positive at every sample exactly when the max of its
+    # negative is below 0, a NaN sample included
+    rect, det_res, lo_res, hi_res, sig_neg, th_neg, *pairing = (
+        float(m) for m in np.max(parts, axis=0))
+
+    checks = [_mk("rectification", rect, tol),
+              _mk("determinant-identity", det_res, tol)]
+
+    bound_res = max(lo_res, hi_res, 0.0)
+    checks.append(InvariantCheck("sigma-bounds", bound_res, 1e-12,
+                                 bound_res <= 1e-12 and sig_neg < 0.0))
+
+    th_res = max(0.0, th_neg)
+    checks.append(InvariantCheck("theta-positive", th_res, 0.0, th_neg < 0.0))
+
+    if dim == 2:
+        checks.append(_mk("weighted-drift-divergence", pairing[0], tol))
+    else:
+        checks.append(_mk("flux-determinant-pairing", max(0.0, *pairing), tol * 10.0))
+
     drops = max((mins[i] - mins[i + 1]) for i in range(len(mins) - 1))
     slope = float(np.polyfit(radii, mins, 1)[0])
     proper_res = max(0.0, drops) + max(0.0, -slope)

@@ -123,6 +123,20 @@ def test_uncommitted_sources_name_no_commit(monkeypatch, tmp_path):
     assert bench_record.record(5)["git_sha"] == _git(repo, "rev-parse", "HEAD")
 
 
+def test_sources_are_hashed_afresh(monkeypatch, tmp_path):
+    # an index entry that vouches for src/mod.py unread (here by
+    # --assume-unchanged, as a racy-clean stat cache can) must not hide an edit
+    repo = _scratch_repo(tmp_path)
+    monkeypatch.setattr(bench_record, "ROOT", repo)
+    monkeypatch.setattr(bench_record.subprocess, "run", _fake_run([]))
+    _git(repo, "update-index", "--assume-unchanged", "src/mod.py")
+    (repo / "src" / "mod.py").write_text("x = 2\n")
+    rec = bench_record.record(6)
+    assert rec["git_sha"] is None
+    assert _git(repo, "rev-parse", f"{rec['sources']['src']}:mod.py") == \
+        _git(repo, "hash-object", "src/mod.py")
+
+
 def test_ab_pairs_runs_perfbench_through_the_same_helper(monkeypatch, tmp_path):
     assert ab_pairs.run_perfbench is bench_record.run_perfbench
     assert ab_pairs.git is bench_record.git
@@ -159,9 +173,9 @@ def test_ab_pairs_reads_the_work_counters_in_one_line_each(monkeypatch, tmp_path
 
 
 def test_traced_runs_are_pinned_to_one_cpu(monkeypatch, tmp_path):
-    # homoflow forks a sweep's cells onto every usable CPU, and a worker's
-    # spans are lost: traced runs of both sides see one CPU, so their work
-    # counters cover the whole work
+    # homoflow forks a sweep's cells and a check's samples onto every usable
+    # CPU, and a worker's spans are lost: traced runs of both sides see one
+    # CPU, so their work counters cover the whole work
     usable = os.sched_getaffinity(0)
     seen = []
     fake = _fake_run([])

@@ -524,7 +524,7 @@ def test_analytic_is_declared_on_the_system():
             assert report.check(check).tolerance == (1e-10 if analytic else 1e-6)
 
 
-def test_coercivity_spheres_share_one_batch():
+def test_coercivity_spheres_share_one_batch(monkeypatch):
     # W(x) = x / (1 + |x|^2) is not coercive: the min over the spheres falls
     calls = []
 
@@ -534,6 +534,8 @@ def test_coercivity_spheres_share_one_batch():
 
     base = identity_system(0.2)
     system = replace(base, W=hf.Diffeo(2, ev, base.W.jacobian))
+    # ev records its calls, which a forked worker would not hand back
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
     report = hf.invariant_suite(system, n_samples=50)
     assert calls == [(256, 2)]
     radii = [1.0, 2.0, 4.0, 8.0]
@@ -562,3 +564,85 @@ def test_invariant_suite_three_dimensional_system(rng):
                                 n_samples=200)
     assert report.all_passed
     assert report.check("flux-determinant-pairing").max_residual < 1e-12
+
+
+def _report_bits(report):
+    return [(c.invariant_id, c.max_residual.hex(), c.tolerance, c.passed)
+            for c in report.checks]
+
+
+def test_invariant_suite_is_the_same_on_any_number_of_workers(monkeypatch):
+    field = shear_velocity()
+    cases = [(identity_system(0.2), None, 40), (deltagamma_system(0.2), None, 40),
+             (twist_system(0.2), None, 40), (shear_system(0.2), None, 40),
+             (hf.periodic_family(hf.identity_cell(3), 0.2),
+              hf.Box.from_radius(np.zeros(3), 2.0), 40),
+             (dynamic_flow_family(field, field, 1.0, 0.2, CFG), None, 20)]
+    cases += [(identity_system(0.2), None, n) for n in (1, 2)]
+    real = diagnostics._sample_reductions
+
+    def no_empty_chunk(system, pts, xis):
+        if len(pts) == 0:  # raised again by the in-process run
+            raise AssertionError("an empty chunk of samples")
+        return real(system, pts, xis)
+
+    monkeypatch.setattr(diagnostics, "_sample_reductions", no_empty_chunk)
+    for system, box, n in cases:
+        reports = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: workers)
+            reports.append(_report_bits(hf.invariant_suite(system, box, n_samples=n,
+                                                           seed=5)))
+        assert reports[1] == reports[0] and reports[2] == reports[0], (system.label, n)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _at_one_sample(base, name, value):
+    """``base`` with field ``name`` set to ``value`` at sample 15 of the
+    suite's 30 (seed 0), which lies in the second of three chunks: the first
+    forked worker's."""
+    box = hf.Box.from_radius(np.zeros(2), 2.0)
+    target = (box.lo + np.random.default_rng(0).random((30, 2)) * box.widths)[15]
+    field = getattr(base, name)
+
+    def ev(x):
+        return np.where(np.all(x == target, axis=-1), value, field.eval(x))
+
+    return replace(base, **{name: hf.ScalarField(2, ev, field.grad)})
+
+
+def _one_and_three_workers(monkeypatch, system):
+    reports = []
+    for workers in (1, 3):
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would map it all here
+            reports.append(hf.invariant_suite(system, n_samples=30))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    one, forked = reports
+    assert _report_bits(forked) == _report_bits(one)
+    return forked
+
+
+def test_invariant_suite_reports_a_nan_from_a_worker(monkeypatch):
+    system = _at_one_sample(deltagamma_system(0.2), "theta", np.nan)
+    report = _one_and_three_workers(monkeypatch, system)
+    for name in ("rectification", "determinant-identity"):
+        assert math.isnan(report.check(name).max_residual)
+        assert not report.check(name).passed
+    assert not report.check("theta-positive").passed
+    assert not report.all_passed
+
+
+def test_invariant_suite_fails_a_field_that_is_zero_in_a_worker(monkeypatch):
+    # sigma = theta = 0 at one sample leaves both residuals at 0, within
+    # bounds starting at 0: only the positivity of each field can fail
+    base = deltagamma_system(0.2)
+    system = replace(_at_one_sample(_at_one_sample(base, "sigma", 0.0), "theta", 0.0),
+                     sigma_bounds=(0.0, base.sigma_bounds[1]))
+    report = _one_and_three_workers(monkeypatch, system)
+    for name in ("sigma-bounds", "theta-positive"):
+        assert report.check(name).max_residual == 0.0
+        assert not report.check(name).passed

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import homoflow as hf
-from homoflow import flow
+from homoflow import diagnostics, flow
 from homoflow.flow import (AccuracyError, BlowupError, IntegratorConfig,
                            advect, advect_times, dynamic_flow_family,
                            flow_map_diffeo, semigroup_defect)
@@ -397,8 +397,10 @@ def test_memo_keeps_entry_when_integration_blows_up(carried_batches):
     assert len(carried_batches) == 2
 
 
-def test_invariant_suite_integrates_each_batch_once(carried_batches):
+def test_invariant_suite_integrates_each_batch_once(carried_batches, monkeypatch):
     system = _oscillating_family()
+    # carried_batches records calls, which a forked worker would not hand back
+    monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
     report = hf.invariant_suite(system, n_samples=50)
     assert report.checks
     # the sample batch, then the finite-difference stack of b.jacobian

@@ -32,8 +32,8 @@ With ``--trace 1`` a line per work counter (a metric whose BENCHMARK.json
 unit is ``count``) follows the table: ``equal`` when base and change read
 the same in every pair, else both medians.  Traced runs of both sides are
 pinned to one CPU, so that each counter covers the whole work: homoflow
-maps a sweep's cells over forked workers on every usable CPU, and the
-spans recorded in a worker are lost.
+maps a sweep's cells and a check's samples over forked workers on every
+usable CPU, and the spans recorded in a worker are lost.
 
 perfbench's ``cpu_s`` is ``time.process_time`` of the benchmark process
 alone: it leaves out the CPU time of those workers, so it falls when a

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -47,11 +46,13 @@ def git(*args: str, env=None) -> str:
 
 def source_ids() -> dict:
     """Git object id of each of SOURCES in the working tree: the tracked
-    files' current contents, written through a scratch copy of the index."""
+    files' current contents, written through a scratch index read from the
+    index's tree.  Its entries carry no stat data, so every tracked source
+    is hashed afresh: a copy of the index would keep the stat cache, which
+    can vouch for an edit it never read (git's racy-clean case)."""
     with tempfile.TemporaryDirectory() as tmp:
-        index = Path(tmp) / "index"
-        shutil.copyfile(ROOT / git("rev-parse", "--git-path", "index"), index)
-        env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("read-tree", git("write-tree"), env=env)
         git("add", "--update", "--", *SOURCES, env=env)
         tree = git("write-tree", env=env)
     return {p: git("rev-parse", f"{tree}:{p}") for p in SOURCES}
@@ -73,8 +74,9 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
     """(provenance, JSON result) of one ``perfbench/run.py`` run in
     ``checkout``.  A run that prints no result line reads as an incorrect
     one whose ``error`` is the last line of its stderr.  A traced run is
-    pinned to one CPU: homoflow then maps its sweep cells in one process,
-    whose spans the tracer sees, where forked workers' spans would be lost."""
+    pinned to one CPU: homoflow then maps its sweep cells and check samples
+    in one process, whose spans the tracer sees, where forked workers' spans
+    would be lost."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     with _one_cpu() if trace else nullcontext():
