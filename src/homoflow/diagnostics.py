@@ -435,6 +435,10 @@ def _sample_reductions(system: RectifiedSystem, pts: Array,
     one flux pairing per ``xis`` vector.  A point's values do not depend on
     which points share its batch, so the maxima over any split of a batch
     are its own maxima."""
+    # b.jacobian first: a flow-built system integrates the batch together with
+    # its difference neighbours there, and W.jacobian, W.det, b.eval and
+    # theta.eval then hit its memo (an analytic system is pure: order is moot)
+    jb = system.b.jacobian(pts) if system.dim == 2 else None
     res = rectification_residual(system, pts)
     jw = system.W.jacobian(pts)
     det = np.linalg.det(jw)
@@ -444,7 +448,7 @@ def _sample_reductions(system: RectifiedSystem, pts: Array,
     bv = system.b.eval(pts)
     if system.dim == 2:
         div_flux = (np.einsum("...i,...i->...", system.sigma.grad(pts), bv)
-                    + sig * np.trace(system.b.jacobian(pts), axis1=-2, axis2=-1))
+                    + sig * np.trace(jb, axis1=-2, axis2=-1))
         pairing = [np.abs(div_flux)]
     else:
         flux = sig[..., None] * bv
@@ -469,7 +473,7 @@ def invariant_suite(system: RectifiedSystem, sample_box: Box | None = None,
     (higher dimension); and the coercivity surrogate for uniform properness
     (the min of |W| over growing spheres must increase roughly linearly).
     The identities are held to ANALYTIC_TOL when ``system.analytic``, to
-    FLOW_TOL otherwise.
+    FLOW_TOL otherwise.  ``n_samples`` below 1 raises ValueError.
 
     The samples split into one contiguous chunk per usable CPU, mapped with
     the sphere batch through :func:`_fork_map`; only each chunk's maxima
@@ -477,6 +481,8 @@ def invariant_suite(system: RectifiedSystem, sample_box: Box | None = None,
     report is the same on any number of CPUs.  The system's fields must
     therefore be pure.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     dim = system.dim
     if sample_box is None:
         sample_box = Box.from_radius(np.zeros(dim), 2.0)

@@ -18,8 +18,9 @@ Each integration call is pure; trajectories for distinct starting batches may
 run concurrently.  A flow map (:func:`flow_map_diffeo`, which
 :func:`dynamic_flow_family` builds on) keeps a single-entry memo of the last
 carried integration, keyed by the exact bytes of the point batch, so the
-Jacobian, determinant, drift and theta of one batch share one integration.
-The arrays of a memoized state are read-only.
+Jacobian, determinant, drift and theta of one batch share one integration,
+and the dynamic drift's difference Jacobian integrates a batch together with
+its difference neighbours.  The arrays of a memoized state are read-only.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (Array, Diffeo, FieldError, RectifiedSystem, VectorField,
-                     as_points, constant_scalar, fd_scalar_field, fd_vector_field,
+                     as_points, constant_scalar, fd_jacobian, fd_scalar_field,
                      jacobian_flux, zeros)
 
 # FD step scale for flow-propagated fields (the step at x is
@@ -229,26 +230,43 @@ def flow_map_diffeo(field: VectorField, t: float,
     guard) leaves the previous entry in place.  ``eval`` integrates positions
     only and is not memoized.
     """
+    return _flow_map(field, t, cfg)[0]
+
+
+def _flow_map(field: VectorField, t: float, cfg: IntegratorConfig) -> tuple:
+    """:func:`flow_map_diffeo`'s map and its memo function: ``state(x)`` is
+    the carried state at x, ``state(x, extra)`` the pair of it and the state
+    at ``extra``, integrated in x's batch unless x hits the memo."""
     t = float(t)
+    dim = field.dim
     memo: tuple | None = None
 
-    def state(x) -> FlowState:
+    def state(x, extra=None):
         nonlocal memo
-        x = as_points(x, field.dim)
+        x = as_points(x, dim)
         key = (x.shape, x.dtype.str, x.tobytes())
         # the (key, state) pair is read once and replaced in one assignment,
         # so a concurrent caller never pairs one batch's key with another's state
         entry = memo
         if entry is not None and entry[0] == key:
-            return entry[1]
-        st = advect(field, x, t, cfg, carry_jacobian=True)
+            return entry[1] if extra is None else (
+                entry[1], advect(field, extra, t, cfg, carry_jacobian=True))
+        if extra is None:
+            st = advect(field, x, t, cfg, carry_jacobian=True)
+        else:
+            extra, n = as_points(extra, dim), x.size // dim
+            full = advect(field, np.concatenate([x.reshape(-1, dim), extra.reshape(-1, dim)]),
+                          t, cfg, carry_jacobian=True)
+            st, far = (FlowState(t, *(a[rows].reshape(pts.shape[:-1] + a.shape[1:])
+                                      for a in (full.pos, full.jac, full.logdet)))
+                       for rows, pts in ((slice(n), x), (slice(n, None), extra)))
         for arr in (st.pos, st.jac, st.logdet):
             arr.flags.writeable = False
         memo = (key, st)
-        return st
+        return st if extra is None else (st, far)
 
-    return Diffeo(field.dim, lambda x: advect(field, x, t, cfg).pos,
-                  lambda x: state(x).jac, det=lambda x: np.exp(state(x).logdet))
+    return Diffeo(dim, lambda x: advect(field, x, t, cfg).pos,
+                  lambda x: state(x).jac, det=lambda x: np.exp(state(x).logdet)), state
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +289,27 @@ def dynamic_flow_family(a_eps: VectorField, limit_a: VectorField, t_star: float,
     ``b.eval`` and ``theta.eval`` read its one memoized carried integration
     (``limit_W`` and ``limit_theta`` that of ``limit_a``), which keeps only
     the last point batch: calling them on the same points integrates once.
-    ``W.jacobian`` returns a read-only array.
+    ``b.jacobian``, ``fd_jacobian(b.eval, x, FLOW_FD_STEP)`` bit for bit,
+    integrates x and its 2N difference neighbours in one batch and leaves x
+    in the memo (on a hit, the neighbours alone).  ``W.jacobian`` returns a
+    read-only array.
     """
     dim = a_eps.dim
     if limit_a.dim != dim:
         raise FieldError(f"dimension mismatch: {dim} vs {limit_a.dim}")
     t_star = float(t_star)
-    W = flow_map_diffeo(a_eps, t_star, cfg)
+    W, state = _flow_map(a_eps, t_star, cfg)
     limit_W = flow_map_diffeo(limit_a, t_star, cfg)
 
     def b_ev(x):
         return jacobian_flux(W.jacobian(x))
 
-    b = fd_vector_field(dim, b_ev, zeros(dim), FLOW_FD_STEP, div_bound=0.0)
+    def b_jac(x):
+        x = as_points(x, dim)
+        return fd_jacobian(lambda near: jacobian_flux(state(x, near)[1].jac),
+                           x, FLOW_FD_STEP)
+
+    b = VectorField(dim, b_ev, b_jac, zeros(dim), div_bound=0.0)
 
     return RectifiedSystem(
         dim=dim, eps=float(eps), W=W, sigma=constant_scalar(dim, 1.0), b=b,

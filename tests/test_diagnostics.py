@@ -494,6 +494,12 @@ def test_invariant_suite_dynamic_flow_system():
         assert check.max_residual < 1e-6
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_invariant_suite_refuses_fewer_than_one_sample(n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        hf.invariant_suite(deltagamma_system(0.2), n_samples=n_samples)
+
+
 def test_invariant_suite_flags_violated_bounds():
     system = deltagamma_system(0.2)
     broken = hf.RectifiedSystem(

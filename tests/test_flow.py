@@ -7,6 +7,7 @@ import pytest
 
 import homoflow as hf
 from homoflow import diagnostics, flow
+from homoflow.fields import fd_jacobian
 from homoflow.flow import (AccuracyError, BlowupError, IntegratorConfig,
                            advect, advect_times, dynamic_flow_family,
                            flow_map_diffeo, semigroup_defect)
@@ -403,5 +404,88 @@ def test_invariant_suite_integrates_each_batch_once(carried_batches, monkeypatch
     monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
     report = hf.invariant_suite(system, n_samples=50)
     assert report.checks
-    # the sample batch, then the finite-difference stack of b.jacobian
-    assert carried_batches == [(50,), (4, 50)]
+    # the sample batch and the four difference neighbours of each sample
+    assert carried_batches == [(250,)]
+
+
+# ---------------------------------------------------------------------------
+# the dynamic drift's difference Jacobian: one batch with its neighbours
+# ---------------------------------------------------------------------------
+
+def _rotating_velocity_3d():
+    """a(x) = (sin x1, sin x2, sin x0): bounded and divergence free."""
+    def ev(x):
+        return np.sin(x[..., [1, 2, 0]])
+
+    def jac(x):
+        j = np.zeros(x.shape[:-1] + (3, 3))
+        for i, k in enumerate((1, 2, 0)):
+            j[..., i, k] = np.cos(x[..., k])
+        return j
+
+    return hf.VectorField(3, ev, jac, lambda x: np.zeros(x.shape[:-1]))
+
+
+@pytest.mark.parametrize("shape", [(30,), (), (3, 10)])
+def test_dynamic_b_jacobian_is_the_fd_reference(rng, shape):
+    x = rng.uniform(-2, 2, shape + (2,))
+    system = _oscillating_family()
+    merged = system.b.jacobian(x)  # a miss: x rides with its neighbours
+    reference = fd_jacobian(_oscillating_family().b.eval, x, flow.FLOW_FD_STEP)
+    assert _same_bytes(merged, reference)
+    # with W's memo holding x, the neighbours run alone: the same bits
+    system.W.jacobian(x)
+    assert _same_bytes(system.b.jacobian(x), reference)
+
+
+def test_dynamic_b_jacobian_is_the_fd_reference_in_3d(rng):
+    field = _rotating_velocity_3d()
+    x = rng.uniform(-1, 1, (12, 3))
+    merged = dynamic_flow_family(field, field, 0.5, 0.2, MEMO_CFG).b.jacobian(x)
+    system = dynamic_flow_family(field, field, 0.5, 0.2, MEMO_CFG)
+    assert _same_bytes(merged, fd_jacobian(system.b.eval, x, flow.FLOW_FD_STEP))
+
+
+def test_b_jacobian_first_integrates_batch_and_neighbours_once(rng, carried_batches):
+    system = _oscillating_family()
+    x = rng.uniform(-2, 2, (20, 2))
+    system.b.jacobian(x)
+    assert carried_batches == [(100,)]
+    direct = advect(oscillating_velocity(0.2), x, 1.0, MEMO_CFG, carry_jacobian=True)
+    jw = system.W.jacobian(x)
+    assert _same_bytes(jw, direct.jac) and not jw.flags.writeable
+    assert _same_bytes(system.W.det(x), np.exp(direct.logdet))
+    assert _same_bytes(system.b.eval(x), hf.rot_perp(direct.jac[..., 1, :]))
+    assert _same_bytes(system.theta.eval(x), np.exp(direct.logdet))
+    assert carried_batches == [(100,)]
+
+
+def test_w_first_then_b_jacobian_integrates_the_neighbours_alone(rng, carried_batches):
+    system = _oscillating_family()
+    x = rng.uniform(-2, 2, (20, 2))
+    jw = system.W.jacobian(x)
+    system.b.jacobian(x)
+    assert carried_batches == [(20,), (4, 20)]
+    assert system.W.jacobian(x) is jw  # the neighbours left x in the memo
+    assert len(carried_batches) == 2
+
+
+def test_blowup_in_merged_batch_keeps_memo_entry(carried_batches):
+    def ev(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.stack([x[..., 0] ** 2, np.zeros(x.shape[:-1])], axis=-1)
+
+    def jac(x):
+        j = np.zeros(x.shape[:-1] + (2, 2))
+        j[..., 0, 0] = 2 * x[..., 0]
+        return j
+
+    field = hf.VectorField(2, ev, jac, lambda x: 2 * x[..., 0])
+    system = dynamic_flow_family(field, field, 2.0, 0.1, MEMO_CFG)
+    good = np.array([[0.1, 0.0]])
+    kept = system.W.jacobian(good)
+    with pytest.raises(BlowupError), np.errstate(over="ignore", invalid="ignore"):
+        system.b.jacobian(np.array([[2.0, 0.0]]))
+    assert carried_batches == [(1,), (5,)]
+    assert system.W.jacobian(good) is kept
+    assert len(carried_batches) == 2
